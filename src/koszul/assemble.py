@@ -5,7 +5,11 @@ indices, the ordered block determinant with a coordinate-selector top row
 and the degree-lowering operators below is applied to that tuple's block
 of the solved coefficient vector, summed over tuples, and scaled by k.
 Tuples not containing i contribute nothing because their selector row is
-zero.  G is the sum of the G_i.
+zero.  On a tuple that contains i the determinant collapses, by the
+anticommutation of the lowering operators, to a signed, (k-1)!-scaled
+ordered chain of the tuple's other rows, which is applied right to left
+to the block as a sequence of matrix-vector products.  G is the sum of
+the G_i.
 """
 
 from __future__ import annotations
@@ -21,15 +25,21 @@ from .detk import det_k_gram
 from .errors import PreconditionError
 from .estimates import K_constant
 from .exterior import q_matrix
-from .opdet import BlockOperatorMatrix, numeric_rank, operator_det
+from .opdet import numeric_rank
 from .poly import DiscGrid, PolyMatrix, grid_map, sup_operator_norm
 
 
 def build_Gi(F: PolyMatrix, v_i: PolyMatrix, i: int, k: int) -> PolyMatrix:
     """Assemble the d x 1 vector for target row i from its solved coefficients.
 
-    v_i stacks one C(d, k) block per k-tuple in canonical order.  The k = 1
-    case reduces to copying the block of the selected row.
+    v_i stacks one C(d, k) block per k-tuple in canonical order.  For a
+    tuple pi holding i at 0-based position pos, the selector block
+    determinant equals (-1)^pos (k-1)! Q_{r_1}^(1) ... Q_{r_{k-1}}^(k-1),
+    where r is pi without i in increasing order and Q_j^(s) is the
+    degree-lowering operator of row j.  The chain is applied right to left
+    to the tuple's block, so each step is a matrix-vector product; for
+    k = 1 the chain is empty and the block itself is the contribution.
+    The signed sum over tuples is scaled by k * (k-1)! = k!.
     """
     m, d = F.shape
     if not 1 <= i <= m:
@@ -43,26 +53,23 @@ def build_Gi(F: PolyMatrix, v_i: PolyMatrix, i: int, k: int) -> PolyMatrix:
             f"expected stacked vector of shape ({len(tuples_k) * block_len}, 1), "
             f"got {v_i.shape}"
         )
-    poly_rows = [list(F.entries[r]) for r in range(m)]
+    lowering = {
+        (j, s): q_matrix(list(F.entries[j - 1]), s).matrix
+        for j in range(1, m + 1) if j != i
+        for s in range(1, k)
+    }
     G = PolyMatrix.zeros(d, 1)
     for t_index, pi in enumerate(tuples_k):
         if i not in pi:
             continue  # selector row vanishes on these tuples
-        block = _selector_block(poly_rows, d, i, pi, k)
-        v_block = v_i.submatrix(
+        w = v_i.submatrix(
             slice(t_index * block_len, (t_index + 1) * block_len), slice(0, 1)
         )
-        G = G + block @ v_block
-    return G.scale(float(k))
-
-
-def _selector_block(poly_rows, d: int, i: int, pi, k: int) -> PolyMatrix:
-    """Ordered block determinant for one tuple: selector top row, then the
-    degree-lowering operators of the tuple's rows."""
-    rows = [[PolyMatrix.identity(d) if j == i else PolyMatrix.zeros(d, d) for j in pi]]
-    for s in range(1, k):
-        rows.append([q_matrix(poly_rows[j - 1], s).matrix for j in pi])
-    return operator_det(BlockOperatorMatrix.from_rows(rows))
+        rest = pi.drop(i)
+        for s in range(k - 1, 0, -1):
+            w = lowering[rest[s - 1], s] @ w
+        G = G - w if pi.entries.index(i) % 2 else G + w
+    return G.scale(float(factorial(k)))
 
 
 def norm_bound(m: int, k: int) -> float:

@@ -8,6 +8,7 @@ Exit codes: 0 all checks passed, 1 a check failed, 2 invalid input.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 from . import __version__
@@ -25,12 +26,19 @@ EXIT_CHECK_FAILED = 1
 EXIT_INVALID_INPUT = 2
 
 
+def _tolerance(text: str) -> float:
+    value = float(text)
+    if not (math.isfinite(value) and value >= 0):
+        raise argparse.ArgumentTypeError(f"must be a finite number >= 0, got {text!r}")
+    return value
+
+
 def _shared_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--grid-radii", type=str, default=None,
                    help="comma-separated radii in [0,1), overrides fixture/default grid")
     p.add_argument("--grid-angles", type=int, default=None,
                    help="equispaced angle count per radius")
-    p.add_argument("--tol", type=float, default=None, help="solver residual tolerance")
+    p.add_argument("--tol", type=_tolerance, default=None, help="solver residual tolerance")
     p.add_argument("--degree-cap", type=int, default=None,
                    help="degree cap for solved coefficient vectors")
 

@@ -10,6 +10,7 @@ floats, so a parse/emit round trip reproduces every coefficient bit.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 from .poly import DEFAULT_DEGREE_CAP, DiscGrid, PolyMatrix, Polynomial
@@ -26,7 +27,10 @@ def _poly_from_json(obj, degree_cap: int, where: str) -> Polynomial:
     for pair in obj:
         if not isinstance(pair, list) or len(pair) != 2:
             raise ValueError(f"{where}: coefficient must be a [re, im] pair, got {pair!r}")
-        coeffs.append(complex(float(pair[0]), float(pair[1])))
+        re, im = float(pair[0]), float(pair[1])
+        if not (math.isfinite(re) and math.isfinite(im)):
+            raise ValueError(f"{where}: coefficient {pair!r} is not finite")
+        coeffs.append(complex(re, im))
     p = Polynomial(tuple(coeffs))
     if p.degree > degree_cap:
         raise ValueError(f"{where}: degree {p.degree} exceeds cap {degree_cap}")

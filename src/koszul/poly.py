@@ -296,7 +296,7 @@ class DiscGrid:
         if angles <= 0:
             raise ValueError("angle count must be positive")
         for r in radii:
-            if r < 0 or r >= 1:
+            if not 0 <= r < 1:
                 raise ValueError(f"radius {r} is not in [0, 1)")
         pts = tuple(
             r * cmath.exp(2j * cmath.pi * q / angles) for r in radii for q in range(angles)

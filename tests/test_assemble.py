@@ -106,6 +106,47 @@ def test_build_Gi_hand_expanded_diagonal_two_by_two(small_grid):
         )
 
 
+def reference_Gi(F, v_i, i, k):
+    """build_Gi through the factorial selector determinant of every tuple."""
+    m, d = F.shape
+    block_len = comb(d, k)
+    G = PolyMatrix.zeros(d, 1)
+    for t, pi in enumerate(enumerate_tuples(m, k)):
+        if i not in pi:
+            continue
+        rows = [[PolyMatrix.identity(d) if j == i else PolyMatrix.zeros(d, d) for j in pi]]
+        for s in range(1, k):
+            rows.append([q_matrix(list(F.entries[j - 1]), s).matrix for j in pi])
+        block = operator_det(BlockOperatorMatrix.from_rows(rows))
+        G = G + block @ v_i.submatrix(slice(t * block_len, (t + 1) * block_len), slice(0, 1))
+    return G.scale(float(k))
+
+
+def random_poly_matrix(r, rows, cols, deg):
+    C = r.standard_normal((rows, cols, deg + 1)) + 1j * r.standard_normal((rows, cols, deg + 1))
+    return PolyMatrix.from_rows([[Polynomial(tuple(C[a, b])) for b in range(cols)]
+                                 for a in range(rows)])
+
+
+def coeff_array(M, n):
+    return np.array([[list(e.coeffs) + [0j] * (n - len(e.coeffs)) for e in row]
+                     for row in M.entries])
+
+
+@pytest.mark.parametrize("m,d", [(2, 3), (3, 4), (4, 5)])
+def test_build_Gi_matches_factorial_selector_determinant(m, d):
+    # every k and every target row, so i takes every position inside the tuples
+    r = rng(20 + m)
+    F = random_poly_matrix(r, m, d, 2)
+    for k in range(1, min(m, d) + 1):
+        for i in range(1, m + 1):
+            v = random_poly_matrix(r, comb(m, k) * comb(d, k), 1, 2)
+            got, want = build_Gi(F, v, i, k), reference_Gi(F, v, i, k)
+            n = max(got.max_degree, want.max_degree) + 1
+            diff = np.abs(coeff_array(got, n) - coeff_array(want, n)).max()
+            assert diff <= 1e-12 * np.abs(coeff_array(want, n)).max(), (k, i)
+
+
 def test_build_Gi_shape_validation():
     F = PolyMatrix.from_rows([[P(1), P(0)], [P(0), P(1)]])
     bad_v = PolyMatrix.from_rows([[P(1)], [P(0)]])

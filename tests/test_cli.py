@@ -88,6 +88,25 @@ def test_invalid_input_exit_codes(tmp_path):
     assert code == 2
 
 
+def _nan_in_F(tmp_path):
+    tree = json.loads(open(F1).read())
+    tree["F"][0][0][0][0] = float("nan")
+    path = tmp_path / "nan_F.json"
+    path.write_text(json.dumps(tree))
+    return ["check", str(path)]
+
+
+@pytest.mark.parametrize("argv,fault", [
+    (_nan_in_F, "F[0][0]"),
+    (lambda tmp_path: ["check", F1, "--grid-radii", "nan,0.5"], "radius nan"),
+    (lambda tmp_path: ["solve", F1, "--tol", "nan"], "--tol"),
+], ids=["fixture-coefficient", "grid-radius", "tol"])
+def test_non_finite_input_exits_2_naming_the_field(tmp_path, argv, fault):
+    code, out, err = run_cli(argv(tmp_path))
+    assert code == 2 and out == ""
+    assert fault in err
+
+
 def test_solve_roundtrip_reproduces_residuals(tmp_path):
     out = tmp_path / "G.json"
     csv_path = tmp_path / "resid.csv"

@@ -57,6 +57,10 @@ def test_parse_rejects_malformed_trees():
             {"m": 1, "d": 1, "F": [[[[0.0, 0.0]]]], "H": [[[[0.0, 0.0]]]],
              "grid": {"radii": [1.5], "angles": 4}}
         )
+    with pytest.raises(ValueError, match=r"H\[0\]\[0\]: coefficient .* is not finite"):
+        parse_fixture({"m": 1, "d": 1, "F": [[[[1.0, 0.0]]]], "H": [[[[0.0, float("nan")]]]]})
+    with pytest.raises(ValueError, match=r"G\[1\]: coefficient .* is not finite"):
+        parse_solution({"G": [[[0.0, 0.0]], [[0.5, 0.0], [float("inf"), 0.0]]]})
 
 
 def test_parse_enforces_degree_cap():
