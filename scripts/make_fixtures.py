@@ -19,7 +19,7 @@ from koszul.corona import check_hypotheses
 from koszul.detk import det_k_gram
 from koszul.fixtures import Fixture, save_fixture
 from koszul.opdet import numeric_rank
-from koszul.poly import DiscGrid, Polynomial, PolyMatrix
+from koszul.poly import DiscGrid, Polynomial, PolyMatrix, sup_operator_norm
 
 OUT = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -29,20 +29,20 @@ def p(*coeffs):
 
 
 def normalize(F_raw: PolyMatrix, grid: DiscGrid) -> PolyMatrix:
-    s = max(np.linalg.norm(F_raw.eval(z), 2) for z in grid.points)
-    return F_raw.scale(1.0 / s)
+    return F_raw.scale(1.0 / sup_operator_norm(F_raw, grid))
 
 
 def fit_preimage(F: PolyMatrix, u0: PolyMatrix, grid: DiscGrid) -> tuple[PolyMatrix, PolyMatrix]:
     """Scale u0 so that det_k(F F*)^(3/2) >= 2 max_i |h_i| on the grid."""
-    k = max(numeric_rank(F.eval(z)) for z in grid.points)
+    F_vals = F.eval(grid.points)
+    k = max(numeric_rank(Fz) for Fz in F_vals)
     H0 = F @ u0
     lam = np.inf
-    for z in grid.points:
-        hmax = float(np.max(np.abs(H0.eval(z))))
+    for Fz, H0z in zip(F_vals, H0.eval(grid.points)):
+        hmax = float(np.max(np.abs(H0z)))
         if hmax < 1e-14:
             continue
-        lam = min(lam, max(det_k_gram(F.eval(z), k), 0.0) ** 1.5 / hmax)
+        lam = min(lam, max(det_k_gram(Fz, k), 0.0) ** 1.5 / hmax)
     lam = 0.5 * lam
     u = u0.scale(lam)
     return u, F @ u

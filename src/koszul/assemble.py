@@ -26,7 +26,7 @@ from .errors import PreconditionError
 from .estimates import K_constant
 from .exterior import q_matrix
 from .opdet import numeric_rank
-from .poly import DiscGrid, PolyMatrix, grid_map, sup_operator_norm
+from .poly import DiscGrid, PolyMatrix, slice_norms, sup_operator_norm
 
 
 def build_Gi(F: PolyMatrix, v_i: PolyMatrix, i: int, k: int) -> PolyMatrix:
@@ -96,13 +96,12 @@ def offdiagonal_annihilation_check(
     full detected rank.
     """
     m, d = F.shape
-    F_vals = grid_map(F.eval, grid.points)
+    F_vals = F.eval(grid.points)
     if k is None:
         k = max(numeric_rank(Fz) for Fz in F_vals)
     included_max, argmax = 0.0, None
     excluded = []
-    for z, Fz in zip(grid.points, F_vals):
-        Gz = G_i.eval(z)
+    for z, Fz, Gz in zip(grid.points, F_vals, G_i.eval(grid.points)):
         if numeric_rank(Fz) < k:
             excluded.append(z)
             continue
@@ -193,9 +192,8 @@ def solve_full(
     G = parts[0]
     for p in parts[1:]:
         G = G + p
-    residuals = grid_map(
-        lambda z: float(np.linalg.norm(F.eval(z) @ G.eval(z) - H.eval(z))), grid.points
-    )
+    pts = grid.points
+    residuals = slice_norms(F.eval(pts) @ G.eval(pts) - H.eval(pts)).tolist()
     imax = int(np.argmax(residuals))
     sup_v = tuple(s.sup_v for s in solutions)
     binom = comb(m - 1, k - 1)
@@ -245,13 +243,9 @@ def radical_necessary_check(
     grid = grid or DiscGrid.default()
     m = F.rows
     Hn = PolyMatrix.from_rows([[H.entry(r, 0) ** n] for r in range(m)])
-    pre_resid = max(
-        grid_map(
-            lambda z: float(np.linalg.norm(F.eval(z) @ G.eval(z) - Hn.eval(z))),
-            grid.points,
-        )
-    )
-    sup_Hn = max(float(np.linalg.norm(Hn.eval(z))) for z in grid.points)
+    F_vals, Hn_vals = F.eval(grid.points), Hn.eval(grid.points)
+    pre_resid = float(slice_norms(F_vals @ G.eval(grid.points) - Hn_vals).max())
+    sup_Hn = float(slice_norms(Hn_vals).max())
     if pre_resid > 1e-6 * max(sup_Hn, 1.0):
         raise PreconditionError(
             f"F G = H^{n} fails on the grid: residual {pre_resid:.3e}"
@@ -259,10 +253,8 @@ def radical_necessary_check(
     sup_G = sup_operator_norm(G, grid)
     C = sup_G ** 2
     margins = []
-    for z in grid.points:
-        d1 = det_k_gram(F.eval(z), 1)
-        Hz = np.abs(H.eval(z)).max()
-        margins.append(C * d1 - float(Hz) ** (2 * n))
+    for Fz, Hz in zip(F_vals, H.eval(grid.points)):
+        margins.append(C * det_k_gram(Fz, 1) - float(np.abs(Hz).max()) ** (2 * n))
     imin = int(np.argmin(margins))
     return RadicalReport(
         power=n,

@@ -27,7 +27,10 @@ def _poly_from_json(obj, degree_cap: int, where: str) -> Polynomial:
     for pair in obj:
         if not isinstance(pair, list) or len(pair) != 2:
             raise ValueError(f"{where}: coefficient must be a [re, im] pair, got {pair!r}")
-        re, im = float(pair[0]), float(pair[1])
+        try:
+            re, im = float(pair[0]), float(pair[1])
+        except (TypeError, ValueError):
+            raise ValueError(f"{where}: coefficient {pair!r} is not a pair of numbers")
         if not (math.isfinite(re) and math.isfinite(im)):
             raise ValueError(f"{where}: coefficient {pair!r} is not finite")
         coeffs.append(complex(re, im))
@@ -90,7 +93,9 @@ def parse_fixture(obj: dict) -> Fixture:
         raise ValueError(f"fixture is missing integer m/d fields: {exc}")
     if m <= 0 or d < 0:
         raise ValueError(f"need m >= 1 and d >= 0, got m={m}, d={d}")
-    degree_cap = int(obj.get("degree_cap", DEFAULT_DEGREE_CAP))
+    degree_cap = obj.get("degree_cap", DEFAULT_DEGREE_CAP)
+    if type(degree_cap) is not int or degree_cap < 0:
+        raise ValueError(f"degree_cap must be a non-negative integer, got {degree_cap!r}")
     F = _matrix_from_json(obj.get("F"), m, d, degree_cap, "F")
     H = _matrix_from_json(obj.get("H"), m, 1, degree_cap, "H")
     u_known = None

@@ -23,10 +23,6 @@ from .exterior import chain_row, q_matrix
 RANK_RTOL = 1e-10
 
 
-def _block_shape(b):
-    return b.shape
-
-
 @dataclass(frozen=True)
 class BlockOperatorMatrix:
     """An n x n grid of operator blocks with a common dimension signature.
@@ -51,17 +47,17 @@ class BlockOperatorMatrix:
                 raise ValueError(f"row {j} has {len(row)} blocks, expected {n}")
             want = (self.signature[j], self.signature[j + 1])
             for k, b in enumerate(row):
-                if _block_shape(b) != want:
+                if b.shape != want:
                     raise ValueError(
-                        f"block ({j},{k}) has shape {_block_shape(b)}, expected {want}"
+                        f"block ({j},{k}) has shape {b.shape}, expected {want}"
                     )
 
     @classmethod
     def from_rows(cls, rows) -> "BlockOperatorMatrix":
         rows = tuple(tuple(r) for r in rows)
-        signature = [_block_shape(rows[0][0])[0]]
+        signature = [rows[0][0].shape[0]]
         for row in rows:
-            signature.append(_block_shape(row[0])[1])
+            signature.append(row[0].shape[1])
         return cls(rows, tuple(signature))
 
     @property

@@ -9,9 +9,7 @@ maximum and therefore a lower estimate of the true sup over the disc.
 from __future__ import annotations
 
 import cmath
-import os
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,28 +21,30 @@ DEFAULT_DEGREE_CAP = 8
 LSTSQ_RCOND = 1e-10
 
 
-def thread_count() -> int:
-    """Parallelism cap from KOSZUL_THREADS; 0 or unset means auto (serial)."""
-    raw = os.environ.get("KOSZUL_THREADS", "0")
-    try:
-        n = int(raw)
-    except ValueError:
-        raise ValueError(f"KOSZUL_THREADS must be an integer, got {raw!r}")
-    return max(n, 0)
+def _horner(coeffs, z) -> np.ndarray:
+    """Horner's rule on the real and imaginary parts separately.
 
-
-def grid_map(fn, points):
-    """Apply fn to every grid point, results in grid order.
-
-    Honors the KOSZUL_THREADS cap; per-point work is independent, so the
-    result is identical whatever the cap.
+    ``coeffs`` lists Taylor coefficients in ascending degree; each is a
+    scalar or an array that broadcasts against ``z``.  Every step repeats
+    Python's complex product and sum operation for operation, so each value
+    is bitwise the one a scalar Python-complex Horner loop gives; leading
+    zero coefficients leave the accumulator at +0 and change nothing.
+    Points outside the open unit disc are allowed but warned about, since
+    every norm statement in this package concerns the disc.
     """
-    points = list(points)
-    n = thread_count()
-    if n >= 2 and len(points) > 1:
-        with ThreadPoolExecutor(max_workers=n) as pool:
-            return list(pool.map(fn, points))
-    return [fn(z) for z in points]
+    z = np.asarray(z, dtype=complex)
+    radius = np.abs(z).max(initial=0.0)
+    if radius >= 1:
+        warnings.warn(
+            f"evaluating at |z| = {radius:.3f} >= 1, outside the unit disc", stacklevel=3
+        )
+    zr, zi = z.real, z.imag
+    re = im = 0.0
+    for c in reversed(coeffs):
+        re, im = re * zr - im * zi + c.real, re * zi + im * zr + c.imag
+    out = np.empty(np.broadcast(re, im).shape, dtype=complex)
+    out.real, out.imag = re, im
+    return out
 
 
 def _trim(coeffs) -> tuple[complex, ...]:
@@ -89,21 +89,10 @@ class Polynomial:
     def is_zero(self) -> bool:
         return self.coeffs == (0j,)
 
-    def __call__(self, z: complex) -> complex:
-        """Horner evaluation.
-
-        Points outside the open unit disc are allowed but warned about,
-        since every norm statement in this package concerns the disc.
-        """
-        if abs(z) >= 1:
-            warnings.warn(
-                f"evaluating at |z| = {abs(z):.3f} >= 1, outside the unit disc",
-                stacklevel=2,
-            )
-        acc = 0j
-        for c in reversed(self.coeffs):
-            acc = acc * z + c
-        return acc
+    def __call__(self, z):
+        """Value at a point, or an array of values at an array of points."""
+        out = _horner(self.coeffs, z)
+        return complex(out) if out.ndim == 0 else out
 
     def __add__(self, other) -> "Polynomial":
         other = _as_poly(other)
@@ -200,12 +189,17 @@ class PolyMatrix:
     def max_degree(self) -> int:
         return max((e.degree for row in self.entries for e in row), default=0)
 
-    def eval(self, z: complex) -> np.ndarray:
-        out = np.empty((self.rows, self.cols), dtype=complex)
+    def eval(self, z) -> np.ndarray:
+        """Values at a point, or a (P, rows, cols) stack at P points.
+
+        One Horner pass covers every entry and every point; each value is
+        bitwise the scalar evaluation of its entry at its point.
+        """
+        coeffs = np.zeros((self.max_degree + 1, self.rows, self.cols), dtype=complex)
         for i, row in enumerate(self.entries):
             for j, e in enumerate(row):
-                out[i, j] = e(z)
-        return out
+                coeffs[:len(e.coeffs), i, j] = e.coeffs
+        return _horner(coeffs, np.asarray(z, dtype=complex)[..., None, None])
 
     def __add__(self, other: "PolyMatrix") -> "PolyMatrix":
         self._check_same_shape(other)
@@ -268,11 +262,6 @@ class PolyMatrix:
             raise ValueError(f"shape mismatch: {self.shape} vs {other.shape}")
 
 
-def eval_matrix(M: PolyMatrix, z: complex) -> np.ndarray:
-    """Entrywise evaluation of a polynomial matrix at a point."""
-    return M.eval(z)
-
-
 @dataclass(frozen=True)
 class DiscGrid:
     """A finite sample of points strictly inside the unit disc.
@@ -312,11 +301,24 @@ class DiscGrid:
         return len(self.points)
 
 
-def spectral_norm(A: np.ndarray) -> float:
-    A = np.atleast_2d(np.asarray(A))
-    if A.size == 0:
+def slice_norms(stack: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each slice stack[p], bitwise np.linalg.norm(stack[p]).
+
+    Like np.linalg.norm, each slice's squared norm is the dot product of its
+    strided real view plus that of its imaginary view; a norm over
+    axis=(1, 2) reduces in another order and can differ in the last bit.
+    """
+    flat = stack.reshape(len(stack), -1)
+    re, im = flat.real, flat.imag
+    sq = re[:, None, :] @ re[:, :, None] + im[:, None, :] @ im[:, :, None]
+    return np.sqrt(sq[:, 0, 0])
+
+
+def max_operator_norm(stack: np.ndarray) -> float:
+    """Largest spectral norm over the slices of a (P, rows, cols) stack."""
+    if stack.size == 0:
         return 0.0
-    return float(np.linalg.norm(A, 2))
+    return float(np.linalg.norm(stack, 2, axis=(1, 2)).max())
 
 
 def sup_operator_norm(M: PolyMatrix, grid: DiscGrid) -> float:
@@ -327,8 +329,7 @@ def sup_operator_norm(M: PolyMatrix, grid: DiscGrid) -> float:
     """
     if len(grid) == 0:
         raise ValueError("grid is empty")
-    vals = grid_map(lambda z: spectral_norm(M.eval(z)), grid.points)
-    return max(vals)
+    return max_operator_norm(M.eval(grid.points))
 
 
 @dataclass(frozen=True)
@@ -385,10 +386,8 @@ def coefficient_match_solve(
     )
     resid = 0.0
     if len(grid):
-        vals = grid_map(
-            lambda z: float(np.linalg.norm(A.eval(z) @ x.eval(z) - b.eval(z))), grid.points
-        )
-        resid = max(vals)
+        pts = grid.points
+        resid = float(slice_norms(A.eval(pts) @ x.eval(pts) - b.eval(pts)).max())
     report = CoefficientSolveReport(
         residual=resid, tol=tol, success=resid <= tol,
         system_shape=M.shape, lstsq_rank=int(rank),

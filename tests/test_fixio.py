@@ -61,6 +61,13 @@ def test_parse_rejects_malformed_trees():
         parse_fixture({"m": 1, "d": 1, "F": [[[[1.0, 0.0]]]], "H": [[[[0.0, float("nan")]]]]})
     with pytest.raises(ValueError, match=r"G\[1\]: coefficient .* is not finite"):
         parse_solution({"G": [[[0.0, 0.0]], [[0.5, 0.0], [float("inf"), 0.0]]]})
+    for bad in ([None, 0.0], ["x", 0.0], [0.0, [1.0]]):
+        with pytest.raises(ValueError, match=r"F\[0\]\[0\]: coefficient .* not a pair of numbers"):
+            parse_fixture({"m": 1, "d": 1, "F": [[[bad]]], "H": [[[[0.0, 0.0]]]]})
+    for cap in (None, "8", 2.5, -1, True):
+        with pytest.raises(ValueError, match="degree_cap must be a non-negative integer"):
+            parse_fixture({"m": 1, "d": 1, "degree_cap": cap,
+                           "F": [[[[1.0, 0.0]]]], "H": [[[[0.0, 0.0]]]]})
 
 
 def test_parse_enforces_degree_cap():

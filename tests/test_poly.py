@@ -10,7 +10,7 @@ from koszul.poly import (
     Polynomial,
     PolyMatrix,
     coefficient_match_solve,
-    eval_matrix,
+    slice_norms,
     sup_operator_norm,
 )
 
@@ -31,6 +31,9 @@ def test_eval_examples():
     assert P(1, 1)(0) == 1
     assert P(0, 0, 1)(0.5j) == pytest.approx(-0.25)
     assert P(3, -2, 0, 1)(0.5) == pytest.approx(2.125)
+    assert isinstance(P(1, 1)(0.2), complex)
+    zs = np.array([0.1, -0.3 + 0.4j, 0.9j])
+    np.testing.assert_array_equal(P(0.5, -1j, 0.25)(zs), [P(0.5, -1j, 0.25)(z) for z in zs])
 
 
 def test_canonical_form():
@@ -69,11 +72,53 @@ def test_polynomial_power_and_subtraction():
         p ** -1
 
 
-def test_eval_matrix_examples():
+def test_polymatrix_eval_examples():
     zero = PolyMatrix.zeros(2, 3)
-    np.testing.assert_array_equal(eval_matrix(zero, 0.4 + 0.1j), np.zeros((2, 3)))
+    np.testing.assert_array_equal(zero.eval(0.4 + 0.1j), np.zeros((2, 3)))
     eye = PolyMatrix.identity(3)
-    np.testing.assert_array_equal(eval_matrix(eye, 0.3), np.eye(3))
+    np.testing.assert_array_equal(eye.eval(0.3), np.eye(3))
+    np.testing.assert_array_equal(eye.eval([0.3, -0.2j]), np.stack([np.eye(3)] * 2))
+
+
+def _python_horner(p, z):
+    acc = 0j
+    for c in reversed(p.coeffs):
+        acc = acc * complex(z) + c
+    return acc
+
+
+def _random_poly(rng):
+    kind = rng.integers(0, 3)
+    if kind == 0:
+        return Polynomial((0j,))
+    n = 1 if kind == 1 else int(rng.integers(2, 9))
+    return Polynomial(tuple(rng.standard_normal(n) + 1j * rng.standard_normal(n)))
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_stacked_eval_is_bitwise_the_scalar_horner(seed):
+    rng = np.random.default_rng(seed)
+    rows, cols = (int(n) for n in rng.integers(1, 5, size=2))
+    M = PolyMatrix.from_rows([[_random_poly(rng) for _ in range(cols)] for _ in range(rows)])
+    grid = DiscGrid.default()
+    stack = M.eval(np.asarray(grid.points))
+    assert stack.shape == (len(grid), rows, cols)
+    assert np.array_equal(stack, np.stack([M.eval(z) for z in grid.points]))
+    reference = np.array(
+        [[[_python_horner(e, z) for e in row] for row in M.entries] for z in grid.points]
+    )
+    # tobytes also tells the signs of zeros apart
+    assert stack.tobytes() == reference.tobytes()
+    norms = slice_norms(stack[:, :, :1])
+    assert norms.tobytes() == np.array([np.linalg.norm(s) for s in stack[:, :, :1]]).tobytes()
+
+
+def test_slice_norms_match_numpy_for_every_length():
+    rng = np.random.default_rng(7)
+    for n in range(1, 91):
+        stack = rng.standard_normal((20, n, 1)) + 1j * rng.standard_normal((20, n, 1))
+        expected = np.array([np.linalg.norm(s) for s in stack])
+        assert slice_norms(stack).tobytes() == expected.tobytes(), n
 
 
 def test_matmul_matches_pointwise_products():
