@@ -1,5 +1,8 @@
 #!/usr/bin/env python3
-"""Regenerate the committed golden reports for the flagship fixture.
+"""Regenerate the committed golden reports.
+
+Writes the check and solve reports of fixtures f0-f3 and the identity
+battery report for seed 0.
 
 Run after any intentional change to report content, inspect the diff, and
 commit.  Tests compare against these files with a 1e-9 float tolerance,
@@ -30,11 +33,12 @@ def capture(argv) -> str:
 
 def main_():
     GOLDEN.mkdir(parents=True, exist_ok=True)
-    f1 = str(REPO / "fixtures" / "f1.json")
-    (GOLDEN / "f1_check.json").write_text(capture(["check", f1]))
-    (GOLDEN / "f1_solve.json").write_text(
-        capture(["solve", f1, "--out", "/dev/null"])
-    )
+    for fid in ("f0", "f1", "f2", "f3"):
+        path = str(REPO / "fixtures" / f"{fid}.json")
+        (GOLDEN / f"{fid}_check.json").write_text(capture(["check", path]))
+        (GOLDEN / f"{fid}_solve.json").write_text(
+            capture(["solve", path, "--out", "/dev/null"])
+        )
     (GOLDEN / "identities_seed0.json").write_text(capture(["identities", "--seed", "0"]))
     print("wrote", sorted(p.name for p in GOLDEN.iterdir()))
 

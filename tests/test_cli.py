@@ -203,6 +203,10 @@ def test_reports_are_deterministic_modulo_timestamp():
     ("f1_check.json", ["check", F1]),
     ("f1_solve.json", ["solve", F1, "--out", "/dev/null"]),
     ("identities_seed0.json", ["identities", "--seed", "0"]),
+    *((f"{fid}_check.json", ["check", str(FIXTURE_DIR / f"{fid}.json")])
+      for fid in ("f0", "f2", "f3")),
+    *((f"{fid}_solve.json", ["solve", str(FIXTURE_DIR / f"{fid}.json"), "--out", "/dev/null"])
+      for fid in ("f0", "f2", "f3")),
 ])
 def test_golden_reports_match_within_tolerance(name, argv):
     golden = json.loads((GOLDEN_DIR / name).read_text())
