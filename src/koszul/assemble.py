@@ -54,7 +54,7 @@ def build_Gi(F: PolyMatrix, v_i: PolyMatrix, i: int, k: int) -> PolyMatrix:
             f"got {v_i.shape}"
         )
     lowering = {
-        (j, s): q_matrix(list(F.entries[j - 1]), s).matrix
+        (j, s): q_matrix(F.coeffs[j - 1], s)
         for j in range(1, m + 1) if j != i
         for s in range(1, k)
     }
@@ -299,15 +299,16 @@ def concat_solve(
     d1 = F1.cols
     G1 = bundle.G.submatrix(slice(0, d1), slice(0, 1))
     G2 = bundle.G.submatrix(slice(d1, big.cols), slice(0, 1))
-    exact_split = G1.entries + G2.entries == bundle.G.entries
+
+    def column(M: PolyMatrix) -> list:
+        return [M.entry(r, 0) for r in range(M.rows)]
+
+    exact_split = column(G1) + column(G2) == column(bundle.G)
     recombined = F1 @ G1
     if G2.rows > 0 and F2 is not None and F2.cols > 0:
         recombined = recombined + F2 @ G2
     whole = big @ bundle.G
-    diff = recombined - whole
-    split_residual = max(
-        (abs(c) for row in diff.entries for e in row for c in e.coeffs), default=0.0
-    )
+    split_residual = float(np.abs((recombined - whole).coeffs).max(initial=0.0))
     return ConcatResult(
         G1=G1, G2=G2, bundle=bundle, exact_split=exact_split, split_residual=split_residual
     )

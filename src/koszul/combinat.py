@@ -1,4 +1,4 @@
-"""Increasing index tuples, selection matrices, and wedge insertion signs.
+"""Increasing index tuples, principal compressions, and wedge insertion signs.
 
 Everything downstream (exterior bases, stacked coefficient vectors,
 principal-minor sums) iterates increasing tuples in the lexicographic
@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from math import comb
 
 import numpy as np
 
@@ -75,38 +74,6 @@ def enumerate_tuples(m: int, k: int) -> list[IndexTuple]:
     return [IndexTuple(t, m) for t in itertools.combinations(range(1, m + 1), k)]
 
 
-def tuple_rank(t: IndexTuple) -> int:
-    """0-based position of t in enumerate_tuples(t.ambient, len(t))."""
-    m, k = t.ambient, len(t)
-    rank = 0
-    prev = 0
-    for pos, v in enumerate(t.entries):
-        for w in range(prev + 1, v):
-            rank += comb(m - w, k - pos - 1)
-        prev = v
-    return rank
-
-
-def tuple_unrank(m: int, k: int, rank: int) -> IndexTuple:
-    """Inverse of :func:`tuple_rank` for the (m, k) enumeration."""
-    if rank < 0 or rank >= comb(m, k):
-        raise ValueError(f"rank {rank} out of range for C({m},{k})")
-    entries = []
-    prev = 0
-    remaining = rank
-    for pos in range(k):
-        v = prev + 1
-        while True:
-            block = comb(m - v, k - pos - 1)
-            if remaining < block:
-                break
-            remaining -= block
-            v += 1
-        entries.append(v)
-        prev = v
-    return IndexTuple(tuple(entries), m)
-
-
 def insertion_sign(j: int, sigma) -> int:
     """Sign of sorting e_j into the increasing tuple sigma; 0 if j already there.
 
@@ -118,19 +85,6 @@ def insertion_sign(j: int, sigma) -> int:
         return 0
     smaller = sum(1 for s in entries if s < j)
     return -1 if smaller % 2 else 1
-
-
-def selection_matrix(pi, m: int) -> np.ndarray:
-    """Diagonal 0/1 matrix with ones exactly at the positions listed in pi."""
-    entries = pi.entries if isinstance(pi, IndexTuple) else tuple(pi)
-    if entries and max(entries) > m:
-        raise ValueError(f"tuple entry {max(entries)} exceeds m={m}")
-    if entries and min(entries) < 1:
-        raise ValueError(f"tuple entries are 1-based, got {entries}")
-    E = np.zeros((m, m))
-    for j in entries:
-        E[j - 1, j - 1] = 1.0
-    return E
 
 
 def compress(B: np.ndarray, pi) -> np.ndarray:

@@ -131,8 +131,7 @@ def corona_row(F: PolyMatrix, k: int) -> PolyMatrix:
         raise ValueError(f"need 1 <= k <= min(m, d) = {min(m, d)}, got k={k}")
     blocks = None
     for pi in enumerate_tuples(m, k):
-        rows = [list(F.entries[i]) for i in pi.zero_based]
-        block = chain_row(rows)
+        block = chain_row(F.coeffs[list(pi.zero_based)])
         blocks = block if blocks is None else blocks.hstack(block)
     return blocks.scale(float(factorial(k)))
 

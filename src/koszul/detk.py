@@ -8,33 +8,12 @@ here too but only as independent oracles, never as the primary path.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .combinat import compress, enumerate_tuples
 
 
-@dataclass(frozen=True)
-class HermitianMatrix:
-    """A square matrix symmetrized on construction."""
-
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        A = np.asarray(self.matrix, dtype=complex)
-        if A.ndim != 2 or A.shape[0] != A.shape[1]:
-            raise ValueError(f"expected a square matrix, got shape {A.shape}")
-        object.__setattr__(self, "matrix", (A + A.conj().T) / 2)
-
-    @property
-    def m(self) -> int:
-        return self.matrix.shape[0]
-
-
 def _as_square(B) -> np.ndarray:
-    if isinstance(B, HermitianMatrix):
-        return B.matrix
     A = np.asarray(B, dtype=complex)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {A.shape}")

@@ -4,13 +4,14 @@ For a row vector a, the adjoint operator sends w to conj(a) ^ w and raises
 the degree by one; its adjoint lowers the degree and has entries that are
 signed copies of the row entries themselves (no conjugates), so a row of
 polynomials yields an operator with polynomial entries.  Numeric and
-polynomial instances share one construction path; all signs come from
+polynomial rows share one construction path: a scatter of signed row
+entries, where a polynomial row carries a trailing axis of Taylor
+coefficients that rides along.  All signs come from
 :func:`koszul.combinat.insertion_sign`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import comb
 
 import numpy as np
@@ -27,20 +28,6 @@ def exterior_basis(d: int, n: int) -> list[IndexTuple]:
     return enumerate_tuples(d, n)
 
 
-@dataclass(frozen=True)
-class WedgeOperator:
-    """Matrix of a degree-raising (adjoint=True) or degree-lowering operator."""
-
-    matrix: object  # numpy array or PolyMatrix
-    source_degree: int
-    target_degree: int
-    adjoint: bool
-
-    @property
-    def shape(self):
-        return self.matrix.shape
-
-
 def _lowering_entries(d: int, n: int):
     """Entry positions of the degree-lowering operator on standard bases.
 
@@ -52,37 +39,43 @@ def _lowering_entries(d: int, n: int):
     row_index = {t.entries: i for i, t in enumerate(rows)}
     for cidx, tau in enumerate(cols):
         for p in tau:
-            sigma = tau.drop(p)
-            yield row_index[sigma.entries], cidx, combinat.insertion_sign(p, sigma), p
+            sigma = tuple(e for e in tau if e != p)
+            yield row_index[sigma], cidx, combinat.insertion_sign(p, sigma), p
 
 
-def q_matrix(a, n: int) -> WedgeOperator:
+def _row_array(a) -> np.ndarray:
+    """A row as a (d,) numeric array, or as (d, degree + 1) Taylor coefficients.
+
+    A 1 x d PolyMatrix, a sequence holding Polynomials, and a sequence of
+    coefficient arrays are polynomial rows; any other sequence is numeric.
+    """
+    if isinstance(a, PolyMatrix):
+        (row,) = a.coeffs
+        return row
+    a = list(a)
+    if any(isinstance(e, Polynomial) for e in a):
+        return PolyMatrix.from_rows([a]).coeffs[0]
+    return np.asarray(a, dtype=complex)
+
+
+def q_matrix(a, n: int):
     """Degree-lowering operator of a row: degree n+1 -> degree n.
 
-    Accepts a numeric vector or a sequence of polynomials.  Entries are 0
-    or signed row entries, so polynomial rows give polynomial operators.
+    Entries are 0 or signed row entries: a numeric row gives a numpy
+    array, a polynomial row a PolyMatrix.  For n = 0 the operator is the
+    row itself as a 1 x d matrix.
     """
-    a = list(a)
+    a = _row_array(a)
     d = len(a)
     if n + 1 > d:
         raise ValueError(f"need n+1 <= d, got n={n}, d={d}")
-    is_poly = any(isinstance(e, Polynomial) for e in a)
-    if is_poly:
-        a = [e if isinstance(e, Polynomial) else Polynomial.const(e) for e in a]
-        shape = (comb(d, n), comb(d, n + 1))
-        M = [[Polynomial((0j,)) for _ in range(shape[1])] for _ in range(shape[0])]
-        for r, c, sign, p in _lowering_entries(d, n):
-            M[r][c] = M[r][c] + sign * a[p - 1]
-        mat = PolyMatrix.from_rows(M)
-    else:
-        av = np.asarray(a, dtype=complex)
-        mat = np.zeros((comb(d, n), comb(d, n + 1)), dtype=complex)
-        for r, c, sign, p in _lowering_entries(d, n):
-            mat[r, c] += sign * av[p - 1]
-    return WedgeOperator(mat, source_degree=n + 1, target_degree=n, adjoint=False)
+    mat = np.zeros((comb(d, n), comb(d, n + 1)) + a.shape[1:], dtype=complex)
+    for r, c, sign, p in _lowering_entries(d, n):
+        mat[r, c] += sign * a[p - 1]
+    return mat if a.ndim == 1 else PolyMatrix(mat)
 
 
-def q_star_matrix(a, n: int) -> WedgeOperator:
+def q_star_matrix(a, n: int) -> np.ndarray:
     """Degree-raising operator w -> conj(a) ^ w: degree n -> degree n+1."""
     av = np.asarray(list(a), dtype=complex)
     d = len(av)
@@ -91,7 +84,7 @@ def q_star_matrix(a, n: int) -> WedgeOperator:
     mat = np.zeros((comb(d, n + 1), comb(d, n)), dtype=complex)
     for r, c, sign, p in _lowering_entries(d, n):
         mat[c, r] += sign * np.conj(av[p - 1])
-    return WedgeOperator(mat, source_degree=n, target_degree=n + 1, adjoint=True)
+    return mat
 
 
 def clifford_residual(a, n: int) -> float:
@@ -105,8 +98,8 @@ def clifford_residual(a, n: int) -> float:
     d = len(av)
     if n + 2 > d:
         raise ValueError(f"need n+2 <= d, got n={n}, d={d}")
-    Qn = q_matrix(av, n).matrix
-    Qn1 = q_matrix(av, n + 1).matrix
+    Qn = q_matrix(av, n)
+    Qn1 = q_matrix(av, n + 1)
     norm2 = float(np.vdot(av, av).real)
     I = np.eye(comb(d, n + 1))
     return float(np.linalg.norm(Qn.conj().T @ Qn + Qn1 @ Qn1.conj().T - norm2 * I, 2))
@@ -122,8 +115,8 @@ def contraction_anticommute_residual(a, b, n: int) -> float:
     d = len(av)
     if n + 2 > d:
         raise ValueError(f"need n+2 <= d, got n={n}, d={d}")
-    lhs = q_matrix(av, n).matrix @ q_matrix(bv, n + 1).matrix
-    rhs = q_matrix(bv, n).matrix @ q_matrix(av, n + 1).matrix
+    lhs = q_matrix(av, n) @ q_matrix(bv, n + 1)
+    rhs = q_matrix(bv, n) @ q_matrix(av, n + 1)
     return float(np.linalg.norm(lhs + rhs, 2))
 
 
@@ -152,39 +145,23 @@ def range_kernel_composition(a, n: int) -> np.ndarray:
     entry is a sum of at most two exactly-opposite products, so the result
     is bitwise zero and callers may compare against zero without tolerance.
     """
-    up1 = q_star_matrix(a, n).matrix
-    up2 = q_star_matrix(a, n + 1).matrix
+    up1 = q_star_matrix(a, n)
+    up2 = q_star_matrix(a, n + 1)
     return exact_compose(up2, up1)
 
 
 def chain_row(rows):
     """Ordered product row_1 . Q_{row_2}^(1) ... Q_{row_k}^(k-1).
 
-    Maps degree k to scalars; returned as a 1 x C(d, k) row.  Numeric rows
-    give a numpy row, polynomial rows give a PolyMatrix.  Squaring its
-    norm recovers the Gram determinant of the stacked rows.
+    Maps degree k to scalars; returned as a 1 x C(d, k) row, the first
+    factor being Q_{row_1}^(0), the row itself.  Numeric rows give a numpy
+    row, polynomial rows give a PolyMatrix.  Squaring its norm recovers
+    the Gram determinant of the stacked rows.
     """
     rows = list(rows)
-    k = len(rows)
-    if k == 0:
+    if not rows:
         raise ValueError("need at least one row")
-    first = list(rows[0])
-    d = len(first)
-    if k > d:
-        raise ValueError(f"need k <= d, got k={k}, d={d}")
-    is_poly = any(
-        isinstance(e, Polynomial) for r in rows for e in list(r)
-    )
-    if is_poly:
-        out = PolyMatrix.from_rows([[_coerce_poly(e) for e in first]])
-        for s in range(1, k):
-            out = out @ q_matrix([_coerce_poly(e) for e in list(rows[s])], s).matrix
-        return out
-    out = np.asarray(first, dtype=complex).reshape(1, d)
-    for s in range(1, k):
-        out = out @ q_matrix(rows[s], s).matrix
+    out = q_matrix(rows[0], 0)
+    for s in range(1, len(rows)):
+        out = out @ q_matrix(rows[s], s)
     return out
-
-
-def _coerce_poly(e) -> Polynomial:
-    return e if isinstance(e, Polynomial) else Polynomial.const(e)

@@ -16,6 +16,21 @@ from dataclasses import dataclass
 from .poly import DEFAULT_DEGREE_CAP, DiscGrid, PolyMatrix, Polynomial
 
 
+def _is_number(x) -> bool:
+    """A JSON number: int or float, but not bool (a subclass of int)."""
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
+def _integer_field(obj: dict, name: str, where: str | None = None) -> int:
+    where = where or name
+    if name not in obj:
+        raise ValueError(f"fixture is missing the integer field {where}")
+    value = obj[name]
+    if type(value) is not int:
+        raise ValueError(f"{where} must be an integer, got {value!r}")
+    return value
+
+
 def _poly_to_json(p: Polynomial) -> list:
     return [[c.real, c.imag] for c in p.coeffs]
 
@@ -27,10 +42,9 @@ def _poly_from_json(obj, degree_cap: int, where: str) -> Polynomial:
     for pair in obj:
         if not isinstance(pair, list) or len(pair) != 2:
             raise ValueError(f"{where}: coefficient must be a [re, im] pair, got {pair!r}")
-        try:
-            re, im = float(pair[0]), float(pair[1])
-        except (TypeError, ValueError):
+        if not all(_is_number(x) for x in pair):
             raise ValueError(f"{where}: coefficient {pair!r} is not a pair of numbers")
+        re, im = float(pair[0]), float(pair[1])
         if not (math.isfinite(re) and math.isfinite(im)):
             raise ValueError(f"{where}: coefficient {pair!r} is not finite")
         coeffs.append(complex(re, im))
@@ -41,7 +55,7 @@ def _poly_from_json(obj, degree_cap: int, where: str) -> Polynomial:
 
 
 def _matrix_to_json(M: PolyMatrix) -> list:
-    return [[_poly_to_json(e) for e in row] for row in M.entries]
+    return [[_poly_to_json(M.entry(i, j)) for j in range(M.cols)] for i in range(M.rows)]
 
 
 def _matrix_from_json(obj, rows: int, cols: int, degree_cap: int, name: str) -> PolyMatrix:
@@ -86,11 +100,8 @@ class Fixture:
 
 
 def parse_fixture(obj: dict) -> Fixture:
-    try:
-        m = int(obj["m"])
-        d = int(obj["d"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ValueError(f"fixture is missing integer m/d fields: {exc}")
+    m = _integer_field(obj, "m")
+    d = _integer_field(obj, "d")
     if m <= 0 or d < 0:
         raise ValueError(f"need m >= 1 and d >= 0, got m={m}, d={d}")
     degree_cap = obj.get("degree_cap", DEFAULT_DEGREE_CAP)
@@ -104,9 +115,18 @@ def parse_fixture(obj: dict) -> Fixture:
     grid = None
     if obj.get("grid") is not None:
         gs = obj["grid"]
+        if not isinstance(gs, dict):
+            raise ValueError(f"grid must be an object, got {gs!r}")
+        angles = _integer_field(gs, "angles", "grid.angles")
+        radii = gs.get("radii")
+        if not isinstance(radii, list):
+            raise ValueError(f"grid.radii must be a list of numbers, got {radii!r}")
+        for i, r in enumerate(radii):
+            if not _is_number(r):
+                raise ValueError(f"grid.radii[{i}] must be a number, got {r!r}")
         try:
-            grid = DiscGrid.make(gs["radii"], int(gs["angles"]))
-        except (KeyError, TypeError, ValueError) as exc:
+            grid = DiscGrid.make(radii, angles)
+        except ValueError as exc:
             raise ValueError(f"bad grid parameters: {exc}")
     return Fixture(
         fixture_id=str(obj.get("id", "unnamed")),
@@ -133,7 +153,7 @@ def save_fixture(fx: Fixture, path) -> None:
 
 
 def emit_solution(G: PolyMatrix, meta: dict | None = None) -> str:
-    obj = {"d": G.rows, "G": [_poly_to_json(row[0]) for row in G.entries]}
+    obj = {"d": G.rows, "G": [_poly_to_json(G.entry(i, 0)) for i in range(G.rows)]}
     if meta:
         obj["meta"] = meta
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"

@@ -116,7 +116,7 @@ def _mixed_block_matrix(top_scalars, f_rows) -> BlockOperatorMatrix:
     rows = [_scalar_top_blocks(top_scalars)]
     rows.append([np.asarray(f, dtype=complex).reshape(1, d) for f in f_rows])
     for s in range(1, p):
-        rows.append([q_matrix(f, s).matrix for f in f_rows])
+        rows.append([q_matrix(f, s) for f in f_rows])
     return BlockOperatorMatrix.from_rows(rows)
 
 

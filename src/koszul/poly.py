@@ -1,9 +1,13 @@
 """Complex polynomial arithmetic, disc grids, and coefficient-space solves.
 
 Polynomials in their Taylor coefficients stand in for bounded analytic
-functions on the unit disc.  Matrices of them are evaluated on finite
-grids inside the disc; every supremum reported by this package is a grid
-maximum and therefore a lower estimate of the true sup over the disc.
+functions on the unit disc.  A matrix of them is one complex array of
+shape (rows, cols, max_degree + 1), and its sums, products, slices and
+grid evaluations are array operations on it; :class:`Polynomial` is the
+scalar value type for single entries, file I/O and scalar targets.
+Matrices are evaluated on finite grids inside the disc; every supremum
+reported by this package is a grid maximum and therefore a lower
+estimate of the true sup over the disc.
 """
 
 from __future__ import annotations
@@ -77,10 +81,6 @@ class Polynomial:
     def const(cls, c) -> "Polynomial":
         return cls((complex(c),))
 
-    @classmethod
-    def variable(cls) -> "Polynomial":
-        return cls((0j, 1 + 0j))
-
     @property
     def degree(self) -> int:
         return len(self.coeffs) - 1
@@ -138,56 +138,67 @@ def _as_poly(x) -> Polynomial:
     raise TypeError(f"cannot coerce {type(x).__name__} to Polynomial")
 
 
-ZERO = Polynomial((0j,))
-ONE = Polynomial((1 + 0j,))
-Z = Polynomial.variable()
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PolyMatrix:
-    """A fixed-shape rectangular matrix of polynomials."""
+    """A fixed-shape rectangular matrix of polynomials.
 
-    rows: int
-    cols: int
-    entries: tuple[tuple[Polynomial, ...], ...]
+    ``coeffs[i, j, n]`` is the Taylor coefficient of z**n in entry (i, j).
+    The array is read-only, and trailing degree slices that are zero in
+    every entry are trimmed, so ``max_degree`` is the highest degree with a
+    nonzero coefficient (0 for the zero matrix).
+    """
+
+    coeffs: np.ndarray
 
     def __post_init__(self):
-        if self.rows < 0 or self.cols < 0:
-            raise ValueError("negative matrix dimensions")
-        if len(self.entries) != self.rows:
-            raise ValueError(f"expected {self.rows} rows, got {len(self.entries)}")
-        for r in self.entries:
-            if len(r) != self.cols:
-                raise ValueError(f"expected {self.cols} columns, got {len(r)}")
+        c = np.asarray(self.coeffs, dtype=complex)
+        if c.ndim != 3 or c.shape[2] == 0:
+            raise ValueError(f"expected a (rows, cols, degree + 1) array, got shape {c.shape}")
+        nonzero = np.flatnonzero(c.reshape(-1, c.shape[2]).any(axis=0))
+        c = np.array(c[:, :, :nonzero[-1] + 1 if nonzero.size else 1])
+        c.flags.writeable = False
+        object.__setattr__(self, "coeffs", c)
 
     @classmethod
     def from_rows(cls, rows) -> "PolyMatrix":
-        rows = [tuple(_as_poly(e) for e in r) for r in rows]
+        rows = [[_as_poly(e).coeffs for e in r] for r in rows]
         ncols = len(rows[0]) if rows else 0
-        return cls(len(rows), ncols, tuple(rows))
+        coeffs = np.zeros(
+            (len(rows), ncols, max((len(c) for r in rows for c in r), default=1)), dtype=complex
+        )
+        for i, r in enumerate(rows):
+            if len(r) != ncols:
+                raise ValueError(f"expected {ncols} columns, got {len(r)}")
+            for j, c in enumerate(r):
+                coeffs[i, j, :len(c)] = c
+        return cls(coeffs)
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "PolyMatrix":
-        return cls(rows, cols, tuple(tuple(ZERO for _ in range(cols)) for _ in range(rows)))
+        return cls(np.zeros((rows, cols, 1), dtype=complex))
 
     @classmethod
     def identity(cls, n: int) -> "PolyMatrix":
-        return cls(
-            n, n,
-            tuple(tuple(ONE if i == j else ZERO for j in range(n)) for i in range(n)),
-        )
-
-    @classmethod
-    def from_complex(cls, array) -> "PolyMatrix":
-        array = np.atleast_2d(np.asarray(array, dtype=complex))
-        return cls.from_rows([[Polynomial.const(c) for c in row] for row in array])
+        return cls(np.eye(n, dtype=complex)[:, :, None])
 
     def entry(self, i: int, j: int) -> Polynomial:
-        return self.entries[i][j]
+        return Polynomial(tuple(self.coeffs[i, j]))
+
+    @property
+    def rows(self) -> int:
+        return self.coeffs.shape[0]
+
+    @property
+    def cols(self) -> int:
+        return self.coeffs.shape[1]
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return (self.rows, self.cols)
 
     @property
     def max_degree(self) -> int:
-        return max((e.degree for row in self.entries for e in row), default=0)
+        return self.coeffs.shape[2] - 1
 
     def eval(self, z) -> np.ndarray:
         """Values at a point, or a (P, rows, cols) stack at P points.
@@ -195,67 +206,51 @@ class PolyMatrix:
         One Horner pass covers every entry and every point; each value is
         bitwise the scalar evaluation of its entry at its point.
         """
-        coeffs = np.zeros((self.max_degree + 1, self.rows, self.cols), dtype=complex)
-        for i, row in enumerate(self.entries):
-            for j, e in enumerate(row):
-                coeffs[:len(e.coeffs), i, j] = e.coeffs
-        return _horner(coeffs, np.asarray(z, dtype=complex)[..., None, None])
+        z = np.asarray(z, dtype=complex)[..., None, None]
+        return _horner(np.moveaxis(self.coeffs, 2, 0), z)
 
     def __add__(self, other: "PolyMatrix") -> "PolyMatrix":
         self._check_same_shape(other)
-        return PolyMatrix.from_rows(
-            [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(self.entries, other.entries)]
-        )
+        a, b = self._aligned(other)
+        return PolyMatrix(a + b)
 
     def __sub__(self, other: "PolyMatrix") -> "PolyMatrix":
         self._check_same_shape(other)
-        return PolyMatrix.from_rows(
-            [[a - b for a, b in zip(ra, rb)] for ra, rb in zip(self.entries, other.entries)]
-        )
+        a, b = self._aligned(other)
+        return PolyMatrix(a - b)
 
     def __neg__(self) -> "PolyMatrix":
-        return PolyMatrix.from_rows([[-e for e in row] for row in self.entries])
+        return PolyMatrix(-self.coeffs)
 
     def __matmul__(self, other: "PolyMatrix") -> "PolyMatrix":
+        """Matrix product: a sum over the inner index of entry convolutions."""
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch: {self.shape} @ {other.shape}")
-        out = []
-        for i in range(self.rows):
-            row = []
-            for j in range(other.cols):
-                acc = ZERO
-                for t in range(self.cols):
-                    acc = acc + self.entries[i][t] * other.entries[t][j]
-                row.append(acc)
-            out.append(row)
-        if not out:
-            return PolyMatrix.zeros(0, other.cols)
-        return PolyMatrix.from_rows(out)
+        a, b = self.coeffs, other.coeffs
+        # terms[i, j, p, q] multiplies z**p of A's row by z**q of B's column
+        terms = np.einsum("itp,tjq->ijpq", a, b)
+        out = np.zeros((self.rows, other.cols, a.shape[2] + b.shape[2] - 1), dtype=complex)
+        for p in range(a.shape[2]):
+            out[:, :, p:p + b.shape[2]] += terms[:, :, p]
+        return PolyMatrix(out)
 
     def scale(self, s) -> "PolyMatrix":
-        s = _as_poly(s)
-        return PolyMatrix.from_rows([[s * e for e in row] for row in self.entries])
+        """Every entry multiplied by the scalar s."""
+        return PolyMatrix(complex(s) * self.coeffs)
 
     def hstack(self, other: "PolyMatrix") -> "PolyMatrix":
-        if other.cols == 0:
-            return self
-        if self.cols == 0:
-            return other
         if self.rows != other.rows:
             raise ValueError("row count mismatch in hstack")
-        return PolyMatrix.from_rows(
-            [list(ra) + list(rb) for ra, rb in zip(self.entries, other.entries)]
-        )
+        return PolyMatrix(np.concatenate(self._aligned(other), axis=1))
 
     def submatrix(self, row_slice, col_slice) -> "PolyMatrix":
-        rows = self.entries[row_slice]
-        picked = [r[col_slice] for r in rows]
-        ncols = len(picked[0]) if picked else 0
-        return PolyMatrix(len(picked), ncols, tuple(tuple(r) for r in picked))
+        return PolyMatrix(self.coeffs[row_slice, col_slice])
 
-    @property
-    def shape(self) -> tuple[int, int]:
-        return (self.rows, self.cols)
+    def _aligned(self, other: "PolyMatrix") -> tuple[np.ndarray, np.ndarray]:
+        """Both coefficient arrays, zero-padded to a common degree."""
+        n = max(self.coeffs.shape[2], other.coeffs.shape[2])
+        return tuple(np.pad(c, ((0, 0), (0, 0), (0, n - c.shape[2])))
+                     for c in (self.coeffs, other.coeffs))
 
     def _check_same_shape(self, other):
         if self.shape != other.shape:
@@ -341,16 +336,6 @@ class CoefficientSolveReport:
     lstsq_rank: int
 
 
-def convolution_matrix(p: Polynomial, x_degree: int, out_rows: int) -> np.ndarray:
-    """Matrix of q -> p*q on coefficient vectors, q of degree <= x_degree."""
-    T = np.zeros((out_rows, x_degree + 1), dtype=complex)
-    for s in range(x_degree + 1):
-        for i, c in enumerate(p.coeffs):
-            if s + i < out_rows:
-                T[s + i, s] = c
-    return T
-
-
 def coefficient_match_solve(
     A: PolyMatrix,
     b: PolyMatrix,
@@ -369,21 +354,19 @@ def coefficient_match_solve(
     if degree_cap < 0:
         raise ValueError("degree_cap must be non-negative")
     grid = grid or DiscGrid.default()
-    out_rows = A.max_degree + degree_cap + 1
-    n_unknown_cols = A.cols
-    M = np.zeros((A.rows * out_rows, n_unknown_cols * (degree_cap + 1)), dtype=complex)
-    rhs = np.zeros(A.rows * out_rows, dtype=complex)
-    for i in range(A.rows):
-        for j in range(n_unknown_cols):
-            T = convolution_matrix(A.entries[i][j], degree_cap, out_rows)
-            M[i * out_rows:(i + 1) * out_rows, j * (degree_cap + 1):(j + 1) * (degree_cap + 1)] = T
-        bc = b.entries[i][0].coeffs
-        rhs[i * out_rows:i * out_rows + len(bc)] = bc
-    sol, _, rank, _ = np.linalg.lstsq(M, rhs, rcond=LSTSQ_RCOND)
-    x = PolyMatrix.from_rows(
-        [[Polynomial(tuple(sol[j * (degree_cap + 1):(j + 1) * (degree_cap + 1)]))]
-         for j in range(n_unknown_cols)]
-    )
+    # block (i, j) is the convolution matrix of entry A[i, j]: row s + n,
+    # column s holds coefficient n, for every unknown coefficient s; a
+    # target of higher degree than the cap can reach adds zero rows
+    width = degree_cap + 1
+    out_rows = max(A.max_degree + width, b.max_degree + 1)
+    s, n = np.ogrid[:width, :A.max_degree + 1]
+    M = np.zeros((A.rows, out_rows, A.cols, width), dtype=complex)
+    M[:, s + n, :, s] = np.moveaxis(A.coeffs, 2, 0)
+    M = M.reshape(A.rows * out_rows, A.cols * width)
+    rhs = np.zeros((A.rows, out_rows), dtype=complex)
+    rhs[:, :b.max_degree + 1] = b.coeffs[:, 0]
+    sol, _, rank, _ = np.linalg.lstsq(M, rhs.reshape(-1), rcond=LSTSQ_RCOND)
+    x = PolyMatrix(sol.reshape(A.cols, 1, width))
     resid = 0.0
     if len(grid):
         pts = grid.points

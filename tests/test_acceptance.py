@@ -230,7 +230,8 @@ def test_c9_cli_determinism_and_round_trip():
     deterministic = c1 == c2 == 0 and strip(out1) == strip(out2)
     fx = load_fixture(f1)
     back = parse_fixture(json.loads(emit_fixture(fx)))
-    round_trip = (back.F.entries == fx.F.entries and back.H.entries == fx.H.entries
+    round_trip = (np.array_equal(back.F.coeffs, fx.F.coeffs)
+                  and np.array_equal(back.H.coeffs, fx.H.coeffs)
                   and emit_fixture(back) == emit_fixture(fx))
     verdict(9, "CLI reports byte-stable modulo timestamp; fixture round trip bit-exact",
             deterministic and round_trip)

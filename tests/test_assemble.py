@@ -33,7 +33,7 @@ def selector_det(F_point, i, pi, k, alpha=None):
         alpha[i - 1] = 1.0
     rows = [[alpha[j - 1] * np.eye(d) for j in pi]]
     for s in range(1, k):
-        rows.append([q_matrix(F_point[j - 1], s).matrix for j in pi])
+        rows.append([q_matrix(F_point[j - 1], s) for j in pi])
     return operator_det(BlockOperatorMatrix.from_rows(rows))
 
 
@@ -44,11 +44,11 @@ def test_wedge_collapse_to_ordered_chain():
     F = cmat(r, 4, 5)
     for sigma in [(1, 2), (2, 4), (1, 3, 4)]:
         k = len(sigma)
-        rows = [[q_matrix(F[j - 1], s).matrix for j in sigma] for s in range(1, k + 1)]
+        rows = [[q_matrix(F[j - 1], s) for j in sigma] for s in range(1, k + 1)]
         det = operator_det(BlockOperatorMatrix.from_rows(rows))
         prod = None
         for s, j in enumerate(sigma, start=1):
-            Q = q_matrix(F[j - 1], s).matrix
+            Q = q_matrix(F[j - 1], s)
             prod = Q if prod is None else prod @ Q
         assert np.linalg.norm(det - factorial(k) * prod) <= 1e-12 * np.linalg.norm(prod)
 
@@ -116,21 +116,19 @@ def reference_Gi(F, v_i, i, k):
             continue
         rows = [[PolyMatrix.identity(d) if j == i else PolyMatrix.zeros(d, d) for j in pi]]
         for s in range(1, k):
-            rows.append([q_matrix(list(F.entries[j - 1]), s).matrix for j in pi])
+            rows.append([q_matrix(F.coeffs[j - 1], s) for j in pi])
         block = operator_det(BlockOperatorMatrix.from_rows(rows))
         G = G + block @ v_i.submatrix(slice(t * block_len, (t + 1) * block_len), slice(0, 1))
     return G.scale(float(k))
 
 
 def random_poly_matrix(r, rows, cols, deg):
-    C = r.standard_normal((rows, cols, deg + 1)) + 1j * r.standard_normal((rows, cols, deg + 1))
-    return PolyMatrix.from_rows([[Polynomial(tuple(C[a, b])) for b in range(cols)]
-                                 for a in range(rows)])
+    shape = (rows, cols, deg + 1)
+    return PolyMatrix(r.standard_normal(shape) + 1j * r.standard_normal(shape))
 
 
 def coeff_array(M, n):
-    return np.array([[list(e.coeffs) + [0j] * (n - len(e.coeffs)) for e in row]
-                     for row in M.entries])
+    return np.pad(M.coeffs, ((0, 0), (0, 0), (0, n - M.coeffs.shape[2])))
 
 
 @pytest.mark.parametrize("m,d", [(2, 3), (3, 4), (4, 5)])
@@ -306,8 +304,7 @@ def test_concat_trivial_blocks(small_grid):
     res = concat_solve(F1, F2, H, small_grid)
     assert res.bundle.success
     assert res.G1.entry(0, 0).coeffs == h.coeffs
-    for row in res.G2.entries:
-        assert row[0].is_zero
+    assert not res.G2.coeffs.any()
 
 
 def test_concat_two_block_fixture(fixtures_by_id, grid):

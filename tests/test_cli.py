@@ -105,8 +105,16 @@ def _edited_f1(edit):
     (_edited_f1(lambda t: t["F"][0][0].__setitem__(0, [None, 0.0])), "F[0][0]"),
     (_edited_f1(lambda t: t["F"][0][0].__setitem__(0, ["x", 0.0])), "F[0][0]"),
     (_edited_f1(lambda t: t.__setitem__("degree_cap", None)), "degree_cap"),
+    (_edited_f1(lambda t: t.__setitem__("m", 2.0)), "m must be an integer"),
+    (_edited_f1(lambda t: t.__setitem__("d", "3")), "d must be an integer"),
+    (_edited_f1(lambda t: t["F"][0][0].__setitem__(0, [True, 0.0])), "F[0][0]"),
+    (_edited_f1(lambda t: t.__setitem__("grid", {"radii": ["0.5"], "angles": 8})),
+     "grid.radii[0]"),
+    (_edited_f1(lambda t: t.__setitem__("grid", {"radii": [0.5], "angles": 8.9})),
+     "grid.angles"),
 ], ids=["fixture-coefficient", "grid-radius", "tol", "null-coefficient", "string-coefficient",
-        "null-degree-cap"])
+        "null-degree-cap", "float-m", "string-d", "bool-coefficient", "string-radius",
+        "float-angles"])
 def test_non_finite_input_exits_2_naming_the_field(tmp_path, argv, fault):
     code, out, err = run_cli(argv(tmp_path))
     assert code == 2 and out == ""

@@ -11,9 +11,6 @@ from koszul.combinat import (
     compress,
     enumerate_tuples,
     insertion_sign,
-    selection_matrix,
-    tuple_rank,
-    tuple_unrank,
 )
 
 
@@ -30,7 +27,6 @@ def test_rank_of_245_in_5_3():
     # oracle: position in the brute-force lexicographic enumeration
     listed = [t.entries for t in enumerate_tuples(5, 3)]
     assert listed.index((2, 4, 5)) == 8
-    assert tuple_rank(IndexTuple((2, 4, 5), 5)) == 8
 
 
 def test_empty_tuple_supported():
@@ -52,19 +48,6 @@ def test_enumerate_length_and_order(m, data):
     assert len(ts) == comb(m, k)
     assert ts == sorted(ts)
     assert ts == list(itertools.combinations(range(1, m + 1), k))
-
-
-@given(st.integers(1, 8), st.data())
-def test_rank_unrank_roundtrip(m, data):
-    k = data.draw(st.integers(0, m))
-    for r, t in enumerate(enumerate_tuples(m, k)):
-        assert tuple_rank(t) == r
-        assert tuple_unrank(m, k, r) == t
-
-
-def test_unrank_out_of_range():
-    with pytest.raises(ValueError):
-        tuple_unrank(4, 2, 6)
 
 
 def test_index_tuple_validation():
@@ -99,24 +82,6 @@ def test_insertion_sign_is_unimodular_or_zero(m, data):
             assert s == 0
         else:
             assert s * s == 1
-
-
-def test_selection_matrix_examples():
-    np.testing.assert_array_equal(selection_matrix((1, 3), 3), np.diag([1.0, 0.0, 1.0]))
-    np.testing.assert_array_equal(selection_matrix((1, 2, 3, 4), 4), np.eye(4))
-
-
-def test_selection_matrix_rejects_out_of_range():
-    with pytest.raises(ValueError):
-        selection_matrix((1, 4), 3)
-
-
-@given(st.integers(1, 7), st.data())
-def test_selection_matrix_idempotent(m, data):
-    k = data.draw(st.integers(0, m))
-    for pi in enumerate_tuples(m, k):
-        E = selection_matrix(pi, m)
-        np.testing.assert_array_equal(E @ E, E)
 
 
 def test_compress_is_principal_submatrix():

@@ -5,7 +5,6 @@ import pytest
 
 from conftest import cmat, rng
 from koszul.detk import (
-    HermitianMatrix,
     det_k,
     det_k_eigen_oracle,
     det_k_gram,
@@ -42,13 +41,6 @@ def test_k_out_of_range():
         det_k(np.eye(3), 4)
     with pytest.raises(ValueError):
         det_k(np.ones((2, 3)), 1)
-
-
-def test_hermitian_wrapper_symmetrizes():
-    B = np.array([[1.0, 2.0], [0.0, 3.0]])
-    H = HermitianMatrix(B)
-    np.testing.assert_allclose(H.matrix, H.matrix.conj().T)
-    assert det_k(H, 1) == pytest.approx(4.0)
 
 
 def test_elementary_symmetric_basics():

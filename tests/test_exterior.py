@@ -29,21 +29,21 @@ def test_basis_dimensions():
 def test_raising_from_scalars_is_the_conjugate_column():
     # degree 0 -> 1: the operator matrix is just conj(a) as a column
     op = q_star_matrix([1.0, 0.0], 0)
-    np.testing.assert_array_equal(op.matrix, [[1.0], [0.0]])
+    np.testing.assert_array_equal(op, [[1.0], [0.0]])
     op = q_star_matrix([1 + 2j, -3j], 0)
-    np.testing.assert_array_equal(op.matrix, [[1 - 2j], [3j]])
+    np.testing.assert_array_equal(op, [[1 - 2j], [3j]])
 
 
 def test_raising_sign_flip():
     # wedging e2 onto e1 lands on the (1,2) basis vector with a minus sign
-    op = q_star_matrix([0.0, 1.0, 0.0], 1).matrix  # shape C(3,2) x C(3,1)
+    op = q_star_matrix([0.0, 1.0, 0.0], 1)  # shape C(3,2) x C(3,1)
     col_e1 = op[:, 0]
     np.testing.assert_array_equal(col_e1, [-1.0, 0.0, 0.0])
 
 
 def test_raising_general_column():
     # a = (1,2,3), d=3, n=1: the image of e3 has +conj(1) at (1,3), +conj(2) at (2,3)
-    op = q_star_matrix([1.0, 2.0, 3.0], 1).matrix
+    op = q_star_matrix([1.0, 2.0, 3.0], 1)
     col_e3 = op[:, 2]
     # basis order of degree 2: (1,2), (1,3), (2,3)
     np.testing.assert_array_equal(col_e3, [0.0, 1.0, 2.0])
@@ -53,20 +53,20 @@ def test_lowering_is_the_adjoint():
     r = rng(5)
     a = cvec(r, 4)
     for n in range(0, 3):
-        lower = q_matrix(a, n).matrix
-        upper = q_star_matrix(a, n).matrix
+        lower = q_matrix(a, n)
+        upper = q_star_matrix(a, n)
         np.testing.assert_array_equal(lower, upper.conj().T)
 
 
 def test_lowering_degree_zero_row():
-    op = q_matrix([1.0, 0.0, 0.0], 0).matrix
+    op = q_matrix([1.0, 0.0, 0.0], 0)
     np.testing.assert_array_equal(op, [[1.0, 0.0, 0.0]])
 
 
 def test_polynomial_entries_carry_no_conjugates():
     z = Polynomial((0j, 1 + 0j))
     one = Polynomial((1 + 0j,))
-    op = q_matrix([z, one], 0).matrix
+    op = q_matrix([z, one], 0)
     assert isinstance(op, PolyMatrix)
     assert op.entry(0, 0).coeffs == (0j, 1 + 0j)
     assert op.entry(0, 1).coeffs == (1 + 0j,)
@@ -77,9 +77,9 @@ def test_polynomial_operator_matches_numeric_evaluation():
     coeffs = [cvec(r, 3) for _ in range(4)]
     polys = [Polynomial(tuple(c)) for c in coeffs]
     for n in (0, 1, 2):
-        sym = q_matrix(polys, n).matrix
+        sym = q_matrix(polys, n)
         for z in (0.3, -0.2 + 0.4j):
-            numeric = q_matrix([p(z) for p in polys], n).matrix
+            numeric = q_matrix([p(z) for p in polys], n)
             np.testing.assert_allclose(sym.eval(z), numeric, atol=1e-12)
 
 
@@ -122,8 +122,8 @@ def test_anticommute_same_row_is_exactly_zero():
         d = int(r.integers(3, 7))
         n = int(r.integers(0, d - 1))
         a = cvec(r, d)
-        Qn = q_matrix(a, n).matrix
-        Qn1 = q_matrix(a, n + 1).matrix
+        Qn = q_matrix(a, n)
+        Qn1 = q_matrix(a, n + 1)
         assert np.all(exact_compose(Qn, Qn1) == 0)
         assert contraction_anticommute_residual(a, a, n) <= 1e-15 * float(np.vdot(a, a).real)
 
@@ -186,7 +186,7 @@ def test_operator_norm_equals_row_norm():
         a = cvec(r, d)
         if n + 1 > d:
             continue
-        s = np.linalg.norm(q_matrix(a, n).matrix, 2)
+        s = np.linalg.norm(q_matrix(a, n), 2)
         assert s == pytest.approx(np.linalg.norm(a), rel=1e-12)
 
 
@@ -197,9 +197,9 @@ def test_multiplier_norm_domination_on_fixtures(fixtures_by_id, grid):
         fx = fixtures_by_id[fid]
         sup_F = max(np.linalg.norm(fx.F.eval(z), 2) for z in grid.points[::7])
         for i in range(fx.m):
-            row = list(fx.F.entries[i])
+            row = fx.F.submatrix(slice(i, i + 1), slice(None))
             for n in range(0, fx.d - 1):
-                op = q_matrix(row, n).matrix
+                op = q_matrix(row, n)
                 sup_Q = max(np.linalg.norm(op.eval(z), 2) for z in grid.points[::7])
                 assert sup_Q <= sup_F + 1e-12
 

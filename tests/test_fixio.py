@@ -29,9 +29,8 @@ def sample_fixture():
 def test_round_trip_is_bit_exact():
     fx = sample_fixture()
     back = parse_fixture(json.loads(emit_fixture(fx)))
-    assert back.F.entries == fx.F.entries
-    assert back.H.entries == fx.H.entries
-    assert back.u_known.entries == fx.u_known.entries
+    for got, want in ((back.F, fx.F), (back.H, fx.H), (back.u_known, fx.u_known)):
+        assert got.coeffs.tobytes() == want.coeffs.tobytes()
     assert back.fixture_id == fx.fixture_id
     # a second emit reproduces the bytes exactly
     assert emit_fixture(back) == emit_fixture(fx)
@@ -61,9 +60,24 @@ def test_parse_rejects_malformed_trees():
         parse_fixture({"m": 1, "d": 1, "F": [[[[1.0, 0.0]]]], "H": [[[[0.0, float("nan")]]]]})
     with pytest.raises(ValueError, match=r"G\[1\]: coefficient .* is not finite"):
         parse_solution({"G": [[[0.0, 0.0]], [[0.5, 0.0], [float("inf"), 0.0]]]})
-    for bad in ([None, 0.0], ["x", 0.0], [0.0, [1.0]]):
+    for bad in ([None, 0.0], ["x", 0.0], [0.0, [1.0]], ["0.5", 0.0], [True, 0.0]):
         with pytest.raises(ValueError, match=r"F\[0\]\[0\]: coefficient .* not a pair of numbers"):
             parse_fixture({"m": 1, "d": 1, "F": [[[bad]]], "H": [[[[0.0, 0.0]]]]})
+    for field, value in (("m", 1.9), ("m", 1.0), ("m", True), ("d", "1")):
+        tree = {"m": 1, "d": 1, "F": [[[[0.5, 0.0]]]], "H": [[[[0.0, 0.0]]]]}
+        with pytest.raises(ValueError, match=f"^{field} must be an integer"):
+            parse_fixture({**tree, field: value})
+    for grid, fault in (({"radii": ["0.5"], "angles": 8}, r"grid\.radii\[0\] must be a number"),
+                        ({"radii": [True], "angles": 8}, r"grid\.radii\[0\] must be a number"),
+                        ({"radii": [0.5], "angles": 8.9}, "grid.angles must be an integer"),
+                        ({"radii": [0.5], "angles": False}, "grid.angles must be an integer")):
+        with pytest.raises(ValueError, match=fault):
+            parse_fixture({"m": 1, "d": 1, "F": [[[[0.5, 0.0]]]], "H": [[[[0.0, 0.0]]]],
+                           "grid": grid})
+    # JSON integers are numbers: integral coefficients and radii stay valid
+    fx = parse_fixture({"m": 1, "d": 1, "F": [[[[1, 0]]]], "H": [[[[0, 0]]]],
+                        "grid": {"radii": [0, 0.5], "angles": 4}})
+    assert fx.F.entry(0, 0).coeffs == (1 + 0j,)
     for cap in (None, "8", 2.5, -1, True):
         with pytest.raises(ValueError, match="degree_cap must be a non-negative integer"):
             parse_fixture({"m": 1, "d": 1, "degree_cap": cap,
@@ -81,7 +95,7 @@ def test_parse_enforces_degree_cap():
 def test_solution_round_trip():
     G = PolyMatrix.from_rows([[P(0.1, 0.2j)], [P(-1 / 7)], [P(0)]])
     back = parse_solution(json.loads(emit_solution(G, meta={"fixture": "x"})))
-    assert back.entries == G.entries
+    assert back.coeffs.tobytes() == G.coeffs.tobytes()
 
 
 def test_report_diff_tolerates_float_drift():

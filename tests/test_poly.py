@@ -105,7 +105,8 @@ def test_stacked_eval_is_bitwise_the_scalar_horner(seed):
     assert stack.shape == (len(grid), rows, cols)
     assert np.array_equal(stack, np.stack([M.eval(z) for z in grid.points]))
     reference = np.array(
-        [[[_python_horner(e, z) for e in row] for row in M.entries] for z in grid.points]
+        [[[_python_horner(M.entry(i, j), z) for j in range(cols)] for i in range(rows)]
+         for z in grid.points]
     )
     # tobytes also tells the signs of zeros apart
     assert stack.tobytes() == reference.tobytes()
@@ -121,19 +122,75 @@ def test_slice_norms_match_numpy_for_every_length():
         assert slice_norms(stack).tobytes() == expected.tobytes(), n
 
 
+def _random_matrix(rng, rows, cols):
+    return PolyMatrix.from_rows([[_random_poly(rng) for _ in range(cols)] for _ in range(rows)])
+
+
+def _polys(M):
+    return [[M.entry(i, j) for j in range(M.cols)] for i in range(M.rows)]
+
+
+def _assert_coefficients_match(M, polys):
+    """M against a nested list of Polynomials, coefficient by coefficient."""
+    assert M.shape == (len(polys), len(polys[0]) if polys else 0)
+    assert M.max_degree == max((p.degree for row in polys for p in row), default=0)
+    want = np.zeros(M.coeffs.shape, dtype=complex)
+    for i, row in enumerate(polys):
+        for j, p in enumerate(row):
+            want[i, j, :len(p.coeffs)] = p.coeffs
+    assert np.abs(M.coeffs - want).max(initial=0.0) <= 1e-14 * np.abs(want).max(initial=0.0)
+
+
 def test_matmul_matches_pointwise_products():
-    rng = np.random.default_rng(3)
-    A = PolyMatrix.from_rows(
-        [[Polynomial(tuple(rng.standard_normal(3) + 1j * rng.standard_normal(3)))
-          for _ in range(2)] for _ in range(3)]
+    # and every other array operation against entrywise Polynomial arithmetic
+    for seed in range(8):
+        _check_against_entrywise_polynomials(np.random.default_rng(100 + seed))
+
+
+def _check_against_entrywise_polynomials(rng):
+    rows, inner, cols = (int(n) for n in rng.integers(1, 5, size=3))
+    A, A2 = _random_matrix(rng, rows, inner), _random_matrix(rng, rows, inner)
+    B = _random_matrix(rng, inner, cols)
+    a, a2, b = _polys(A), _polys(A2), _polys(B)
+    s = complex(*rng.standard_normal(2))
+
+    _assert_coefficients_match(A + A2, [[x + y for x, y in zip(r, r2)] for r, r2 in zip(a, a2)])
+    _assert_coefficients_match(A - A2, [[x - y for x, y in zip(r, r2)] for r, r2 in zip(a, a2)])
+    _assert_coefficients_match(-A, [[-x for x in r] for r in a])
+    _assert_coefficients_match(A.scale(s), [[s * x for x in r] for r in a])
+    _assert_coefficients_match(
+        A @ B,
+        [[sum((a[i][t] * b[t][j] for t in range(inner)), P(0)) for j in range(cols)]
+         for i in range(rows)],
     )
-    B = PolyMatrix.from_rows(
-        [[Polynomial(tuple(rng.standard_normal(2) + 1j * rng.standard_normal(2)))
-          for _ in range(4)] for _ in range(2)]
+    _assert_coefficients_match(A.hstack(A2), [r + r2 for r, r2 in zip(a, a2)])
+    r0, c0 = int(rng.integers(0, rows)), int(rng.integers(0, inner))
+    _assert_coefficients_match(
+        A.submatrix(slice(r0, rows), slice(c0, inner)), [r[c0:] for r in a[r0:]]
     )
-    C = A @ B
-    for z in (0.2, -0.5 + 0.3j, 0.9j):
-        np.testing.assert_allclose(C.eval(z), A.eval(z) @ B.eval(z), atol=1e-12)
+    for z in (0.2, -0.5 + 0.3j):
+        np.testing.assert_allclose((A @ B).eval(z), A.eval(z) @ B.eval(z), atol=1e-12)
+
+
+def test_trailing_zero_degrees_are_trimmed():
+    rng = np.random.default_rng(5)
+    A = _random_matrix(rng, 3, 2)
+    assert (A - A).max_degree == 0
+    assert not (A - A).coeffs.any()
+    assert PolyMatrix.from_rows([[P(1, 2, 0, 0), P(0, 0, 0)]]).max_degree == 1
+    padded = np.zeros((2, 2, 6), dtype=complex)
+    padded[1, 0, :3] = [1, 0, 4j]
+    assert PolyMatrix(padded).max_degree == 2
+    assert PolyMatrix(padded).entry(1, 0).coeffs == (1 + 0j, 0j, 4j)
+
+
+def test_coefficients_are_read_only():
+    source = np.ones((1, 2, 2), dtype=complex)
+    M = PolyMatrix(source)
+    with pytest.raises(ValueError):
+        M.coeffs[0, 0, 0] = 5
+    source[0, 0, 0] = 5  # the matrix holds its own copy
+    assert M.coeffs[0, 0, 0] == 1
 
 
 def test_default_grid_shape():
@@ -214,6 +271,9 @@ def test_coefficient_match_reports_miss_without_raising():
     x, rep = coefficient_match_solve(A, b, degree_cap=6, tol=1e-8)
     assert not rep.success
     assert rep.residual > 1e-3
+    # a target of higher degree than A times the cap can reach is a miss too
+    x, rep = coefficient_match_solve(A, PolyMatrix.from_rows([[P(0, 0, 0, 0, 1)]]), 1, 1e-8)
+    assert not rep.success and rep.system_shape == (5, 2)
 
 
 def test_coefficient_match_shape_errors():
