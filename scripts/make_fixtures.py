@@ -35,14 +35,11 @@ def normalize(F_raw: PolyMatrix, grid: DiscGrid) -> PolyMatrix:
 def fit_preimage(F: PolyMatrix, u0: PolyMatrix, grid: DiscGrid) -> tuple[PolyMatrix, PolyMatrix]:
     """Scale u0 so that det_k(F F*)^(3/2) >= 2 max_i |h_i| on the grid."""
     F_vals = F.eval(grid.points)
-    k = max(numeric_rank(Fz) for Fz in F_vals)
-    H0 = F @ u0
-    lam = np.inf
-    for Fz, H0z in zip(F_vals, H0.eval(grid.points)):
-        hmax = float(np.max(np.abs(H0z)))
-        if hmax < 1e-14:
-            continue
-        lam = min(lam, max(det_k_gram(Fz, k), 0.0) ** 1.5 / hmax)
+    k = int(numeric_rank(F_vals).max())
+    dk = det_k_gram(F_vals, k).tolist()
+    h_max = np.abs((F @ u0).eval(grid.points)).max(axis=(1, 2)).tolist()
+    lam = min((max(a, 0.0) ** 1.5 / b for a, b in zip(dk, h_max) if b >= 1e-14),
+              default=np.inf)
     lam = 0.5 * lam
     u = u0.scale(lam)
     return u, F @ u

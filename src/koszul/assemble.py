@@ -97,18 +97,22 @@ def offdiagonal_annihilation_check(
     """
     m, d = F.shape
     F_vals = F.eval(grid.points)
+    ranks = numeric_rank(F_vals)
     if k is None:
-        k = max(numeric_rank(Fz) for Fz in F_vals)
+        k = int(ranks.max())
+    # row j times G_i as a 1 x d by d x 1 product per point, which takes the
+    # same dot-product kernel as multiplying one row at a time
+    others = [j - 1 for j in range(1, m + 1) if j != i]
+    products = np.matmul(F_vals[:, others, None, :], G_i.eval(grid.points)[:, None])
     included_max, argmax = 0.0, None
     excluded = []
-    for z, Fz, Gz in zip(grid.points, F_vals, G_i.eval(grid.points)):
-        if numeric_rank(Fz) < k:
+    for z, full_rank, row in zip(grid.points, (ranks >= k).tolist(),
+                                 products[:, :, 0, 0].tolist()):
+        if not full_rank:
             excluded.append(z)
             continue
-        for j in range(1, m + 1):
-            if j == i:
-                continue
-            val = abs((Fz[j - 1:j, :] @ Gz)[0, 0])
+        for c in row:
+            val = abs(c)
             if val > included_max:
                 included_max, argmax = val, z
     return OffdiagReport(
@@ -252,9 +256,9 @@ def radical_necessary_check(
         )
     sup_G = sup_operator_norm(G, grid)
     C = sup_G ** 2
-    margins = []
-    for Fz, Hz in zip(F_vals, H.eval(grid.points)):
-        margins.append(C * det_k_gram(Fz, 1) - float(np.abs(Hz).max()) ** (2 * n))
+    dk = det_k_gram(F_vals, 1).tolist()
+    h_max = np.abs(H.eval(grid.points)).max(axis=(1, 2)).tolist()
+    margins = [C * a - b ** (2 * n) for a, b in zip(dk, h_max)]
     imin = int(np.argmin(margins))
     return RadicalReport(
         power=n,

@@ -88,8 +88,11 @@ def insertion_sign(j: int, sigma) -> int:
 
 
 def compress(B: np.ndarray, pi) -> np.ndarray:
-    """Principal submatrix of B at the rows/columns listed in pi."""
+    """Principal submatrix of B at the rows/columns listed in pi.
+
+    B may be a (..., m, m) stack; every slice is compressed alike.
+    """
     entries = pi.entries if isinstance(pi, IndexTuple) else tuple(pi)
     idx = [j - 1 for j in entries]
     B = np.asarray(B)
-    return B[np.ix_(idx, idx)]
+    return B[(Ellipsis, *np.ix_(idx, idx))]

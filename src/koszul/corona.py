@@ -2,8 +2,11 @@
 
 The three hypotheses checked on a grid: the k-th minor sum of F F^*
 raised to 3/2 dominates every |h_i|; the multiplier norm of F is 1 (or at
-most 1 in inequality mode); and H lies in the pointwise range of F.  The
-division step assembles the stacked chain row over all k-tuples of row
+most 1 in inequality mode); and H lies in the pointwise range of F.  F
+and H are evaluated once on the grid, and the ranks, minor sums and
+pseudo-inverses are computed once per grid on those (P, m, d) stacks;
+only the scalar margin arithmetic runs point by point, on Python floats.
+The division step assembles the stacked chain row over all k-tuples of row
 indices and solves for polynomial coefficients; it is a search with a
 degree cap, so a miss is reported rather than raised.
 """
@@ -55,12 +58,23 @@ class HypothesisReport:
         return self.passed_minor_bound and self.passed_norm and self.passed_range
 
 
-def pointwise_min_norm_solution(F_point, H_point) -> tuple[np.ndarray, float]:
-    """Minimal-norm least-squares solution of F u = H at one point."""
+def pointwise_min_norm_solution(F_point, H_point):
+    """Minimal-norm least-squares solution of F u = H and its residual norm.
+
+    At one point (F m x d, H of m values) this returns (u, float).  A
+    (P, m, d) stack of F values with a (P, m) or (P, m, 1) stack of H values
+    takes one pseudo-inverse call and returns a (P, d) array of solutions
+    and a (P,) array of residual norms, each slice bitwise the one-point
+    result.
+    """
     F = np.atleast_2d(np.asarray(F_point, dtype=complex))
-    H = np.asarray(H_point, dtype=complex).reshape(-1)
-    u = np.linalg.pinv(F, rcond=1e-10) @ H
-    return u, float(np.linalg.norm(F @ u - H))
+    stacked = F.ndim > 2
+    if not stacked:
+        F = F[None]
+    H = np.asarray(H_point, dtype=complex).reshape(F.shape[:-1])
+    u = (np.linalg.pinv(F, rcond=1e-10) @ H[..., None])[..., 0]
+    resid = slice_norms((F @ u[..., None])[..., 0] - H)
+    return (u, resid) if stacked else (u[0], float(resid[0]))
 
 
 def check_hypotheses(
@@ -79,13 +93,13 @@ def check_hypotheses(
     F_vals = F.eval(grid.points)
     H_vals = H.eval(grid.points)
 
-    k = max((numeric_rank(Fz) for Fz in F_vals), default=0)
+    k = int(numeric_rank(F_vals).max(initial=0))
     k_mismatch = expected_k is not None and expected_k != k
 
-    margins = []
-    for Fz, Hz in zip(F_vals, H_vals):
-        dk = det_k_gram(Fz, k) if k >= 1 else 0.0
-        margins.append(max(dk, 0.0) ** 1.5 - float(np.max(np.abs(Hz))))
+    # margins on Python floats: numpy's vectorised ** can round differently
+    dk = det_k_gram(F_vals, k).tolist() if k >= 1 else [0.0] * len(grid)
+    h_max = np.abs(H_vals).max(axis=(1, 2)).tolist()
+    margins = [max(a, 0.0) ** 1.5 - b for a, b in zip(dk, h_max)]
     imin = int(np.argmin(margins))
 
     norm_est = max_operator_norm(F_vals)
@@ -94,9 +108,7 @@ def check_hypotheses(
     else:
         passed_norm = norm_est <= 1.0 + 1e-6
 
-    range_residuals = [
-        pointwise_min_norm_solution(Fz, Hz)[1] for Fz, Hz in zip(F_vals, H_vals)
-    ]
+    range_residuals = pointwise_min_norm_solution(F_vals, H_vals)[1].tolist()
     imax = int(np.argmax(range_residuals))
     sup_H = float(slice_norms(H_vals).max())
 

@@ -2,8 +2,11 @@
 
 det_k(B) adds the determinants of all k x k principal submatrices of B,
 iterated in the canonical lexicographic tuple order.  Minors are computed
-by LU factorization per minor; the eigenvalue and Cauchy-Binet routes live
-here too but only as independent oracles, never as the primary path.
+by LU factorization; on a (..., m, m) stack, such as a matrix evaluated
+on a whole grid, each k-tuple takes one determinant call over the stack,
+and the per-slice sums are bitwise those of one matrix at a time.  The
+eigenvalue and Cauchy-Binet routes live here too but only as independent
+oracles, never as the primary path.
 """
 
 from __future__ import annotations
@@ -15,28 +18,35 @@ from .combinat import compress, enumerate_tuples
 
 def _as_square(B) -> np.ndarray:
     A = np.asarray(B, dtype=complex)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
+    if A.ndim < 2 or A.shape[-2] != A.shape[-1]:
         raise ValueError(f"expected a square matrix, got shape {A.shape}")
     return A
 
 
-def det_k(B, k: int) -> complex:
-    """Sum of all k x k principal minors of B."""
+def det_k(B, k: int):
+    """Sum of all k x k principal minors of B.
+
+    B is one square matrix (a complex result) or a (..., m, m) stack (an
+    array of sums, one per slice).
+    """
     A = _as_square(B)
-    m = A.shape[0]
+    m = A.shape[-1]
     if k < 1 or k > m:
         raise ValueError(f"need 1 <= k <= {m}, got k={k}")
-    total = 0j
+    total = np.zeros(A.shape[:-2], dtype=complex)
     for pi in enumerate_tuples(m, k):
-        total += complex(np.linalg.det(compress(A, pi)))
-    return total
+        total += np.linalg.det(compress(A, pi))
+    return complex(total) if A.ndim == 2 else total
 
 
-def det_k_gram(F_point, k: int) -> float:
-    """det_k of F F^* for a rectangular F; non-negative, ~0 beyond the rank."""
+def det_k_gram(F_point, k: int):
+    """det_k of F F^* for a rectangular F; non-negative, ~0 beyond the rank.
+
+    A (..., m, d) stack gives a float array, one value per slice.
+    """
     F = np.atleast_2d(np.asarray(F_point, dtype=complex))
-    val = det_k(F @ F.conj().T, k)
-    return float(val.real)
+    val = det_k(F @ F.conj().swapaxes(-1, -2), k)
+    return float(val.real) if F.ndim == 2 else val.real
 
 
 def elementary_symmetric(values, k: int) -> complex:

@@ -90,14 +90,15 @@ def alpha_hypothesis_check(
             raise ValueError(f"h must be scalar, got shape {h.shape}")
         h = h.entry(0, 0)
 
+    F_vals = F.eval(grid.points)
+    gram = (F_vals @ F_vals.conj().swapaxes(1, 2))[:, 0, 0].real.tolist()
     margins = []
-    for z, row, hz in zip(grid.points, F.eval(grid.points), h(grid.points)):
-        t = float((row @ row.conj().T)[0, 0].real)
+    for z, t, hz in zip(grid.points, gram, h(grid.points).tolist()):
         if t > 1 + 1e-9:
             raise PreconditionError(f"F is not normalized: F(z)F(z)* = {t} at z = {z}")
         t = min(max(t, 0.0), 1.0)
         # Python's abs: the vectorised np.abs rounds some moduli differently
-        margins.append(t * alpha(t, params) - abs(complex(hz)))
+        margins.append(t * alpha(t, params) - abs(hz))
     imin = int(np.argmin(margins))
     return AlphaMarginReport(
         margins=tuple(margins),

@@ -12,6 +12,7 @@ coefficients that rides along.  All signs come from
 
 from __future__ import annotations
 
+import itertools
 from math import comb
 
 import numpy as np
@@ -34,10 +35,12 @@ def _lowering_entries(d: int, n: int):
     Yields (row, col, sign, p) with p the 1-based row-vector index whose
     entry lands at that position: the (row, col) entry is sign * a_p.
     """
-    rows = exterior_basis(d, n)
-    cols = exterior_basis(d, n + 1)
-    row_index = {t.entries: i for i, t in enumerate(rows)}
-    for cidx, tau in enumerate(cols):
+    if n + 1 > d:
+        raise ValueError(f"degree {n + 1} exceeds ambient dimension {d}")
+    # plain tuples in the canonical order of enumerate_tuples
+    basis = range(1, d + 1)
+    row_index = {t: i for i, t in enumerate(itertools.combinations(basis, n))}
+    for cidx, tau in enumerate(itertools.combinations(basis, n + 1)):
         for p in tau:
             sigma = tuple(e for e in tau if e != p)
             yield row_index[sigma], cidx, combinat.insertion_sign(p, sigma), p

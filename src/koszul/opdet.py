@@ -6,6 +6,9 @@ order is part of the definition.  Block (j, k) maps the space with
 signature index j+1 into the space with index j: every block in row j
 shares its source and target, and each column just selects which operator
 sits in that slot.
+
+The numeric rank used by the grid checks lives here too; it takes a
+(..., rows, cols) stack and ranks every slice from one SVD call.
 """
 
 from __future__ import annotations
@@ -92,15 +95,20 @@ def operator_det(B: BlockOperatorMatrix):
     return acc
 
 
-def numeric_rank(A: np.ndarray, rtol: float = RANK_RTOL) -> int:
-    """Count of singular values above rtol times the largest."""
+def numeric_rank(A: np.ndarray, rtol: float = RANK_RTOL):
+    """Count of singular values above rtol times the largest.
+
+    A (..., rows, cols) stack gets one SVD call and an integer array of
+    ranks, one per slice; a single matrix gets an int.  A zero matrix has
+    rank 0.
+    """
     A = np.atleast_2d(np.asarray(A))
-    if A.size == 0:
-        return 0
-    s = np.linalg.svd(A, compute_uv=False)
-    if s[0] == 0:
-        return 0
-    return int(np.sum(s > rtol * s[0]))
+    if A.shape[-2] == 0 or A.shape[-1] == 0:
+        ranks = np.zeros(A.shape[:-2], dtype=int)
+    else:
+        s = np.linalg.svd(A, compute_uv=False)
+        ranks = np.count_nonzero(s > rtol * s[..., :1], axis=-1)
+    return int(ranks) if A.ndim == 2 else ranks
 
 
 def _scalar_top_blocks(scalars):
