@@ -19,13 +19,22 @@ from koszul.corona import check_hypotheses
 from koszul.detk import det_k_gram
 from koszul.fixtures import Fixture, save_fixture
 from koszul.opdet import numeric_rank
-from koszul.poly import DiscGrid, Polynomial, PolyMatrix, sup_operator_norm
+from koszul.poly import DiscGrid, PolyMatrix, sup_operator_norm
 
 OUT = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 
 
-def p(*coeffs):
-    return Polynomial(tuple(complex(c) for c in coeffs))
+def p(*coeffs) -> np.ndarray:
+    """One polynomial as its Taylor coefficients in ascending degree."""
+    return np.array(coeffs, dtype=complex)
+
+
+def power(c: np.ndarray, n: int) -> np.ndarray:
+    """The n-th power of one polynomial, by repeated convolution from 1."""
+    out = p(1)
+    for _ in range(n):
+        out = np.convolve(out, c)
+    return out
 
 
 def normalize(F_raw: PolyMatrix, grid: DiscGrid) -> PolyMatrix:
@@ -88,13 +97,13 @@ def build_f3():
     zmh = p(-0.5, 1)  # z - 1/2
     F_raw = PolyMatrix.from_rows([
         [p(1), p(0), p(0)],
-        [p(0), zmh * p(1.2), zmh * p(0.75)],
+        [p(0), np.convolve(zmh, p(1.2)), np.convolve(zmh, p(0.75))],
     ])
     F = normalize(F_raw, grid)
     u0 = PolyMatrix.from_rows([
-        [zmh ** 3 * p(0.6)],
-        [zmh ** 2 * p(0.5, 0.2j)],
-        [zmh ** 2 * p(-0.3)],
+        [np.convolve(power(zmh, 3), p(0.6))],
+        [np.convolve(power(zmh, 2), p(0.5, 0.2j))],
+        [np.convolve(power(zmh, 2), p(-0.3))],
     ])
     u, H = fit_preimage(F, u0, grid)
     return Fixture("f3", 2, 3, 8, F, H, u_known=u)

@@ -14,7 +14,8 @@ the G_i.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import reduce
 from math import comb, factorial
 
 import numpy as np
@@ -26,7 +27,7 @@ from .errors import PreconditionError
 from .estimates import K_constant
 from .exterior import q_matrix
 from .opdet import numeric_rank
-from .poly import DiscGrid, PolyMatrix, slice_norms, sup_operator_norm
+from .poly import DiscGrid, PolyMatrix, slice_norms, sup_operator_norm, trimmed
 
 
 def build_Gi(F: PolyMatrix, v_i: PolyMatrix, i: int, k: int) -> PolyMatrix:
@@ -65,10 +66,10 @@ def build_Gi(F: PolyMatrix, v_i: PolyMatrix, i: int, k: int) -> PolyMatrix:
         w = v_i.submatrix(
             slice(t_index * block_len, (t_index + 1) * block_len), slice(0, 1)
         )
-        rest = pi.drop(i)
+        rest = tuple(j for j in pi if j != i)
         for s in range(k - 1, 0, -1):
             w = lowering[rest[s - 1], s] @ w
-        G = G - w if pi.entries.index(i) % 2 else G + w
+        G = G - w if pi.index(i) % 2 else G + w
     return G.scale(float(factorial(k)))
 
 
@@ -160,7 +161,8 @@ def solve_full(
     """Run the scalar division for every row, assemble G, and measure it.
 
     Requires the range hypothesis to hold on the grid; a failed scalar
-    solve is flagged in the bundle rather than raised.
+    solve is flagged in the bundle rather than raised, and so is an
+    assembled G whose residual fails ``residual_ok``.
     """
     grid = grid or DiscGrid.default()
     hyp = check_hypotheses(F, H, grid, norm_mode=norm_mode)
@@ -186,7 +188,8 @@ def solve_full(
     solutions, parts, failed = [], [], []
     for i in range(1, m + 1):
         sol = scalar_corona_solve(
-            F, H.entry(i - 1, 0), i, k, degree_cap=degree_cap, tol=tol, grid=grid
+            F, H.submatrix(slice(i - 1, i), slice(0, 1)), i, k,
+            degree_cap=degree_cap, tol=tol, grid=grid,
         )
         solutions.append(sol)
         if not sol.success:
@@ -201,7 +204,7 @@ def solve_full(
     imax = int(np.argmax(residuals))
     sup_v = tuple(s.sup_v for s in solutions)
     binom = comb(m - 1, k - 1)
-    return SolutionBundle(
+    bundle = SolutionBundle(
         G=G,
         G_parts=tuple(parts),
         scalar_solutions=tuple(solutions),
@@ -219,6 +222,7 @@ def solve_full(
         failed_rows=tuple(failed),
         failure=None,
     )
+    return bundle if bundle.residual_ok() else replace(bundle, failure="assembly-residual")
 
 
 @dataclass(frozen=True)
@@ -246,7 +250,11 @@ def radical_necessary_check(
         raise ValueError(f"power must be a positive integer, got {n}")
     grid = grid or DiscGrid.default()
     m = F.rows
-    Hn = PolyMatrix.from_rows([[H.entry(r, 0) ** n] for r in range(m)])
+    # each entry's power by repeated convolution of its trimmed coefficients
+    one = np.ones(1, dtype=complex)
+    Hn = PolyMatrix.from_rows(
+        [[reduce(np.convolve, [trimmed(h)] * n, one)] for h in H.coeffs[:, 0]]
+    )
     F_vals, Hn_vals = F.eval(grid.points), Hn.eval(grid.points)
     pre_resid = float(slice_norms(F_vals @ G.eval(grid.points) - Hn_vals).max())
     sup_Hn = float(slice_norms(Hn_vals).max())
@@ -277,7 +285,6 @@ class ConcatResult:
     G1: PolyMatrix
     G2: PolyMatrix
     bundle: SolutionBundle
-    exact_split: bool       # G1 stacked over G2 reproduces G bitwise
     split_residual: float   # coefficient residual of F1 G1 + F2 G2 = FG
 
 
@@ -292,9 +299,8 @@ def concat_solve(
 ) -> ConcatResult:
     """Solve against the column concatenation of two blocks and split G.
 
-    The split itself is a row slice of G, so restacking G1 over G2 must
-    reproduce G coefficient for coefficient; the recombined product
-    F1 G1 + F2 G2 matches the unsplit product up to summation reordering.
+    G1 and G2 are row slices of G, so the recombined product F1 G1 + F2 G2
+    matches the unsplit product up to summation reordering.
     """
     if F2 is not None and F2.cols > 0 and F2.rows != F1.rows:
         raise ValueError(f"row count mismatch: {F1.rows} vs {F2.rows}")
@@ -303,16 +309,9 @@ def concat_solve(
     d1 = F1.cols
     G1 = bundle.G.submatrix(slice(0, d1), slice(0, 1))
     G2 = bundle.G.submatrix(slice(d1, big.cols), slice(0, 1))
-
-    def column(M: PolyMatrix) -> list:
-        return [M.entry(r, 0) for r in range(M.rows)]
-
-    exact_split = column(G1) + column(G2) == column(bundle.G)
     recombined = F1 @ G1
     if G2.rows > 0 and F2 is not None and F2.cols > 0:
         recombined = recombined + F2 @ G2
     whole = big @ bundle.G
     split_residual = float(np.abs((recombined - whole).coeffs).max(initial=0.0))
-    return ConcatResult(
-        G1=G1, G2=G2, bundle=bundle, exact_split=exact_split, split_residual=split_residual
-    )
+    return ConcatResult(G1=G1, G2=G2, bundle=bundle, split_residual=split_residual)

@@ -143,7 +143,7 @@ def corona_row(F: PolyMatrix, k: int) -> PolyMatrix:
         raise ValueError(f"need 1 <= k <= min(m, d) = {min(m, d)}, got k={k}")
     blocks = None
     for pi in enumerate_tuples(m, k):
-        block = chain_row(F.coeffs[list(pi.zero_based)])
+        block = chain_row(F.coeffs[[j - 1 for j in pi]])
         blocks = block if blocks is None else blocks.hstack(block)
     return blocks.scale(float(factorial(k)))
 
@@ -162,7 +162,7 @@ class ScalarSolveResult:
 
 def scalar_corona_solve(
     F: PolyMatrix,
-    h_target,
+    h_target: PolyMatrix,
     i: int,
     k: int,
     degree_cap: int | None = None,
@@ -171,24 +171,22 @@ def scalar_corona_solve(
 ) -> ScalarSolveResult:
     """Solve (stacked chain row) . v = h for polynomial coefficients of v.
 
-    ``i`` records which target row the solution feeds; the row itself does
-    not depend on it.  Failure to meet ``tol`` is reported in the result,
-    since a solution may exist at a higher degree cap.
+    ``h_target`` is a 1 x 1 matrix.  ``i`` records which target row the
+    solution feeds; the row itself does not depend on it.  Failure to meet
+    ``tol`` is reported in the result, since a solution may exist at a
+    higher degree cap.
     """
-    if isinstance(h_target, PolyMatrix):
-        if h_target.shape != (1, 1):
-            raise ValueError(f"target must be scalar, got {h_target.shape}")
-        h_target = h_target.entry(0, 0)
+    if h_target.shape != (1, 1):
+        raise ValueError(f"target must be scalar, got {h_target.shape}")
     grid = grid or DiscGrid.default()
     if degree_cap is None:
-        degree_cap = 2 * max(F.max_degree, h_target.degree) + 4
+        degree_cap = 2 * max(F.max_degree, h_target.max_degree) + 4
     if tol is None:
         # Python's abs: the vectorised np.abs rounds some moduli differently
-        sup_h = max(abs(complex(hz)) for hz in h_target(grid.points))
+        sup_h = max(abs(hz) for hz in h_target.eval(grid.points)[:, 0, 0].tolist())
         tol = 1e-8 * max(1.0, sup_h)
     R = corona_row(F, k)
-    b = PolyMatrix.from_rows([[h_target]])
-    v, rep = coefficient_match_solve(R, b, degree_cap=degree_cap, tol=tol, grid=grid)
+    v, rep = coefficient_match_solve(R, h_target, degree_cap=degree_cap, tol=tol, grid=grid)
     sup_v = sup_operator_norm(v, grid)
     return ScalarSolveResult(
         v=v, target_row=i, k=k,

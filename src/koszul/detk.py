@@ -77,8 +77,8 @@ def det_k_minor_sum_oracle(F_point, k: int) -> float:
         return 0.0
     total = 0.0
     for rho in enumerate_tuples(m, k):
-        rows = F[list(rho.zero_based), :]
+        rows = F[[r - 1 for r in rho], :]
         for gamma in enumerate_tuples(d, k):
-            sub = rows[:, list(gamma.zero_based)]
+            sub = rows[:, [c - 1 for c in gamma]]
             total += abs(np.linalg.det(sub)) ** 2
     return total

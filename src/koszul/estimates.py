@@ -73,27 +73,25 @@ class AlphaMarginReport:
 
 def alpha_hypothesis_check(
     F: PolyMatrix,
-    h,
+    h: PolyMatrix,
     grid: DiscGrid,
     params: AlphaParams | None = None,
 ) -> AlphaMarginReport:
     """Pointwise margins of t * alpha(t) - |h(z)| with t = F(z) F(z)^*.
 
-    Only the scalar-row case is supported (F must be 1 x d) and F must be
-    normalized: t above 1 + 1e-9 anywhere raises PreconditionError.
+    Only the scalar-row case is supported (F must be 1 x d, h 1 x 1) and F
+    must be normalized: t above 1 + 1e-9 anywhere raises PreconditionError.
     """
     params = params or AlphaParams()
     if F.rows != 1:
         raise ValueError(f"scalar-row check needs a 1 x d matrix, got {F.shape}")
-    if isinstance(h, PolyMatrix):
-        if h.shape != (1, 1):
-            raise ValueError(f"h must be scalar, got shape {h.shape}")
-        h = h.entry(0, 0)
+    if h.shape != (1, 1):
+        raise ValueError(f"h must be scalar, got shape {h.shape}")
 
     F_vals = F.eval(grid.points)
     gram = (F_vals @ F_vals.conj().swapaxes(1, 2))[:, 0, 0].real.tolist()
     margins = []
-    for z, t, hz in zip(grid.points, gram, h(grid.points).tolist()):
+    for z, t, hz in zip(grid.points, gram, h.eval(grid.points)[:, 0, 0].tolist()):
         if t > 1 + 1e-9:
             raise PreconditionError(f"F is not normalized: F(z)F(z)* = {t} at z = {z}")
         t = min(max(t, 0.0), 1.0)

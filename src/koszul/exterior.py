@@ -18,15 +18,7 @@ from math import comb
 import numpy as np
 
 from . import combinat
-from .combinat import IndexTuple, enumerate_tuples
-from .poly import Polynomial, PolyMatrix
-
-
-def exterior_basis(d: int, n: int) -> list[IndexTuple]:
-    """Standard basis tuples of the degree-n exterior power of C^d."""
-    if n > d:
-        raise ValueError(f"degree {n} exceeds ambient dimension {d}")
-    return enumerate_tuples(d, n)
+from .poly import PolyMatrix
 
 
 def _lowering_entries(d: int, n: int):
@@ -49,15 +41,12 @@ def _lowering_entries(d: int, n: int):
 def _row_array(a) -> np.ndarray:
     """A row as a (d,) numeric array, or as (d, degree + 1) Taylor coefficients.
 
-    A 1 x d PolyMatrix, a sequence holding Polynomials, and a sequence of
-    coefficient arrays are polynomial rows; any other sequence is numeric.
+    A 1 x d PolyMatrix and a (d, degree + 1) array of coefficients are
+    polynomial rows; a sequence of numbers is numeric.
     """
     if isinstance(a, PolyMatrix):
         (row,) = a.coeffs
         return row
-    a = list(a)
-    if any(isinstance(e, Polynomial) for e in a):
-        return PolyMatrix.from_rows([a]).coeffs[0]
     return np.asarray(a, dtype=complex)
 
 

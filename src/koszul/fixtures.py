@@ -13,7 +13,9 @@ import json
 import math
 from dataclasses import dataclass
 
-from .poly import DEFAULT_DEGREE_CAP, DiscGrid, PolyMatrix, Polynomial
+import numpy as np
+
+from .poly import DEFAULT_DEGREE_CAP, DiscGrid, PolyMatrix, trimmed
 
 
 def _is_number(x) -> bool:
@@ -31,11 +33,11 @@ def _integer_field(obj: dict, name: str, where: str | None = None) -> int:
     return value
 
 
-def _poly_to_json(p: Polynomial) -> list:
-    return [[c.real, c.imag] for c in p.coeffs]
+def _poly_to_json(c: np.ndarray) -> list:
+    return [[z.real, z.imag] for z in trimmed(c).tolist()]
 
 
-def _poly_from_json(obj, degree_cap: int, where: str) -> Polynomial:
+def _poly_from_json(obj, degree_cap: int, where: str) -> np.ndarray:
     if not isinstance(obj, list) or not obj:
         raise ValueError(f"{where}: polynomial must be a non-empty list of [re, im] pairs")
     coeffs = []
@@ -48,14 +50,14 @@ def _poly_from_json(obj, degree_cap: int, where: str) -> Polynomial:
         if not (math.isfinite(re) and math.isfinite(im)):
             raise ValueError(f"{where}: coefficient {pair!r} is not finite")
         coeffs.append(complex(re, im))
-    p = Polynomial(tuple(coeffs))
-    if p.degree > degree_cap:
-        raise ValueError(f"{where}: degree {p.degree} exceeds cap {degree_cap}")
-    return p
+    c = trimmed(coeffs)
+    if len(c) - 1 > degree_cap:
+        raise ValueError(f"{where}: degree {len(c) - 1} exceeds cap {degree_cap}")
+    return c
 
 
 def _matrix_to_json(M: PolyMatrix) -> list:
-    return [[_poly_to_json(M.entry(i, j)) for j in range(M.cols)] for i in range(M.rows)]
+    return [[_poly_to_json(c) for c in row] for row in M.coeffs]
 
 
 def _matrix_from_json(obj, rows: int, cols: int, degree_cap: int, name: str) -> PolyMatrix:
@@ -153,7 +155,7 @@ def save_fixture(fx: Fixture, path) -> None:
 
 
 def emit_solution(G: PolyMatrix, meta: dict | None = None) -> str:
-    obj = {"d": G.rows, "G": [_poly_to_json(G.entry(i, 0)) for i in range(G.rows)]}
+    obj = {"d": G.rows, "G": [_poly_to_json(c) for c in G.coeffs[:, 0]]}
     if meta:
         obj["meta"] = meta
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"

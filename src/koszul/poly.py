@@ -3,8 +3,9 @@
 Polynomials in their Taylor coefficients stand in for bounded analytic
 functions on the unit disc.  A matrix of them is one complex array of
 shape (rows, cols, max_degree + 1), and its sums, products, slices and
-grid evaluations are array operations on it; :class:`Polynomial` is the
-scalar value type for single entries, file I/O and scalar targets.
+grid evaluations are array operations on it.  A scalar, such as one
+target entry, is a 1 x 1 matrix; :func:`trimmed` gives one entry's
+coefficients for file I/O and entrywise arithmetic.
 Matrices are evaluated on finite grids inside the disc; every supremum
 reported by this package is a grid maximum and therefore a lower
 estimate of the true sup over the disc.
@@ -51,91 +52,17 @@ def _horner(coeffs, z) -> np.ndarray:
     return out
 
 
-def _trim(coeffs) -> tuple[complex, ...]:
-    out = [complex(c) for c in coeffs]
-    while len(out) > 1 and out[-1] == 0:
-        out.pop()
-    if not out:
-        out = [0j]
-    return tuple(out)
+def trimmed(c) -> np.ndarray:
+    """One entry's Taylor coefficients without trailing zeros.
 
-
-@dataclass(frozen=True)
-class Polynomial:
-    """A polynomial in canonical form: no trailing zero coefficients.
-
-    ``coeffs[n]`` is the Taylor coefficient of z**n.  The zero polynomial
-    is represented by the single coefficient 0.
+    The constant term always stays, so the zero polynomial is one zero
+    coefficient.  An array argument may come back as a view of itself.
     """
-
-    coeffs: tuple[complex, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "coeffs", _trim(self.coeffs))
-
-    @classmethod
-    def of(cls, *coeffs) -> "Polynomial":
-        return cls(tuple(coeffs))
-
-    @classmethod
-    def const(cls, c) -> "Polynomial":
-        return cls((complex(c),))
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    @property
-    def is_zero(self) -> bool:
-        return self.coeffs == (0j,)
-
-    def __call__(self, z):
-        """Value at a point, or an array of values at an array of points."""
-        out = _horner(self.coeffs, z)
-        return complex(out) if out.ndim == 0 else out
-
-    def __add__(self, other) -> "Polynomial":
-        other = _as_poly(other)
-        n = max(len(self.coeffs), len(other.coeffs))
-        a = list(self.coeffs) + [0j] * (n - len(self.coeffs))
-        b = list(other.coeffs) + [0j] * (n - len(other.coeffs))
-        return Polynomial(tuple(x + y for x, y in zip(a, b)))
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "Polynomial":
-        return Polynomial(tuple(-c for c in self.coeffs))
-
-    def __sub__(self, other) -> "Polynomial":
-        return self + (-_as_poly(other))
-
-    def __rsub__(self, other) -> "Polynomial":
-        return _as_poly(other) + (-self)
-
-    def __mul__(self, other) -> "Polynomial":
-        other = _as_poly(other)
-        if self.is_zero or other.is_zero:
-            return Polynomial((0j,))
-        out = np.convolve(np.array(self.coeffs), np.array(other.coeffs))
-        return Polynomial(tuple(out))
-
-    __rmul__ = __mul__
-
-    def __pow__(self, n: int) -> "Polynomial":
-        if n < 0:
-            raise ValueError("negative powers are not polynomials")
-        out = Polynomial((1 + 0j,))
-        for _ in range(n):
-            out = out * self
-        return out
-
-
-def _as_poly(x) -> Polynomial:
-    if isinstance(x, Polynomial):
-        return x
-    if isinstance(x, (int, float, complex, np.complexfloating, np.floating, np.integer)):
-        return Polynomial.const(x)
-    raise TypeError(f"cannot coerce {type(x).__name__} to Polynomial")
+    c = np.atleast_1d(np.asarray(c, dtype=complex))
+    if c.size == 0:
+        return np.zeros(1, dtype=complex)
+    nonzero = np.flatnonzero(c[1:])
+    return c[:nonzero[-1] + 2 if nonzero.size else 1]
 
 
 @dataclass(frozen=True, eq=False)
@@ -161,7 +88,8 @@ class PolyMatrix:
 
     @classmethod
     def from_rows(cls, rows) -> "PolyMatrix":
-        rows = [[_as_poly(e).coeffs for e in r] for r in rows]
+        """A matrix from nested rows whose entries are numbers or coefficient sequences."""
+        rows = [[trimmed(e) for e in r] for r in rows]
         ncols = len(rows[0]) if rows else 0
         coeffs = np.zeros(
             (len(rows), ncols, max((len(c) for r in rows for c in r), default=1)), dtype=complex
@@ -180,9 +108,6 @@ class PolyMatrix:
     @classmethod
     def identity(cls, n: int) -> "PolyMatrix":
         return cls(np.eye(n, dtype=complex)[:, :, None])
-
-    def entry(self, i: int, j: int) -> Polynomial:
-        return Polynomial(tuple(self.coeffs[i, j]))
 
     @property
     def rows(self) -> int:

@@ -18,11 +18,12 @@ from koszul.errors import PreconditionError
 from koszul.estimates import K_constant
 from koszul.exterior import chain_row, q_matrix
 from koszul.opdet import BlockOperatorMatrix, operator_det
-from koszul.poly import DiscGrid, Polynomial, PolyMatrix
+from koszul.poly import DiscGrid, PolyMatrix
 
 
 def P(*cs):
-    return Polynomial(tuple(complex(c) for c in cs))
+    """One polynomial's Taylor coefficients in ascending degree."""
+    return [complex(c) for c in cs]
 
 
 def selector_det(F_point, i, pi, k, alpha=None):
@@ -75,7 +76,7 @@ def test_row_composition_identity_consistent_coefficients_low_rank():
     u = cvec(r, d)
     alpha = F @ u
     for pi in enumerate_tuples(m, k):
-        lhs = k * F[0].reshape(1, d) @ selector_det(F, None, pi.entries, k, alpha=alpha)
+        lhs = k * F[0].reshape(1, d) @ selector_det(F, None, pi, k, alpha=alpha)
         rhs = factorial(k) * alpha[0] * chain_row([F[p - 1] for p in pi])
         assert np.linalg.norm(lhs - rhs) <= 1e-8 * max(1.0, np.linalg.norm(rhs))
 
@@ -84,11 +85,9 @@ def test_build_Gi_k1_places_the_selected_block():
     F = PolyMatrix.from_rows([[P(1), P(0)], [P(0), P(1)]])
     v = PolyMatrix.from_rows([[P(0.3)], [P(0.4)], [P(0.5)], [P(0.6)]])
     G1 = build_Gi(F, v, i=1, k=1)
-    assert G1.entry(0, 0).coeffs == (0.3 + 0j,)
-    assert G1.entry(1, 0).coeffs == (0.4 + 0j,)
+    assert G1.coeffs.tolist() == [[[0.3 + 0j]], [[0.4 + 0j]]]
     G2 = build_Gi(F, v, i=2, k=1)
-    assert G2.entry(0, 0).coeffs == (0.5 + 0j,)
-    assert G2.entry(1, 0).coeffs == (0.6 + 0j,)
+    assert G2.coeffs.tolist() == [[[0.5 + 0j]], [[0.6 + 0j]]]
 
 
 def test_build_Gi_hand_expanded_diagonal_two_by_two(small_grid):
@@ -96,13 +95,13 @@ def test_build_Gi_hand_expanded_diagonal_two_by_two(small_grid):
     # and the assembled vector is (h / c1, 0)
     c1, c2 = 0.6, -0.8
     F = PolyMatrix.from_rows([[P(c1), P(0)], [P(0), P(c2)]])
-    h = P(0.1, 0.05)
+    h = PolyMatrix.from_rows([[P(0.1, 0.05)]])
     res = scalar_corona_solve(F, h, i=1, k=2, grid=small_grid)
     assert res.success
     G1 = build_Gi(F, res.v, i=1, k=2)
     for z in small_grid.points[:6]:
         np.testing.assert_allclose(
-            G1.eval(z), np.array([[h(z) / c1], [0.0]]), atol=1e-12
+            G1.eval(z), np.array([[h.eval(z)[0, 0] / c1], [0.0]]), atol=1e-12
         )
 
 
@@ -170,8 +169,7 @@ def test_solve_full_m1_exact(small_grid):
     bundle = solve_full(F, H, small_grid)
     assert bundle.success
     assert bundle.max_residual <= 1e-12
-    assert bundle.G.entry(0, 0).coeffs == h.coeffs
-    assert bundle.G.entry(1, 0).is_zero
+    assert bundle.G.coeffs.tolist() == [[h], [[0j, 0j]]]
 
 
 def test_solve_full_diagonal_constant_fixture(small_grid):
@@ -192,6 +190,36 @@ def test_solve_full_flags_range_failure():
     bundle = solve_full(F, H, grid)
     assert not bundle.success
     assert bundle.failure == "hypothesis-range"
+
+
+def random_poly_matrix_product(seed, shapes):
+    """Product of random polynomial matrices of the given (rows, cols, degree)."""
+    r = rng(seed)
+    factors = [PolyMatrix(0.3 * (r.standard_normal((a, b, n + 1))
+                                 + 1j * r.standard_normal((a, b, n + 1))))
+               for a, b, n in shapes]
+    out = factors[0]
+    for f in factors[1:]:
+        out = out @ f
+    return out
+
+
+@pytest.mark.parametrize("shapes", [
+    [(3, 2, 1), (2, 4, 1)],  # 3 x 4 of polynomial rank 2
+    [(4, 2, 1)],             # m > d
+], ids=["rank2-3x4", "4x2"])
+def test_solve_full_flags_an_assembled_G_that_misses_H(shapes, small_grid):
+    # every row's scalar solve succeeds with k = 2 < m, but the per-row
+    # solutions do not cancel the cross terms, so F G != H = F u
+    F = random_poly_matrix_product(3, shapes)
+    H = F @ random_poly_matrix_product(4, [(F.cols, 1, 1)])
+    bundle = solve_full(F, H, small_grid, norm_mode="inequality")
+    assert bundle.hypothesis_report.passed_range
+    assert bundle.k == 2 and bundle.failed_rows == ()
+    assert bundle.max_residual > 1e-2 * bundle.hypothesis_report.sup_H
+    assert not bundle.residual_ok()
+    assert bundle.failure == "assembly-residual"
+    assert not bundle.success
 
 
 def test_offdiagonal_annihilation_orthogonal_rows(small_grid):
@@ -278,13 +306,30 @@ def test_radical_check_precondition(small_grid):
 
 
 def test_radical_check_squared_target(small_grid):
-    # F G = H^2 with G carrying the squared entry
+    # F G = H^n with G carrying the entrywise n-th powers, built here by
+    # repeated convolution; the second entry of H is zero
     h = P(0.2, 0.1)
-    F = PolyMatrix.from_rows([[P(1)]])
-    G = PolyMatrix.from_rows([[h * h]])
-    H = PolyMatrix.from_rows([[h]])
-    rep = radical_necessary_check(F, G, H, 2, small_grid)
-    assert rep.passed
+    F = PolyMatrix.identity(2)
+    H = PolyMatrix.from_rows([[h], [0]])
+    h_vals = H.eval(small_grid.points)[:, 0, 0]
+    for n in (1, 2, 3):
+        hn = [1]
+        for _ in range(n):
+            hn = np.convolve(hn, h)
+        G = PolyMatrix.from_rows([[hn], [0]])
+        rep = radical_necessary_check(F, G, H, n, small_grid)
+        assert rep.power == n
+        assert rep.precondition_residual == 0.0
+        assert rep.passed
+        # det_1(F F^*) = 2 everywhere
+        C = max(abs(hn_z) for hn_z in G.eval(small_grid.points)[:, 0, 0])
+        want = [2 * C ** 2 - abs(hz) ** (2 * n) for hz in h_vals]
+        np.testing.assert_allclose(rep.margins, want, rtol=1e-12)
+        # a wrong power breaks the precondition
+        with pytest.raises(PreconditionError):
+            radical_necessary_check(F, G, H, n + 1, small_grid)
+    with pytest.raises(ValueError):
+        radical_necessary_check(F, G, H, 0, small_grid)
 
 
 def test_concat_empty_second_block_reduces_to_solve(fixtures_by_id, grid):
@@ -293,7 +338,6 @@ def test_concat_empty_second_block_reduces_to_solve(fixtures_by_id, grid):
     plain = solve_full(fx.F, fx.H, grid)
     assert res.bundle.max_residual == pytest.approx(plain.max_residual, abs=1e-15)
     assert res.G2.rows == 0
-    assert res.exact_split
 
 
 def test_concat_trivial_blocks(small_grid):
@@ -303,7 +347,7 @@ def test_concat_trivial_blocks(small_grid):
     H = PolyMatrix.from_rows([[h]])
     res = concat_solve(F1, F2, H, small_grid)
     assert res.bundle.success
-    assert res.G1.entry(0, 0).coeffs == h.coeffs
+    assert res.G1.coeffs[0, 0].tolist() == h
     assert not res.G2.coeffs.any()
 
 
@@ -313,7 +357,6 @@ def test_concat_two_block_fixture(fixtures_by_id, grid):
     b = res.bundle
     assert b.success
     assert b.max_residual <= 1e-6 * b.hypothesis_report.sup_H
-    assert res.exact_split
     assert res.split_residual <= 1e-13 * max(b.sup_G, 1.0)
     # recombination reproduces H on the grid
     for z in grid.points[::97]:

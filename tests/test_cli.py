@@ -197,6 +197,25 @@ def test_alpha_and_bound_commands():
     assert rep["bound"] == pytest.approx(6 * 361.0303463724141, rel=1e-12)
 
 
+_IGNORED_FLAGS = {
+    "--grid-radii": "0.5", "--grid-angles": "8", "--tol": "1", "--degree-cap": "3",
+}
+
+
+@pytest.mark.parametrize("argv", [
+    *(base + [flag, value]
+      for base in (["identities"], ["alpha", "--t", "0.5"], ["bound", "--m", "2", "--k", "1"])
+      for flag, value in _IGNORED_FLAGS.items()),
+    *(base + [flag, _IGNORED_FLAGS[flag]]
+      for base in (["check", F1], ["radical", F1, "--n", "1", "--g", "G.json"])
+      for flag in ("--tol", "--degree-cap")),
+], ids=lambda argv: f"{argv[0]} {argv[-2]}")
+def test_flags_a_command_does_not_use_exit_2(argv):
+    code, out, err = run_cli(argv)
+    assert code == 2 and out == ""
+    assert f"unrecognized arguments: {argv[-2]}" in err
+
+
 def test_reports_are_deterministic_modulo_timestamp():
     _, out1, _ = run_cli(["check", F1])
     _, out2, _ = run_cli(["check", F1])

@@ -11,11 +11,17 @@ from koszul.corona import (
     scalar_corona_solve,
 )
 from koszul.detk import det_k_gram
-from koszul.poly import DiscGrid, Polynomial, PolyMatrix
+from koszul.poly import DiscGrid, PolyMatrix
 
 
 def P(*cs):
-    return Polynomial(tuple(complex(c) for c in cs))
+    """One polynomial's Taylor coefficients in ascending degree."""
+    return [complex(c) for c in cs]
+
+
+def S(*cs):
+    """The 1 x 1 matrix holding one polynomial."""
+    return PolyMatrix.from_rows([[P(*cs)]])
 
 
 def test_trivial_constant_instance_passes(small_grid):
@@ -68,7 +74,7 @@ def test_expected_k_mismatch_is_a_warning_not_an_error(small_grid):
 def test_scale_consistency_of_report(small_grid):
     r = rng(0)
     F = PolyMatrix.from_rows(
-        [[Polynomial(tuple(0.2 * cvec(r, 3))) for _ in range(3)] for _ in range(2)]
+        [[0.2 * cvec(r, 3) for _ in range(3)] for _ in range(2)]
     )
     H = PolyMatrix.from_rows([[P(0.001)], [P(0.001, 0.001)]])
     lam = 0.5
@@ -114,8 +120,7 @@ def test_corona_row_m1_layout():
     F = PolyMatrix.from_rows([[P(1), P(0)]])
     R = corona_row(F, 1)
     assert R.shape == (1, 2)
-    assert R.entry(0, 0).coeffs == (1 + 0j,)
-    assert R.entry(0, 1).is_zero
+    assert R.coeffs.tolist() == [[[1 + 0j], [0j]]]
 
 
 def test_corona_row_norm_identity_random():
@@ -124,7 +129,7 @@ def test_corona_row_norm_identity_random():
         m, d = int(r.integers(1, 4)), int(r.integers(2, 5))
         k = int(r.integers(1, min(m, d) + 1))
         F = PolyMatrix.from_rows(
-            [[Polynomial(tuple(cvec(r, 2))) for _ in range(d)] for _ in range(m)]
+            [[cvec(r, 2) for _ in range(d)] for _ in range(m)]
         )
         R = corona_row(F, k)
         for z in 0.8 * (r.random(5) * np.exp(2j * np.pi * r.random(5))):
@@ -142,17 +147,16 @@ def test_corona_row_k_out_of_range():
 
 def test_scalar_solve_m1_trivial(small_grid):
     F = PolyMatrix.from_rows([[P(1), P(0)]])
-    res = scalar_corona_solve(F, P(1), i=1, k=1, grid=small_grid)
+    res = scalar_corona_solve(F, S(1), i=1, k=1, grid=small_grid)
     assert res.success
     assert res.residual <= 1e-12
-    assert res.v.entry(0, 0).coeffs == (1 + 0j,)
-    assert res.v.entry(1, 0).is_zero
+    assert res.v.coeffs.tolist() == [[[1 + 0j]], [[0j]]]
 
 
 def test_scalar_solve_two_row_bezout(small_grid):
     s = 1 / np.sqrt(2)
     F = PolyMatrix.from_rows([[P(s), P(0)], [P(0), P(s)]])
-    res = scalar_corona_solve(F, P(1), i=1, k=1, grid=small_grid)
+    res = scalar_corona_solve(F, S(1), i=1, k=1, grid=small_grid)
     assert res.success
     assert res.residual <= 1e-10
     for z in small_grid.points[:4]:
@@ -163,6 +167,6 @@ def test_scalar_solve_two_row_bezout(small_grid):
 def test_scalar_solve_reports_miss(small_grid):
     # h = 1 against a row vanishing at 0 forces a reported miss at low cap
     F = PolyMatrix.from_rows([[P(0, 1), P(0, 2)]])
-    res = scalar_corona_solve(F, P(1), i=1, k=1, degree_cap=4, grid=DiscGrid.make([0.0, 0.4], 8))
+    res = scalar_corona_solve(F, S(1), i=1, k=1, degree_cap=4, grid=DiscGrid.make([0.0, 0.4], 8))
     assert not res.success
     assert res.residual > 1e-4

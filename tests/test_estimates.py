@@ -10,11 +10,17 @@ from koszul.estimates import (
     alpha,
     alpha_hypothesis_check,
 )
-from koszul.poly import Polynomial, PolyMatrix
+from koszul.poly import PolyMatrix
 
 
 def P(*cs):
-    return Polynomial(tuple(complex(c) for c in cs))
+    """One polynomial's Taylor coefficients in ascending degree."""
+    return [complex(c) for c in cs]
+
+
+def S(*cs):
+    """The 1 x 1 matrix holding one polynomial."""
+    return PolyMatrix.from_rows([[P(*cs)]])
 
 
 def test_K_is_strictly_between_361_and_362():
@@ -80,14 +86,14 @@ def test_alpha_vanishes_continuously_at_zero():
 
 def test_alpha_margin_zero_target(small_grid):
     F = PolyMatrix.from_rows([[P(0.5), P(0, 0.25)]])
-    rep = alpha_hypothesis_check(F, P(0), small_grid)
+    rep = alpha_hypothesis_check(F, S(0), small_grid)
     assert rep.min_margin >= 0
     assert rep.passed
 
 
 def test_alpha_margin_constant_saturation(small_grid):
     F = PolyMatrix.from_rows([[P(1)]])
-    rep = alpha_hypothesis_check(F, P(1), small_grid)
+    rep = alpha_hypothesis_check(F, S(1), small_grid)
     assert rep.min_margin == pytest.approx(0.0, abs=1e-12)
     assert rep.passed
 
@@ -95,19 +101,19 @@ def test_alpha_margin_constant_saturation(small_grid):
 def test_alpha_margin_requires_normalized_row(small_grid):
     F = PolyMatrix.from_rows([[P(2)]])
     with pytest.raises(PreconditionError):
-        alpha_hypothesis_check(F, P(0), small_grid)
+        alpha_hypothesis_check(F, S(0), small_grid)
 
 
 def test_alpha_margin_rejects_non_row(small_grid):
     F = PolyMatrix.from_rows([[P(1)], [P(0)]])
     with pytest.raises(ValueError):
-        alpha_hypothesis_check(F, P(0), small_grid)
+        alpha_hypothesis_check(F, S(0), small_grid)
 
 
 def test_alpha_margin_golden_positive_fixture(small_grid):
     # min margin sits at the innermost radius (t = 0.8104); value frozen
     # from a 40-digit evaluation of t * alpha(t) - 0.05 there
     F = PolyMatrix.from_rows([[P(0.9), P(0, 0.1)]])
-    rep = alpha_hypothesis_check(F, P(0.05), small_grid)
+    rep = alpha_hypothesis_check(F, S(0.05), small_grid)
     assert rep.passed
     assert rep.min_margin == pytest.approx(0.09439617997744276, abs=1e-9)

@@ -1,5 +1,3 @@
-from math import comb
-
 import numpy as np
 import pytest
 
@@ -9,21 +7,11 @@ from koszul.exterior import (
     clifford_residual,
     contraction_anticommute_residual,
     exact_compose,
-    exterior_basis,
     q_matrix,
     q_star_matrix,
     range_kernel_composition,
 )
-from koszul.poly import Polynomial, PolyMatrix
-
-
-def test_basis_dimensions():
-    for d in range(1, 7):
-        for n in range(0, d + 1):
-            assert len(exterior_basis(d, n)) == comb(d, n)
-    assert exterior_basis(3, 0)[0].entries == ()
-    with pytest.raises(ValueError):
-        exterior_basis(3, 4)
+from koszul.poly import PolyMatrix
 
 
 def test_raising_from_scalars_is_the_conjugate_column():
@@ -64,22 +52,19 @@ def test_lowering_degree_zero_row():
 
 
 def test_polynomial_entries_carry_no_conjugates():
-    z = Polynomial((0j, 1 + 0j))
-    one = Polynomial((1 + 0j,))
-    op = q_matrix([z, one], 0)
+    op = q_matrix(PolyMatrix.from_rows([[[0, 1], [1]]]), 0)  # the row (z, 1)
     assert isinstance(op, PolyMatrix)
-    assert op.entry(0, 0).coeffs == (0j, 1 + 0j)
-    assert op.entry(0, 1).coeffs == (1 + 0j,)
+    assert op.coeffs.tolist() == [[[0j, 1 + 0j], [1 + 0j, 0j]]]
 
 
 def test_polynomial_operator_matches_numeric_evaluation():
     r = rng(6)
-    coeffs = [cvec(r, 3) for _ in range(4)]
-    polys = [Polynomial(tuple(c)) for c in coeffs]
+    row = PolyMatrix.from_rows([[cvec(r, 3) for _ in range(4)]])
     for n in (0, 1, 2):
-        sym = q_matrix(polys, n)
+        sym = q_matrix(row, n)
+        assert q_matrix(row.coeffs[0], n).coeffs.tobytes() == sym.coeffs.tobytes()
         for z in (0.3, -0.2 + 0.4j):
-            numeric = q_matrix([p(z) for p in polys], n)
+            numeric = q_matrix(row.eval(z)[0], n)
             np.testing.assert_allclose(sym.eval(z), numeric, atol=1e-12)
 
 
@@ -206,8 +191,8 @@ def test_multiplier_norm_domination_on_fixtures(fixtures_by_id, grid):
 
 def test_polynomial_chain_matches_pointwise_chain():
     r = rng(14)
-    polys = [[Polynomial(tuple(cvec(r, 2))) for _ in range(4)] for _ in range(3)]
-    R = chain_row(polys)
+    F = PolyMatrix.from_rows([[cvec(r, 2) for _ in range(4)] for _ in range(3)])
+    R = chain_row(F.coeffs)
     for z in (0.5, 0.1 - 0.6j):
-        numeric = chain_row([[p(z) for p in row] for row in polys])
+        numeric = chain_row(F.eval(z))
         np.testing.assert_allclose(R.eval(z), numeric, atol=1e-12)

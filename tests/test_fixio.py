@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 from conftest import FIXTURE_DIR
@@ -11,12 +12,13 @@ from koszul.fixtures import (
     parse_fixture,
     parse_solution,
 )
-from koszul.poly import Polynomial, PolyMatrix
+from koszul.poly import PolyMatrix
 from koszul.report import report_diff
 
 
 def P(*cs):
-    return Polynomial(tuple(complex(c) for c in cs))
+    """One polynomial's Taylor coefficients in ascending degree."""
+    return [complex(c) for c in cs]
 
 
 def sample_fixture():
@@ -34,6 +36,24 @@ def test_round_trip_is_bit_exact():
     assert back.fixture_id == fx.fixture_id
     # a second emit reproduces the bytes exactly
     assert emit_fixture(back) == emit_fixture(fx)
+
+
+def test_round_trip_trims_trailing_zeros_and_keeps_negative_zeros():
+    # F[0][0] has a trailing zero inside a matrix of degree 3, F[0][1] is
+    # the zero polynomial written as -0.0, and -0.0 parts sit mid-entry
+    tree = {
+        "id": "zeros", "m": 1, "d": 2, "degree_cap": 8,
+        "F": [[[[1.0, -0.0], [-0.0, 0.5], [0.0, 0.0]],
+               [[-0.0, 0.0], [0.0, -0.0]]]],
+        "H": [[[[0.25, 0.0], [0.0, 0.0], [0.0, 0.0], [0.125, -0.0]]]],
+    }
+    fx = parse_fixture(tree)
+    assert fx.F.max_degree == 1 and fx.H.max_degree == 3
+    assert fx.F.coeffs.real.tobytes() == np.array([[[1.0, -0.0], [-0.0, 0.0]]]).tobytes()
+    assert fx.F.coeffs.imag.tobytes() == np.array([[[-0.0, 0.5], [0.0, 0.0]]]).tobytes()
+    want = {**tree, "F": [[[[1.0, -0.0], [-0.0, 0.5]], [[-0.0, 0.0]]]]}
+    assert emit_fixture(fx) == json.dumps(want, indent=2, sort_keys=True) + "\n"
+    assert emit_fixture(parse_fixture(json.loads(emit_fixture(fx)))) == emit_fixture(fx)
 
 
 def test_all_shipped_fixtures_parse_and_validate():
@@ -77,7 +97,7 @@ def test_parse_rejects_malformed_trees():
     # JSON integers are numbers: integral coefficients and radii stay valid
     fx = parse_fixture({"m": 1, "d": 1, "F": [[[[1, 0]]]], "H": [[[[0, 0]]]],
                         "grid": {"radii": [0, 0.5], "angles": 4}})
-    assert fx.F.entry(0, 0).coeffs == (1 + 0j,)
+    assert fx.F.coeffs.tolist() == [[[1 + 0j]]]
     for cap in (None, "8", 2.5, -1, True):
         with pytest.raises(ValueError, match="degree_cap must be a non-negative integer"):
             parse_fixture({"m": 1, "d": 1, "degree_cap": cap,

@@ -17,7 +17,7 @@ from koszul.corona import HypothesisReport, check_hypotheses, pointwise_min_norm
 from koszul.detk import det_k, det_k_gram
 from koszul.fixtures import load_fixture
 from koszul.opdet import numeric_rank
-from koszul.poly import DiscGrid, Polynomial, PolyMatrix, max_operator_norm, slice_norms
+from koszul.poly import DiscGrid, PolyMatrix, max_operator_norm, slice_norms
 
 
 def rank_ref(A):
@@ -140,7 +140,8 @@ def hypotheses_ref(F, H, grid):
 
 
 def P(*cs):
-    return Polynomial(tuple(complex(c) for c in cs))
+    """One polynomial's Taylor coefficients in ascending degree."""
+    return [complex(c) for c in cs]
 
 
 DEGENERATE = {
