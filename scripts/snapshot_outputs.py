@@ -4,11 +4,13 @@
 Usage: scripts/snapshot_outputs.py OUTDIR
 
 Runs, in process, `check` and `solve --out --csv` on f0-f3, `concat f1
-f1b`, `radical f1 --n 1` (against the G that `solve` wrote for f1) and
-`identities --seed 0`.  Each command's stdout goes to `<name>.json` with
-the report timestamp blanked, the written G files and residual CSVs sit
-beside them, and `exit_codes.txt` lists each command's exit code.  Two
-snapshots taken from two checkouts compare with one `diff -r`.
+f1b`, `radical f1` with `--n 1` and `--n 2` (against the G that `solve`
+wrote for f1; the second fails its precondition and exits 1), `alpha --t
+0.5`, `bound --m 3 --k 2` and `identities --seed 0`.  Each command's
+stdout goes to `<name>.json` with the report timestamp blanked, the
+written G files and residual CSVs sit beside them, and `exit_codes.txt`
+lists each command's exit code.  Two snapshots taken from two checkouts
+compare with one `diff -r`.
 """
 
 import contextlib
@@ -34,7 +36,10 @@ def commands(out: pathlib.Path):
         yield f"solve_{fid}", ["solve", fx[fid], "--out", str(out / f"G_{fid}.json"),
                                "--csv", str(out / f"residuals_{fid}.csv")]
     yield "concat_f1_f1b", ["concat", fx["f1"], fx["f1b"]]
-    yield "radical_f1_n1", ["radical", fx["f1"], "--n", "1", "--g", str(out / "G_f1.json")]
+    for n in ("1", "2"):
+        yield f"radical_f1_n{n}", ["radical", fx["f1"], "--n", n, "--g", str(out / "G_f1.json")]
+    yield "alpha_t0.5", ["alpha", "--t", "0.5"]
+    yield "bound_m3_k2", ["bound", "--m", "3", "--k", "2"]
     yield "identities_seed0", ["identities", "--seed", "0"]
 
 

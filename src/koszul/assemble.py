@@ -21,7 +21,13 @@ from math import comb, factorial
 import numpy as np
 
 from .combinat import enumerate_tuples
-from .corona import ScalarSolveResult, check_hypotheses, HypothesisReport, scalar_corona_solve
+from .corona import (
+    HypothesisReport,
+    ScalarSolveResult,
+    check_hypotheses,
+    corona_row,
+    scalar_corona_solve,
+)
 from .detk import det_k_gram
 from .errors import PreconditionError
 from .estimates import K_constant
@@ -160,9 +166,12 @@ def solve_full(
 ) -> SolutionBundle:
     """Run the scalar division for every row, assemble G, and measure it.
 
-    Requires the range hypothesis to hold on the grid; a failed scalar
-    solve is flagged in the bundle rather than raised, and so is an
-    assembled G whose residual fails ``residual_ok``.
+    The chain row depends on F and the detected rank alone, so it is built
+    once and every row's target is solved against it.  A row's default
+    degree cap is 2 * max(deg F, deg h_i) + 4.  Requires the range
+    hypothesis to hold on the grid; a failed scalar solve is flagged in
+    the bundle rather than raised, and so is an assembled G whose residual
+    fails ``residual_ok``.
     """
     grid = grid or DiscGrid.default()
     hyp = check_hypotheses(F, H, grid, norm_mode=norm_mode)
@@ -185,12 +194,12 @@ def solve_full(
     if k < 1:
         return aborted("rank-zero")
 
+    R = corona_row(F, k)
     solutions, parts, failed = [], [], []
     for i in range(1, m + 1):
-        sol = scalar_corona_solve(
-            F, H.submatrix(slice(i - 1, i), slice(0, 1)), i, k,
-            degree_cap=degree_cap, tol=tol, grid=grid,
-        )
+        h = H.submatrix(slice(i - 1, i), slice(0, 1))
+        cap = degree_cap if degree_cap is not None else 2 * max(F.max_degree, h.max_degree) + 4
+        sol = scalar_corona_solve(R, h, cap, tol=tol, grid=grid)
         solutions.append(sol)
         if not sol.success:
             failed.append(i)
@@ -216,7 +225,7 @@ def solve_full(
         argmax_point=grid.points[imax],
         sup_G=sup_operator_norm(G, grid),
         sup_v=sup_v,
-        bound_closed_form=m * binom * K_constant(),
+        bound_closed_form=norm_bound(m, k),
         bound_closed_form_loose=m * factorial(k) * binom * K_constant(),
         bound_data_driven=m * factorial(k) * binom * (max(sup_v) if sup_v else 0.0),
         failed_rows=tuple(failed),
@@ -248,6 +257,9 @@ def radical_necessary_check(
     """
     if n < 1:
         raise ValueError(f"power must be a positive integer, got {n}")
+    if G.shape != (F.cols, 1):
+        raise ValueError(f"G must be {F.cols} x 1 to multiply F ({F.rows} x {F.cols}), "
+                         f"got {G.shape[0]} x {G.shape[1]}")
     grid = grid or DiscGrid.default()
     m = F.rows
     # each entry's power by repeated convolution of its trimmed coefficients
@@ -290,7 +302,7 @@ class ConcatResult:
 
 def concat_solve(
     F1: PolyMatrix,
-    F2: PolyMatrix | None,
+    F2: PolyMatrix,
     H: PolyMatrix,
     grid: DiscGrid | None = None,
     degree_cap: int | None = None,
@@ -302,16 +314,13 @@ def concat_solve(
     G1 and G2 are row slices of G, so the recombined product F1 G1 + F2 G2
     matches the unsplit product up to summation reordering.
     """
-    if F2 is not None and F2.cols > 0 and F2.rows != F1.rows:
+    if F2.rows != F1.rows:
         raise ValueError(f"row count mismatch: {F1.rows} vs {F2.rows}")
-    big = F1 if F2 is None or F2.cols == 0 else F1.hstack(F2)
+    big = F1.hstack(F2)
     bundle = solve_full(big, H, grid=grid, degree_cap=degree_cap, tol=tol, norm_mode=norm_mode)
     d1 = F1.cols
     G1 = bundle.G.submatrix(slice(0, d1), slice(0, 1))
     G2 = bundle.G.submatrix(slice(d1, big.cols), slice(0, 1))
-    recombined = F1 @ G1
-    if G2.rows > 0 and F2 is not None and F2.cols > 0:
-        recombined = recombined + F2 @ G2
     whole = big @ bundle.G
-    split_residual = float(np.abs((recombined - whole).coeffs).max(initial=0.0))
+    split_residual = float(np.abs((F1 @ G1 + F2 @ G2 - whole).coeffs).max(initial=0.0))
     return ConcatResult(G1=G1, G2=G2, bundle=bundle, split_residual=split_residual)

@@ -106,19 +106,17 @@ def _grid_params(grid: DiscGrid) -> dict:
     return {"radii": list(grid.radii), "angles": grid.angles, "points": len(grid)}
 
 
-def _emit(rep: dict) -> None:
+def _finish(command: str, params: dict, checks: dict, extra: dict | None = None) -> int:
+    """Print the command's report and return its exit code."""
+    rep = make_report(command, params, checks, extra)
     sys.stdout.write(dumps_report(rep))
+    return EXIT_PASS if rep["passed"] else EXIT_CHECK_FAILED
 
 
 def _cmd_identities(args) -> int:
     checks = run_identity_suite(seed=args.seed, max_m=args.max_m, max_d=args.max_d)
-    rep = make_report(
-        "identities",
-        params={"seed": args.seed, "max_m": args.max_m, "max_d": args.max_d},
-        checks=checks,
-    )
-    _emit(rep)
-    return EXIT_PASS if rep["passed"] else EXIT_CHECK_FAILED
+    return _finish("identities", {"seed": args.seed, "max_m": args.max_m, "max_d": args.max_d},
+                   checks)
 
 
 def _hypothesis_checks(hyp) -> dict:
@@ -156,15 +154,9 @@ def _cmd_check(args) -> int:
             )
         except PreconditionError as exc:
             extra["alpha_margin_skipped"] = str(exc)
-    rep = make_report(
-        "check",
-        params={"fixture": fx.fixture_id, "norm_mode": args.norm_mode,
-                "grid": _grid_params(grid)},
-        checks=checks,
-        extra=extra,
-    )
-    _emit(rep)
-    return EXIT_PASS if rep["passed"] else EXIT_CHECK_FAILED
+    params = {"fixture": fx.fixture_id, "norm_mode": args.norm_mode,
+              "grid": _grid_params(grid)}
+    return _finish("check", params, checks, extra)
 
 
 def _cmd_solve(args) -> int:
@@ -183,45 +175,34 @@ def _cmd_solve(args) -> int:
             failed_rows=list(bundle.failed_rows), failure=bundle.failure,
         ),
     }
-    rep = make_report(
-        "solve",
-        params={"fixture": fx.fixture_id, "norm_mode": args.norm_mode,
-                "degree_cap": args.degree_cap, "tol": args.tol,
-                "grid": _grid_params(grid)},
-        checks=checks,
-        extra={
-            "k_detected": bundle.k,
-            "sup_G_estimate": bundle.sup_G,
-            "sup_v_estimates": list(bundle.sup_v),
-            "bounds": {
-                "closed_form": bundle.bound_closed_form,
-                "closed_form_loose": bundle.bound_closed_form_loose,
-                "data_driven": bundle.bound_data_driven,
-            },
-        },
-    )
     if args.out:
         save_solution(bundle.G, args.out, meta={"fixture": fx.fixture_id})
     if args.csv:
         write_csv(args.csv, grid.points, bundle.residuals)
-    _emit(rep)
-    return EXIT_PASS if rep["passed"] else EXIT_CHECK_FAILED
+    params = {"fixture": fx.fixture_id, "norm_mode": args.norm_mode,
+              "degree_cap": args.degree_cap, "tol": args.tol, "grid": _grid_params(grid)}
+    return _finish("solve", params, checks, {
+        "k_detected": bundle.k,
+        "sup_G_estimate": bundle.sup_G,
+        "sup_v_estimates": list(bundle.sup_v),
+        "bounds": {
+            "closed_form": bundle.bound_closed_form,
+            "closed_form_loose": bundle.bound_closed_form_loose,
+            "data_driven": bundle.bound_data_driven,
+        },
+    })
 
 
 def _cmd_radical(args) -> int:
     fx = load_fixture(args.fixture)
     grid = _resolve_grid(args, fx)
     G = load_solution(args.g)
+    params = {"fixture": fx.fixture_id, "n": args.n, "grid": _grid_params(grid)}
     try:
         rr = radical_necessary_check(fx.F, G, fx.H, args.n, grid)
     except PreconditionError as exc:
-        rep = make_report(
-            "radical",
-            params={"fixture": fx.fixture_id, "n": args.n, "grid": _grid_params(grid)},
-            checks={"precondition": check_block(False, 1e-6, message=str(exc))},
-        )
-        _emit(rep)
-        return EXIT_CHECK_FAILED
+        return _finish("radical", params,
+                       {"precondition": check_block(False, 1e-6, message=str(exc))})
     checks = {
         "radical_margin": check_block(
             rr.passed, -1e-10,
@@ -230,13 +211,7 @@ def _cmd_radical(args) -> int:
             precondition_residual=rr.precondition_residual,
         ),
     }
-    rep = make_report(
-        "radical",
-        params={"fixture": fx.fixture_id, "n": args.n, "grid": _grid_params(grid)},
-        checks=checks,
-    )
-    _emit(rep)
-    return EXIT_PASS if rep["passed"] else EXIT_CHECK_FAILED
+    return _finish("radical", params, checks)
 
 
 def _cmd_concat(args) -> int:
@@ -260,40 +235,22 @@ def _cmd_concat(args) -> int:
             coefficient_residual=res.split_residual,
         ),
     }
-    rep = make_report(
-        "concat",
-        params={"fixture_a": fa.fixture_id, "fixture_b": fb.fixture_id,
-                "norm_mode": args.norm_mode, "grid": _grid_params(grid)},
-        checks=checks,
-        extra={"k_detected": b.k, "sup_G_estimate": b.sup_G,
-               "split_cols": [fa.F.cols, fb.F.cols]},
-    )
-    _emit(rep)
-    return EXIT_PASS if rep["passed"] else EXIT_CHECK_FAILED
+    params = {"fixture_a": fa.fixture_id, "fixture_b": fb.fixture_id,
+              "norm_mode": args.norm_mode, "grid": _grid_params(grid)}
+    return _finish("concat", params, checks, {
+        "k_detected": b.k, "sup_G_estimate": b.sup_G, "split_cols": [fa.F.cols, fb.F.cols],
+    })
 
 
 def _cmd_alpha(args) -> int:
     params = AlphaParams(c=args.c)
-    val = alpha(args.t, params)
-    rep = make_report(
-        "alpha",
-        params={"t": args.t, "c": args.c, "A0": params.A0},
-        checks={},
-        extra={"alpha": val},
-    )
-    _emit(rep)
-    return EXIT_PASS
+    return _finish("alpha", {"t": args.t, "c": args.c, "A0": params.A0}, {},
+                   {"alpha": alpha(args.t, params)})
 
 
 def _cmd_bound(args) -> int:
-    rep = make_report(
-        "bound",
-        params={"m": args.m, "k": args.k},
-        checks={},
-        extra={"K": K_constant(), "bound": norm_bound(args.m, args.k)},
-    )
-    _emit(rep)
-    return EXIT_PASS
+    return _finish("bound", {"m": args.m, "k": args.k}, {},
+                   {"K": K_constant(), "bound": norm_bound(args.m, args.k)})
 
 
 _DISPATCH = {

@@ -6,9 +6,10 @@ most 1 in inequality mode); and H lies in the pointwise range of F.  F
 and H are evaluated once on the grid, and the ranks, minor sums and
 pseudo-inverses are computed once per grid on those (P, m, d) stacks;
 only the scalar margin arithmetic runs point by point, on Python floats.
-The division step assembles the stacked chain row over all k-tuples of row
-indices and solves for polynomial coefficients; it is a search with a
-degree cap, so a miss is reported rather than raised.
+The stacked chain row over all k-tuples of row indices depends on F and k
+alone, so it is built once per solve; the division step then solves it
+against one scalar target for polynomial coefficients.  That is a search
+with a degree cap, so a miss is reported rather than raised.
 """
 
 from __future__ import annotations
@@ -38,8 +39,6 @@ class HypothesisReport:
     """Grid verdicts for the three hypotheses plus the detected rank."""
 
     k_detected: int
-    k_expected: int | None
-    k_mismatch: bool
     minor_margins: tuple[float, ...]
     min_margin: float
     argmin_margin_point: complex
@@ -82,7 +81,6 @@ def check_hypotheses(
     H: PolyMatrix,
     grid: DiscGrid | None = None,
     norm_mode: str = "strict",
-    expected_k: int | None = None,
 ) -> HypothesisReport:
     if H.rows != F.rows or H.cols != 1:
         raise ValueError(f"H must be {F.rows} x 1, got {H.shape}")
@@ -94,7 +92,6 @@ def check_hypotheses(
     H_vals = H.eval(grid.points)
 
     k = int(numeric_rank(F_vals).max(initial=0))
-    k_mismatch = expected_k is not None and expected_k != k
 
     # margins on Python floats: numpy's vectorised ** can round differently
     dk = det_k_gram(F_vals, k).tolist() if k >= 1 else [0.0] * len(grid)
@@ -114,8 +111,6 @@ def check_hypotheses(
 
     return HypothesisReport(
         k_detected=k,
-        k_expected=expected_k,
-        k_mismatch=k_mismatch,
         minor_margins=tuple(margins),
         min_margin=float(margins[imin]),
         argmin_margin_point=grid.points[imin],
@@ -151,45 +146,34 @@ def corona_row(F: PolyMatrix, k: int) -> PolyMatrix:
 @dataclass(frozen=True)
 class ScalarSolveResult:
     v: PolyMatrix  # stacked C(m,k)*C(d,k) x 1 solution, canonical tuple order
-    target_row: int
-    k: int
     residual: float
     success: bool
     sup_v: float
-    degree_cap: int
     solve_report: CoefficientSolveReport
 
 
 def scalar_corona_solve(
-    F: PolyMatrix,
+    R: PolyMatrix,
     h_target: PolyMatrix,
-    i: int,
-    k: int,
-    degree_cap: int | None = None,
+    degree_cap: int,
     tol: float | None = None,
     grid: DiscGrid | None = None,
 ) -> ScalarSolveResult:
-    """Solve (stacked chain row) . v = h for polynomial coefficients of v.
+    """Solve R . v = h for polynomial coefficients of v.
 
-    ``h_target`` is a 1 x 1 matrix.  ``i`` records which target row the
-    solution feeds; the row itself does not depend on it.  Failure to meet
-    ``tol`` is reported in the result, since a solution may exist at a
-    higher degree cap.
+    ``R`` is the stacked chain row from :func:`corona_row` and
+    ``h_target`` a 1 x 1 matrix.  Failure to meet ``tol`` is reported in
+    the result, since a solution may exist at a higher degree cap.
     """
     if h_target.shape != (1, 1):
         raise ValueError(f"target must be scalar, got {h_target.shape}")
     grid = grid or DiscGrid.default()
-    if degree_cap is None:
-        degree_cap = 2 * max(F.max_degree, h_target.max_degree) + 4
     if tol is None:
         # Python's abs: the vectorised np.abs rounds some moduli differently
         sup_h = max(abs(hz) for hz in h_target.eval(grid.points)[:, 0, 0].tolist())
         tol = 1e-8 * max(1.0, sup_h)
-    R = corona_row(F, k)
     v, rep = coefficient_match_solve(R, h_target, degree_cap=degree_cap, tol=tol, grid=grid)
-    sup_v = sup_operator_norm(v, grid)
     return ScalarSolveResult(
-        v=v, target_row=i, k=k,
-        residual=rep.residual, success=rep.success,
-        sup_v=sup_v, degree_cap=degree_cap, solve_report=rep,
+        v=v, residual=rep.residual, success=rep.success,
+        sup_v=sup_operator_norm(v, grid), solve_report=rep,
     )

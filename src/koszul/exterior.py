@@ -6,7 +6,8 @@ signed copies of the row entries themselves (no conjugates), so a row of
 polynomials yields an operator with polynomial entries.  Numeric and
 polynomial rows share one construction path: a scatter of signed row
 entries, where a polynomial row carries a trailing axis of Taylor
-coefficients that rides along.  All signs come from
+coefficients that rides along.  The raising operator is the conjugate
+transpose of that scatter.  All signs come from
 :func:`koszul.combinat.insertion_sign`.
 """
 
@@ -19,23 +20,6 @@ import numpy as np
 
 from . import combinat
 from .poly import PolyMatrix
-
-
-def _lowering_entries(d: int, n: int):
-    """Entry positions of the degree-lowering operator on standard bases.
-
-    Yields (row, col, sign, p) with p the 1-based row-vector index whose
-    entry lands at that position: the (row, col) entry is sign * a_p.
-    """
-    if n + 1 > d:
-        raise ValueError(f"degree {n + 1} exceeds ambient dimension {d}")
-    # plain tuples in the canonical order of enumerate_tuples
-    basis = range(1, d + 1)
-    row_index = {t: i for i, t in enumerate(itertools.combinations(basis, n))}
-    for cidx, tau in enumerate(itertools.combinations(basis, n + 1)):
-        for p in tau:
-            sigma = tuple(e for e in tau if e != p)
-            yield row_index[sigma], cidx, combinat.insertion_sign(p, sigma), p
 
 
 def _row_array(a) -> np.ndarray:
@@ -55,28 +39,30 @@ def q_matrix(a, n: int):
 
     Entries are 0 or signed row entries: a numeric row gives a numpy
     array, a polynomial row a PolyMatrix.  For n = 0 the operator is the
-    row itself as a 1 x d matrix.
+    row itself as a 1 x d matrix.  Column tau holds, in the row of each
+    tau without p, the entry a_p times the sign of inserting p back.
     """
     a = _row_array(a)
     d = len(a)
     if n + 1 > d:
         raise ValueError(f"need n+1 <= d, got n={n}, d={d}")
-    mat = np.zeros((comb(d, n), comb(d, n + 1)) + a.shape[1:], dtype=complex)
-    for r, c, sign, p in _lowering_entries(d, n):
-        mat[r, c] += sign * a[p - 1]
+    # plain tuples in the canonical order of enumerate_tuples
+    basis = range(1, d + 1)
+    row_index = {t: i for i, t in enumerate(itertools.combinations(basis, n))}
+    mat = np.zeros((len(row_index), comb(d, n + 1)) + a.shape[1:], dtype=complex)
+    for c, tau in enumerate(itertools.combinations(basis, n + 1)):
+        for p in tau:
+            sigma = tuple(e for e in tau if e != p)
+            mat[row_index[sigma], c] += combinat.insertion_sign(p, sigma) * a[p - 1]
     return mat if a.ndim == 1 else PolyMatrix(mat)
 
 
 def q_star_matrix(a, n: int) -> np.ndarray:
-    """Degree-raising operator w -> conj(a) ^ w: degree n -> degree n+1."""
-    av = np.asarray(list(a), dtype=complex)
-    d = len(av)
-    if n + 1 > d:
-        raise ValueError(f"need n+1 <= d, got n={n}, d={d}")
-    mat = np.zeros((comb(d, n + 1), comb(d, n)), dtype=complex)
-    for r, c, sign, p in _lowering_entries(d, n):
-        mat[c, r] += sign * np.conj(av[p - 1])
-    return mat
+    """Degree-raising operator w -> conj(a) ^ w: degree n -> degree n+1.
+
+    It is the adjoint of the lowering operator of the same row.
+    """
+    return q_matrix(np.asarray(a, dtype=complex), n).conj().T
 
 
 def clifford_residual(a, n: int) -> float:

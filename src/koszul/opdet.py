@@ -95,8 +95,8 @@ def operator_det(B: BlockOperatorMatrix):
     return acc
 
 
-def numeric_rank(A: np.ndarray, rtol: float = RANK_RTOL):
-    """Count of singular values above rtol times the largest.
+def numeric_rank(A: np.ndarray):
+    """Count of singular values above RANK_RTOL times the largest.
 
     A (..., rows, cols) stack gets one SVD call and an integer array of
     ranks, one per slice; a single matrix gets an int.  A zero matrix has
@@ -107,7 +107,7 @@ def numeric_rank(A: np.ndarray, rtol: float = RANK_RTOL):
         ranks = np.zeros(A.shape[:-2], dtype=int)
     else:
         s = np.linalg.svd(A, compute_uv=False)
-        ranks = np.count_nonzero(s > rtol * s[..., :1], axis=-1)
+        ranks = np.count_nonzero(s > RANK_RTOL * s[..., :1], axis=-1)
     return int(ranks) if A.ndim == 2 else ranks
 
 

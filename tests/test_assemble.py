@@ -13,7 +13,7 @@ from koszul.assemble import (
     solve_full,
 )
 from koszul.combinat import enumerate_tuples
-from koszul.corona import scalar_corona_solve
+from koszul.corona import corona_row, scalar_corona_solve
 from koszul.errors import PreconditionError
 from koszul.estimates import K_constant
 from koszul.exterior import chain_row, q_matrix
@@ -96,7 +96,7 @@ def test_build_Gi_hand_expanded_diagonal_two_by_two(small_grid):
     c1, c2 = 0.6, -0.8
     F = PolyMatrix.from_rows([[P(c1), P(0)], [P(0), P(c2)]])
     h = PolyMatrix.from_rows([[P(0.1, 0.05)]])
-    res = scalar_corona_solve(F, h, i=1, k=2, grid=small_grid)
+    res = scalar_corona_solve(corona_row(F, 2), h, 6, grid=small_grid)
     assert res.success
     G1 = build_Gi(F, res.v, i=1, k=2)
     for z in small_grid.points[:6]:
@@ -334,7 +334,7 @@ def test_radical_check_squared_target(small_grid):
 
 def test_concat_empty_second_block_reduces_to_solve(fixtures_by_id, grid):
     fx = fixtures_by_id["f0"]
-    res = concat_solve(fx.F, None, fx.H, grid)
+    res = concat_solve(fx.F, PolyMatrix.zeros(fx.m, 0), fx.H, grid)
     plain = solve_full(fx.F, fx.H, grid)
     assert res.bundle.max_residual == pytest.approx(plain.max_residual, abs=1e-15)
     assert res.G2.rows == 0
@@ -369,3 +369,5 @@ def test_concat_row_mismatch():
     F2 = PolyMatrix.from_rows([[P(1)], [P(0)]])
     with pytest.raises(ValueError):
         concat_solve(F1, F2, PolyMatrix.from_rows([[P(1)]]))
+    with pytest.raises(ValueError, match="row count mismatch: 1 vs 2"):
+        concat_solve(F1, PolyMatrix.zeros(2, 0), PolyMatrix.from_rows([[P(1)]]))

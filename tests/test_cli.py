@@ -169,6 +169,14 @@ def test_radical_precondition_failure_exits_one(tmp_path):
     assert not rep["passed"]
 
 
+def test_radical_names_a_G_of_the_wrong_shape(tmp_path):
+    out = tmp_path / "G_f0.json"
+    assert run_cli(["solve", str(FIXTURE_DIR / "f0.json"), "--out", str(out)])[0] == 0
+    code, stdout, err = run_cli(["radical", F1, "--n", "1", "--g", str(out)])
+    assert (code, stdout) == (2, "")
+    assert "G must be 3 x 1 to multiply F (2 x 3), got 2 x 1" in err
+
+
 def test_concat_command_and_empty_reduction(tmp_path):
     code, rep, _ = run_json([
         "concat", F1, str(FIXTURE_DIR / "f1b.json"), "--norm-mode", "inequality",

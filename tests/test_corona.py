@@ -63,14 +63,6 @@ def test_norm_modes(small_grid):
         check_hypotheses(F, H, small_grid, norm_mode="bogus")
 
 
-def test_expected_k_mismatch_is_a_warning_not_an_error(small_grid):
-    F = PolyMatrix.from_rows([[P(1), P(0)], [P(0), P(1)]]).scale(1 / np.sqrt(2))
-    H = PolyMatrix.from_rows([[P(0.1)], [P(0.1)]])
-    hyp = check_hypotheses(F, H, small_grid, expected_k=1)
-    assert hyp.k_detected == 2
-    assert hyp.k_mismatch
-
-
 def test_scale_consistency_of_report(small_grid):
     r = rng(0)
     F = PolyMatrix.from_rows(
@@ -147,7 +139,7 @@ def test_corona_row_k_out_of_range():
 
 def test_scalar_solve_m1_trivial(small_grid):
     F = PolyMatrix.from_rows([[P(1), P(0)]])
-    res = scalar_corona_solve(F, S(1), i=1, k=1, grid=small_grid)
+    res = scalar_corona_solve(corona_row(F, 1), S(1), 4, grid=small_grid)
     assert res.success
     assert res.residual <= 1e-12
     assert res.v.coeffs.tolist() == [[[1 + 0j]], [[0j]]]
@@ -155,18 +147,17 @@ def test_scalar_solve_m1_trivial(small_grid):
 
 def test_scalar_solve_two_row_bezout(small_grid):
     s = 1 / np.sqrt(2)
-    F = PolyMatrix.from_rows([[P(s), P(0)], [P(0), P(s)]])
-    res = scalar_corona_solve(F, S(1), i=1, k=1, grid=small_grid)
+    R = corona_row(PolyMatrix.from_rows([[P(s), P(0)], [P(0), P(s)]]), 1)
+    res = scalar_corona_solve(R, S(1), 4, grid=small_grid)
     assert res.success
     assert res.residual <= 1e-10
     for z in small_grid.points[:4]:
-        Rz = corona_row(F, 1).eval(z)
-        assert abs((Rz @ res.v.eval(z))[0, 0] - 1) <= 1e-10
+        assert abs((R.eval(z) @ res.v.eval(z))[0, 0] - 1) <= 1e-10
 
 
 def test_scalar_solve_reports_miss(small_grid):
     # h = 1 against a row vanishing at 0 forces a reported miss at low cap
     F = PolyMatrix.from_rows([[P(0, 1), P(0, 2)]])
-    res = scalar_corona_solve(F, S(1), i=1, k=1, degree_cap=4, grid=DiscGrid.make([0.0, 0.4], 8))
+    res = scalar_corona_solve(corona_row(F, 1), S(1), 4, grid=DiscGrid.make([0.0, 0.4], 8))
     assert not res.success
     assert res.residual > 1e-4

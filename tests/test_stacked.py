@@ -127,7 +127,7 @@ def hypotheses_ref(F, H, grid):
     imax = int(np.argmax(residuals))
     sup_H = float(slice_norms(H_vals).max())
     return HypothesisReport(
-        k_detected=k, k_expected=None, k_mismatch=False,
+        k_detected=k,
         minor_margins=tuple(margins), min_margin=float(margins[imin]),
         argmin_margin_point=grid.points[imin],
         norm_estimate=float(norm_est), norm_mode="strict",
