@@ -3,9 +3,10 @@
 The three hypotheses checked on a grid: the k-th minor sum of F F^*
 raised to 3/2 dominates every |h_i|; the multiplier norm of F is 1 (or at
 most 1 in inequality mode); and H lies in the pointwise range of F.  F
-and H are evaluated once on the grid, and the ranks, minor sums and
-pseudo-inverses are computed once per grid on those (P, m, d) stacks;
-only the scalar margin arithmetic runs point by point, on Python floats.
+and H are evaluated once on the grid, and the singular values, minor sums
+and pseudo-inverses are computed once per grid on those (P, m, d) stacks:
+one SVD call gives both the detected rank and the norm estimate.  Only
+the scalar margin arithmetic runs point by point, on Python floats.
 The stacked chain row over all k-tuples of row indices depends on F and k
 alone, so it is built once per solve; the division step then solves it
 against one scalar target for polynomial coefficients.  That is a search
@@ -22,13 +23,12 @@ import numpy as np
 from .combinat import enumerate_tuples
 from .detk import det_k_gram
 from .exterior import chain_row
-from .opdet import numeric_rank
+from .opdet import rank_from_singular_values
 from .poly import (
     CoefficientSolveReport,
     DiscGrid,
     PolyMatrix,
     coefficient_match_solve,
-    max_operator_norm,
     slice_norms,
     sup_operator_norm,
 )
@@ -91,7 +91,10 @@ def check_hypotheses(
     F_vals = F.eval(grid.points)
     H_vals = H.eval(grid.points)
 
-    k = int(numeric_rank(F_vals).max(initial=0))
+    # one SVD per grid: the rank rule and the operator-norm estimate
+    # (np.linalg.norm(., 2) is the largest of these values) both read it
+    sing = np.linalg.svd(F_vals, compute_uv=False)
+    k = int(rank_from_singular_values(sing).max(initial=0))
 
     # margins on Python floats: numpy's vectorised ** can round differently
     dk = det_k_gram(F_vals, k).tolist() if k >= 1 else [0.0] * len(grid)
@@ -99,7 +102,7 @@ def check_hypotheses(
     margins = [max(a, 0.0) ** 1.5 - b for a, b in zip(dk, h_max)]
     imin = int(np.argmin(margins))
 
-    norm_est = max_operator_norm(F_vals)
+    norm_est = float(sing.max(initial=0.0))
     if norm_mode == "strict":
         passed_norm = abs(norm_est - 1.0) <= 1e-6
     else:
@@ -146,7 +149,6 @@ def corona_row(F: PolyMatrix, k: int) -> PolyMatrix:
 @dataclass(frozen=True)
 class ScalarSolveResult:
     v: PolyMatrix  # stacked C(m,k)*C(d,k) x 1 solution, canonical tuple order
-    residual: float
     success: bool
     sup_v: float
     solve_report: CoefficientSolveReport
@@ -174,6 +176,6 @@ def scalar_corona_solve(
         tol = 1e-8 * max(1.0, sup_h)
     v, rep = coefficient_match_solve(R, h_target, degree_cap=degree_cap, tol=tol, grid=grid)
     return ScalarSolveResult(
-        v=v, residual=rep.residual, success=rep.success,
+        v=v, success=rep.success,
         sup_v=sup_operator_norm(v, grid), solve_report=rep,
     )

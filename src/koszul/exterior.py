@@ -4,11 +4,14 @@ For a row vector a, the adjoint operator sends w to conj(a) ^ w and raises
 the degree by one; its adjoint lowers the degree and has entries that are
 signed copies of the row entries themselves (no conjugates), so a row of
 polynomials yields an operator with polynomial entries.  Numeric and
-polynomial rows share one construction path: a scatter of signed row
-entries, where a polynomial row carries a trailing axis of Taylor
-coefficients that rides along.  The raising operator is the conjugate
-transpose of that scatter.  All signs come from
-:func:`koszul.combinat.insertion_sign`.
+polynomial rows share one construction path: one scatter of signed row
+entries into zeros, where a polynomial row carries a trailing axis of
+Taylor coefficients that rides along.  Where each entry goes, and with
+which sign, depends only on d and the degree, so that pattern is an index
+table built once per (d, n) and kept; only the scatter runs per row.  The
+raising operator is the conjugate transpose of that scatter.  All signs
+come from :func:`koszul.combinat.insertion_sign`, and a table is rebuilt
+when that function is replaced.
 """
 
 from __future__ import annotations
@@ -34,26 +37,57 @@ def _row_array(a) -> np.ndarray:
     return np.asarray(a, dtype=complex)
 
 
+#: (d, n) -> (the insertion_sign it was built from, its lowering table)
+_LOWERING_TABLES: dict = {}
+
+
+def _lowering_table(d: int, n: int):
+    """Index table of the operator lowering degree n+1 to degree n on C^d.
+
+    Returns ``(row, col, sign, p, shape)``: entry e of the operator sits at
+    (row[e], col[e]) and is sign[e] times the row's entry at offset p[e].
+    Column tau holds, in the row of each tau without p, the sign of
+    inserting p back.  One table is kept per (d, n); it is rebuilt, and
+    replaces the kept one, whenever ``combinat.insertion_sign`` is no longer
+    the function it was built from, so a replaced sign convention reaches
+    every operator.
+    """
+    sign_of = combinat.insertion_sign
+    kept = _LOWERING_TABLES.get((d, n))
+    if kept is not None and kept[0] is sign_of:
+        return kept[1]
+    # plain tuples in the canonical order of enumerate_tuples
+    basis = range(1, d + 1)
+    row_index = {t: i for i, t in enumerate(itertools.combinations(basis, n))}
+    entries = []
+    for c, tau in enumerate(itertools.combinations(basis, n + 1)):
+        for p in tau:
+            sigma = tuple(e for e in tau if e != p)
+            entries.append((row_index[sigma], c, sign_of(p, sigma), p - 1))
+    row, col, sign, p = (np.array(column) for column in zip(*entries))
+    for arr in (row, col, sign, p):
+        arr.flags.writeable = False
+    table = (row, col, sign, p, (len(row_index), comb(d, n + 1)))
+    _LOWERING_TABLES[d, n] = (sign_of, table)
+    return table
+
+
 def q_matrix(a, n: int):
     """Degree-lowering operator of a row: degree n+1 -> degree n.
 
     Entries are 0 or signed row entries: a numeric row gives a numpy
     array, a polynomial row a PolyMatrix.  For n = 0 the operator is the
-    row itself as a 1 x d matrix.  Column tau holds, in the row of each
-    tau without p, the entry a_p times the sign of inserting p back.
+    row itself as a 1 x d matrix.  The signed pattern comes from the
+    memoised :func:`_lowering_table`; the row's entries are scattered into
+    it in one step, added into zeros so that a -0.0 entry lands as +0.0.
     """
     a = _row_array(a)
     d = len(a)
     if n + 1 > d:
         raise ValueError(f"need n+1 <= d, got n={n}, d={d}")
-    # plain tuples in the canonical order of enumerate_tuples
-    basis = range(1, d + 1)
-    row_index = {t: i for i, t in enumerate(itertools.combinations(basis, n))}
-    mat = np.zeros((len(row_index), comb(d, n + 1)) + a.shape[1:], dtype=complex)
-    for c, tau in enumerate(itertools.combinations(basis, n + 1)):
-        for p in tau:
-            sigma = tuple(e for e in tau if e != p)
-            mat[row_index[sigma], c] += combinat.insertion_sign(p, sigma) * a[p - 1]
+    row, col, sign, p, shape = _lowering_table(d, n)
+    mat = np.zeros(shape + a.shape[1:], dtype=complex)
+    mat[row, col] += sign.reshape((-1,) + (1,) * (a.ndim - 1)) * a[p]
     return mat if a.ndim == 1 else PolyMatrix(mat)
 
 

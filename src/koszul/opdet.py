@@ -7,8 +7,10 @@ signature index j+1 into the space with index j: every block in row j
 shares its source and target, and each column just selects which operator
 sits in that slot.
 
-The numeric rank used by the grid checks lives here too; it takes a
-(..., rows, cols) stack and ranks every slice from one SVD call.
+The numeric rank rule used by the grid checks lives here too, as one
+function of the singular values: :func:`numeric_rank` applies it to a
+(..., rows, cols) stack after one SVD call, and the hypothesis check
+applies it to the singular values it has already computed.
 """
 
 from __future__ import annotations
@@ -95,8 +97,14 @@ def operator_det(B: BlockOperatorMatrix):
     return acc
 
 
+def rank_from_singular_values(s: np.ndarray) -> np.ndarray:
+    """The numeric rank rule: count of singular values above RANK_RTOL
+    times the largest, for each (..., n) slice of descending values."""
+    return np.count_nonzero(s > RANK_RTOL * s[..., :1], axis=-1)
+
+
 def numeric_rank(A: np.ndarray):
-    """Count of singular values above RANK_RTOL times the largest.
+    """Numeric rank by :func:`rank_from_singular_values`.
 
     A (..., rows, cols) stack gets one SVD call and an integer array of
     ranks, one per slice; a single matrix gets an int.  A zero matrix has
@@ -106,8 +114,7 @@ def numeric_rank(A: np.ndarray):
     if A.shape[-2] == 0 or A.shape[-1] == 0:
         ranks = np.zeros(A.shape[:-2], dtype=int)
     else:
-        s = np.linalg.svd(A, compute_uv=False)
-        ranks = np.count_nonzero(s > RANK_RTOL * s[..., :1], axis=-1)
+        ranks = rank_from_singular_values(np.linalg.svd(A, compute_uv=False))
     return int(ranks) if A.ndim == 2 else ranks
 
 

@@ -28,7 +28,18 @@ def _cmat(rng, m, n):
 
 
 def run_identity_suite(seed: int = 0, max_m: int = 4, max_d: int = 6, cases: int = 100) -> dict:
-    """Run every randomized identity check; returns {name: check block dict}."""
+    """Run every randomized identity check; returns {name: check block dict}.
+
+    The draws need 3 <= max_m <= max_d (rank_vanishing draws m above a
+    rank of up to 2, and the minor-sum oracle draws d from m up to max_d)
+    and a non-negative seed; anything else raises ValueError.
+    """
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
+    if max_m < 3:
+        raise ValueError(f"max_m must be at least 3, got {max_m}")
+    if max_d < max_m:
+        raise ValueError(f"max_d must be at least max_m = {max_m}, got {max_d}")
     rng = np.random.default_rng(seed)
     checks = {}
 

@@ -7,6 +7,7 @@ from conftest import cmat, cvec, rng
 from koszul.assemble import (
     build_Gi,
     concat_solve,
+    lowering_operators,
     norm_bound,
     offdiagonal_annihilation_check,
     radical_necessary_check,
@@ -84,9 +85,10 @@ def test_row_composition_identity_consistent_coefficients_low_rank():
 def test_build_Gi_k1_places_the_selected_block():
     F = PolyMatrix.from_rows([[P(1), P(0)], [P(0), P(1)]])
     v = PolyMatrix.from_rows([[P(0.3)], [P(0.4)], [P(0.5)], [P(0.6)]])
-    G1 = build_Gi(F, v, i=1, k=1)
+    assert lowering_operators(F, 1) == {}
+    G1 = build_Gi(F, v, i=1, k=1, lowering={})
     assert G1.coeffs.tolist() == [[[0.3 + 0j]], [[0.4 + 0j]]]
-    G2 = build_Gi(F, v, i=2, k=1)
+    G2 = build_Gi(F, v, i=2, k=1, lowering={})
     assert G2.coeffs.tolist() == [[[0.5 + 0j]], [[0.6 + 0j]]]
 
 
@@ -98,7 +100,7 @@ def test_build_Gi_hand_expanded_diagonal_two_by_two(small_grid):
     h = PolyMatrix.from_rows([[P(0.1, 0.05)]])
     res = scalar_corona_solve(corona_row(F, 2), h, 6, grid=small_grid)
     assert res.success
-    G1 = build_Gi(F, res.v, i=1, k=2)
+    G1 = build_Gi(F, res.v, i=1, k=2, lowering=lowering_operators(F, 2))
     for z in small_grid.points[:6]:
         np.testing.assert_allclose(
             G1.eval(z), np.array([[h.eval(z)[0, 0] / c1], [0.0]]), atol=1e-12
@@ -136,9 +138,11 @@ def test_build_Gi_matches_factorial_selector_determinant(m, d):
     r = rng(20 + m)
     F = random_poly_matrix(r, m, d, 2)
     for k in range(1, min(m, d) + 1):
+        lowering = lowering_operators(F, k)
+        assert sorted(lowering) == [(j, s) for j in range(1, m + 1) for s in range(1, k)]
         for i in range(1, m + 1):
             v = random_poly_matrix(r, comb(m, k) * comb(d, k), 1, 2)
-            got, want = build_Gi(F, v, i, k), reference_Gi(F, v, i, k)
+            got, want = build_Gi(F, v, i, k, lowering), reference_Gi(F, v, i, k)
             n = max(got.max_degree, want.max_degree) + 1
             diff = np.abs(coeff_array(got, n) - coeff_array(want, n)).max()
             assert diff <= 1e-12 * np.abs(coeff_array(want, n)).max(), (k, i)
@@ -148,9 +152,9 @@ def test_build_Gi_shape_validation():
     F = PolyMatrix.from_rows([[P(1), P(0)], [P(0), P(1)]])
     bad_v = PolyMatrix.from_rows([[P(1)], [P(0)]])
     with pytest.raises(ValueError):
-        build_Gi(F, bad_v, i=1, k=1)
+        build_Gi(F, bad_v, i=1, k=1, lowering={})
     with pytest.raises(ValueError):
-        build_Gi(F, bad_v, i=3, k=1)
+        build_Gi(F, bad_v, i=3, k=1, lowering={})
 
 
 def test_norm_bound_values():

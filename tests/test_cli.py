@@ -43,6 +43,23 @@ def test_identities_passes_with_default_seed():
         assert "passed" in block and "stats" in block and "tolerance" in block
 
 
+@pytest.mark.parametrize("flags,message", [
+    (["--max-m", "2"], "max_m must be at least 3, got 2"),
+    (["--max-m", "4", "--max-d", "3"], "max_d must be at least max_m = 4, got 3"),
+    (["--max-m", "5", "--max-d", "4"], "max_d must be at least max_m = 5, got 4"),
+    (["--seed", "-1"], "seed must be non-negative, got -1"),
+])
+def test_identities_names_a_bad_size_or_seed(flags, message):
+    code, out, err = run_cli(["identities", *flags])
+    assert code == 2 and out == ""
+    assert err == f"error: {message}\n"
+
+
+def test_identities_runs_at_the_smallest_sizes():
+    code, rep, _ = run_json(["identities", "--max-m", "3", "--max-d", "3"])
+    assert code == 0 and rep["passed"]
+
+
 def test_check_passes_on_flagship_fixture():
     code, rep, _ = run_json(["check", F1])
     assert code == 0

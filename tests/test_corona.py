@@ -141,7 +141,7 @@ def test_scalar_solve_m1_trivial(small_grid):
     F = PolyMatrix.from_rows([[P(1), P(0)]])
     res = scalar_corona_solve(corona_row(F, 1), S(1), 4, grid=small_grid)
     assert res.success
-    assert res.residual <= 1e-12
+    assert res.solve_report.residual <= 1e-12
     assert res.v.coeffs.tolist() == [[[1 + 0j]], [[0j]]]
 
 
@@ -150,7 +150,7 @@ def test_scalar_solve_two_row_bezout(small_grid):
     R = corona_row(PolyMatrix.from_rows([[P(s), P(0)], [P(0), P(s)]]), 1)
     res = scalar_corona_solve(R, S(1), 4, grid=small_grid)
     assert res.success
-    assert res.residual <= 1e-10
+    assert res.solve_report.residual <= 1e-10
     for z in small_grid.points[:4]:
         assert abs((R.eval(z) @ res.v.eval(z))[0, 0] - 1) <= 1e-10
 
@@ -160,4 +160,4 @@ def test_scalar_solve_reports_miss(small_grid):
     F = PolyMatrix.from_rows([[P(0, 1), P(0, 2)]])
     res = scalar_corona_solve(corona_row(F, 1), S(1), 4, grid=DiscGrid.make([0.0, 0.4], 8))
     assert not res.success
-    assert res.residual > 1e-4
+    assert res.solve_report.residual > 1e-4

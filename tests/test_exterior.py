@@ -1,7 +1,11 @@
+import itertools
+from math import comb
+
 import numpy as np
 import pytest
 
 from conftest import cmat, cvec, rng
+from koszul import combinat, exterior
 from koszul.exterior import (
     chain_row,
     clifford_residual,
@@ -66,6 +70,61 @@ def test_polynomial_operator_matches_numeric_evaluation():
         for z in (0.3, -0.2 + 0.4j):
             numeric = q_matrix(row.eval(z)[0], n)
             np.testing.assert_allclose(sym.eval(z), numeric, atol=1e-12)
+
+
+def reference_q_matrix(a, n):
+    """The per-entry loop q_matrix ran before its index table: one
+    insertion_sign call and one += per operator entry."""
+    d = len(a)
+    basis = range(1, d + 1)
+    row_index = {t: i for i, t in enumerate(itertools.combinations(basis, n))}
+    mat = np.zeros((len(row_index), comb(d, n + 1)) + a.shape[1:], dtype=complex)
+    for c, tau in enumerate(itertools.combinations(basis, n + 1)):
+        for p in tau:
+            sigma = tuple(e for e in tau if e != p)
+            mat[row_index[sigma], c] += combinat.insertion_sign(p, sigma) * a[p - 1]
+    return mat
+
+
+def test_q_matrix_is_bitwise_the_per_entry_loop():
+    r = rng(40)
+    zeros = [-0.0, complex(-0.0, -0.0), complex(0.0, -0.0), complex(-0.0, 0.0)]
+    for d in range(1, 8):
+        numeric = cvec(r, d)
+        signed_zeros = np.array([zeros[j % 4] if j % 2 else numeric[j] for j in range(d)])
+        poly = cmat(r, d, 3)
+        poly[:, 1] = zeros[d % 4]
+        for n in range(d):
+            for row in (numeric, signed_zeros):
+                assert q_matrix(row, n).tobytes() == reference_q_matrix(row, n).tobytes()
+            got = q_matrix(PolyMatrix(poly[None]), n)
+            assert got.coeffs.tobytes() == reference_q_matrix(poly, n).tobytes()
+
+
+def test_lowering_table_follows_a_replaced_sign_function(monkeypatch):
+    a = cvec(rng(41), 5)
+    warm = q_matrix(a, 2).tobytes()
+    assert exterior._lowering_table(5, 2) is exterior._lowering_table(5, 2)
+    original = combinat.insertion_sign
+    monkeypatch.setattr(combinat, "insertion_sign", lambda j, sigma: abs(original(j, sigma)))
+    flattened = q_matrix(a, 2)
+    assert flattened.tobytes() != warm
+    assert flattened.tobytes() == reference_q_matrix(a, 2).tobytes()
+    monkeypatch.setattr(combinat, "insertion_sign", original)
+    assert q_matrix(a, 2).tobytes() == warm
+
+
+def test_lowering_memo_keeps_one_table_per_shape(monkeypatch):
+    monkeypatch.setattr(exterior, "_LOWERING_TABLES", {})
+    original = combinat.insertion_sign
+    signs = [original, lambda j, sigma: abs(original(j, sigma)),
+             lambda j, sigma: -original(j, sigma)]
+    for sign in signs + signs:
+        monkeypatch.setattr(combinat, "insertion_sign", sign)
+        for d, n in ((4, 1), (5, 2), (5, 0)):
+            q_matrix(np.ones(d), n)
+        assert set(exterior._LOWERING_TABLES) == {(4, 1), (5, 2), (5, 0)}
+        assert all(kept is sign for kept, _ in exterior._LOWERING_TABLES.values())
 
 
 def test_degree_bounds_raise():
