@@ -9,8 +9,13 @@ wrote for f1; the second fails its precondition and exits 1), `alpha --t
 0.5`, `bound --m 3 --k 2` and `identities --seed 0`.  Each command's
 stdout goes to `<name>.json` with the report timestamp blanked, the
 written G files and residual CSVs sit beside them, and `exit_codes.txt`
-lists each command's exit code.  Two snapshots taken from two checkouts
-compare with one `diff -r`.
+lists each command's exit code.
+
+It then runs `solve_full` on seeds 0-2 of the ladder rungs below, each
+instance built by the benchmark's `ladder_instance`, and writes each bundle
+exactly to `ladder_<m>-<d>-<deg>_seed<s>.txt`: every polynomial matrix as its
+coefficient shape and `tobytes().hex()`, every float as `float.hex`.  Two
+snapshots taken from two checkouts compare bitwise with one `diff -r`.
 """
 
 import contextlib
@@ -21,11 +26,18 @@ import sys
 
 REPO = pathlib.Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO / "src"))
+sys.path.insert(0, str(REPO / "bench"))
 
+from koszul.assemble import solve_full  # noqa: E402
 from koszul.cli import main  # noqa: E402
+from koszul.fixtures import parse_fixture  # noqa: E402
+from workloads import ladder_instance  # noqa: E402
 
 FIXTURES = REPO / "fixtures"
 TIMESTAMP = re.compile(r'("timestamp": )"[^"]*"')
+#: (m, d, deg F) of the ladder bundles, and their seeds.
+LADDER_RUNGS = ((2, 3, 2), (3, 4, 2), (4, 5, 2), (4, 6, 2), (5, 6, 1), (3, 5, 1), (5, 8, 1))
+LADDER_SEEDS = (0, 1, 2)
 
 
 def commands(out: pathlib.Path):
@@ -43,6 +55,25 @@ def commands(out: pathlib.Path):
     yield "identities_seed0", ["identities", "--seed", "0"]
 
 
+def _exact(M) -> str:
+    """A PolyMatrix bit for bit: its coefficient shape, then its bytes."""
+    return f"{'x'.join(map(str, M.coeffs.shape))} {M.coeffs.tobytes().hex()}"
+
+
+def bundle_lines(b):
+    """The lines of one solve_full bundle, every number written exactly."""
+    yield f"k {b.k}"
+    yield f"failure {b.failure} failed_rows {list(b.failed_rows)}"
+    yield f"G {_exact(b.G)}"
+    for i, (G_i, sol) in enumerate(zip(b.G_parts, b.scalar_solutions), start=1):
+        yield f"G_{i} {_exact(G_i)}"
+        yield f"v_{i} {_exact(sol.v)}"
+        yield f"system_shape_{i} {list(sol.solve_report.system_shape)}"
+    yield "residuals " + " ".join(map(float.hex, b.residuals))
+    yield f"sup_G {b.sup_G.hex()}"
+    yield "sup_v " + " ".join(map(float.hex, b.sup_v))
+
+
 def snapshot(out: pathlib.Path) -> None:
     out.mkdir(parents=True, exist_ok=True)
     codes = []
@@ -53,6 +84,11 @@ def snapshot(out: pathlib.Path) -> None:
         (out / f"{name}.json").write_text(TIMESTAMP.sub(r'\1""', buf.getvalue()))
         codes.append(f"{name} {code}\n")
     (out / "exit_codes.txt").write_text("".join(codes))
+    for m, d, deg in LADDER_RUNGS:
+        for seed in LADDER_SEEDS:
+            fx = parse_fixture(ladder_instance(seed, m, d, deg))
+            lines = bundle_lines(solve_full(fx.F, fx.H))
+            (out / f"ladder_{m}-{d}-{deg}_seed{seed}.txt").write_text("\n".join(lines) + "\n")
 
 
 if __name__ == "__main__":

@@ -8,9 +8,9 @@ Tuples not containing i contribute nothing because their selector row is
 zero.  On a tuple that contains i the determinant collapses, by the
 anticommutation of the lowering operators, to a signed, (k-1)!-scaled
 ordered chain of the tuple's other rows, which is applied right to left
-to the block as a sequence of matrix-vector products.  Those operators
-depend on F and k alone, so a solve builds its m(k-1) lowering operators
-once and every G_i reads them.  G is the sum of the G_i.
+to the block as a sequence of matrix-vector products.  The chain row and
+every G_i of a solve read one on-demand set of lowering operators, which
+builds each one when first read.  G is the sum of the G_i.
 """
 
 from __future__ import annotations
@@ -32,22 +32,9 @@ from .corona import (
 from .detk import det_k_gram
 from .errors import PreconditionError
 from .estimates import K_constant
-from .exterior import q_matrix
+from .exterior import lowering_operators
 from .opdet import numeric_rank
 from .poly import DiscGrid, PolyMatrix, slice_norms, sup_operator_norm, trimmed
-
-
-def lowering_operators(F: PolyMatrix, k: int) -> dict:
-    """The lowering operators Q_j^(s) of every row j of F, s = 1 .. k-1.
-
-    Keyed (j, s) with j 1-based; every :func:`build_Gi` of one solve reads
-    its chains from this one dict.
-    """
-    return {
-        (j, s): q_matrix(F.coeffs[j - 1], s)
-        for j in range(1, F.rows + 1)
-        for s in range(1, k)
-    }
 
 
 def build_Gi(F: PolyMatrix, v_i: PolyMatrix, i: int, k: int, lowering: dict) -> PolyMatrix:
@@ -58,7 +45,7 @@ def build_Gi(F: PolyMatrix, v_i: PolyMatrix, i: int, k: int, lowering: dict) -> 
     determinant equals (-1)^pos (k-1)! Q_{r_1}^(1) ... Q_{r_{k-1}}^(k-1),
     where r is pi without i in increasing order and Q_j^(s) is the
     degree-lowering operator of row j, read from ``lowering`` (the dict
-    :func:`lowering_operators` gives for F and k).  The chain is applied
+    :func:`lowering_operators` gives for F).  The chain is applied
     right to left to the tuple's block, so each step is a matrix-vector
     product; for k = 1 the chain is empty and the block itself is the
     contribution.  The signed sum over tuples is scaled by k * (k-1)! = k!.
@@ -176,13 +163,13 @@ def solve_full(
 ) -> SolutionBundle:
     """Run the scalar division for every row, assemble G, and measure it.
 
-    The chain row and the lowering operators depend on F and the detected
-    rank alone, so each is built once: every row's target is solved
-    against the one chain row, and every G_i reads the one set of
-    lowering operators.  A row's default degree cap is
-    2 * max(deg F, deg h_i) + 4.  Requires the range hypothesis to hold on
-    the grid; a failed scalar solve is flagged in the bundle rather than
-    raised, and so is an assembled G whose residual fails ``residual_ok``.
+    The chain row depends on F and the detected rank alone, so it is built
+    once, from the one on-demand set of lowering operators every G_i reads,
+    and every row's target is solved against it.  A row's default degree
+    cap is 2 * max(deg F, deg h_i) + 4.  Requires the range hypothesis to
+    hold on the grid; a failed scalar solve is flagged in the bundle rather
+    than raised, and so is an assembled G whose residual fails
+    ``residual_ok``.
     """
     grid = grid or DiscGrid.default()
     hyp = check_hypotheses(F, H, grid, norm_mode=norm_mode)
@@ -205,8 +192,8 @@ def solve_full(
     if k < 1:
         return aborted("rank-zero")
 
-    R = corona_row(F, k)
-    lowering = lowering_operators(F, k)
+    lowering = lowering_operators(F)
+    R = corona_row(F, k, lowering)
     solutions, parts, failed = [], [], []
     for i in range(1, m + 1):
         h = H.submatrix(slice(i - 1, i), slice(0, 1))

@@ -33,8 +33,16 @@ def _tolerance(text: str) -> float:
     return value
 
 
+def _radii(text: str) -> list[float]:
+    try:
+        return [float(x) for x in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"must be comma-separated numbers, got {text!r}") from None
+
+
 def _grid_options(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--grid-radii", type=str, default=None,
+    p.add_argument("--grid-radii", type=_radii, default=None,
                    help="comma-separated radii in [0,1), overrides fixture/default grid")
     p.add_argument("--grid-angles", type=int, default=None,
                    help="equispaced angle count per radius")
@@ -98,8 +106,8 @@ def _resolve_grid(args, fixture) -> DiscGrid:
     radii, angles = args.grid_radii, args.grid_angles
     if radii is None and angles is None:
         return base
-    r = [float(x) for x in radii.split(",")] if radii is not None else list(base.radii)
-    return DiscGrid.make(r, angles if angles is not None else base.angles)
+    return DiscGrid.make(radii if radii is not None else list(base.radii),
+                         angles if angles is not None else base.angles)
 
 
 def _grid_params(grid: DiscGrid) -> dict:

@@ -8,21 +8,21 @@ and pseudo-inverses are computed once per grid on those (P, m, d) stacks:
 one SVD call gives both the detected rank and the norm estimate.  Only
 the scalar margin arithmetic runs point by point, on Python floats.
 The stacked chain row over all k-tuples of row indices depends on F and k
-alone, so it is built once per solve; the division step then solves it
-against one scalar target for polynomial coefficients.  That is a search
-with a degree cap, so a miss is reported rather than raised.
+alone, so a solve builds it once, from the lowering operators its G_i read,
+and solves it against each scalar target for polynomial coefficients.  That
+is a search with a degree cap, so a miss is reported rather than raised.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from math import factorial
 
 import numpy as np
 
 from .combinat import enumerate_tuples
 from .detk import det_k_gram
-from .exterior import chain_row
 from .opdet import rank_from_singular_values
 from .poly import (
     CoefficientSolveReport,
@@ -129,21 +129,19 @@ def check_hypotheses(
     )
 
 
-def corona_row(F: PolyMatrix, k: int) -> PolyMatrix:
+def corona_row(F: PolyMatrix, k: int, lowering: dict) -> PolyMatrix:
     """The k!-scaled stacked chain row over all k-tuples of row indices.
 
-    Block pi holds the ordered chain of the rows selected by pi; blocks in
+    Block pi holds the ordered chain of pi's rows, from ``lowering``; blocks in
     canonical tuple order, each of width C(d, k).  The squared pointwise
     norm of the row equals (k!)^2 times the k-th minor sum of F F^*.
     """
     m, d = F.shape
     if k < 1 or k > min(m, d):
         raise ValueError(f"need 1 <= k <= min(m, d) = {min(m, d)}, got k={k}")
-    blocks = None
-    for pi in enumerate_tuples(m, k):
-        block = chain_row(F.coeffs[[j - 1 for j in pi]])
-        blocks = block if blocks is None else blocks.hstack(block)
-    return blocks.scale(float(factorial(k)))
+    chains = (reduce(PolyMatrix.__matmul__, (lowering[j, s] for s, j in enumerate(pi)))
+              for pi in enumerate_tuples(m, k))
+    return reduce(PolyMatrix.hstack, chains).scale(float(factorial(k)))
 
 
 @dataclass(frozen=True)

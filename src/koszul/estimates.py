@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -35,27 +36,26 @@ def _alpha_unnormalized(t: float, c: float) -> float:
 
 @dataclass(frozen=True)
 class AlphaParams:
-    """Gauge parameters: base c > e^e, normalizer fixed by alpha(1) = 1.
+    """Gauge parameters: a finite base c > e^e is the only field.
 
-    A0 is always derived from c; supplying it independently would let the
-    normalization drift.
+    The normalizer A0 is derived from c, so that alpha(1) = 1 always holds.
     """
 
     c: float = 16.0
-    A0: float = None  # type: ignore[assignment]
 
     def __post_init__(self):
-        if self.c <= E_TO_E:
-            raise ValueError(f"need c > e^e = {E_TO_E:.6f}, got {self.c}")
-        if self.A0 is not None:
-            raise ValueError("A0 is derived from c and cannot be supplied")
-        object.__setattr__(self, "A0", 1.0 / _alpha_unnormalized(1.0, self.c))
+        if not (math.isfinite(self.c) and self.c > E_TO_E):
+            raise ValueError(f"need a finite c > e^e = {E_TO_E:.6f}, got {self.c}")
+
+    @cached_property
+    def A0(self) -> float:
+        return 1.0 / _alpha_unnormalized(1.0, self.c)
 
 
 def alpha(t: float, params: AlphaParams | None = None) -> float:
     """The normalized triple-log gauge; exactly 0 at t = 0."""
     params = params or AlphaParams()
-    if t < 0 or t > 1:
+    if not 0 <= t <= 1:
         raise ValueError(f"t must lie in [0, 1], got {t}")
     if t == 0:
         return 0.0

@@ -11,7 +11,8 @@ which sign, depends only on d and the degree, so that pattern is an index
 table built once per (d, n) and kept; only the scatter runs per row.  The
 raising operator is the conjugate transpose of that scatter.  All signs
 come from :func:`koszul.combinat.insertion_sign`, and a table is rebuilt
-when that function is replaced.
+when that function is replaced.  A solve reads its rows' operators from
+one :func:`lowering_operators` dict, which builds each when first read.
 """
 
 from __future__ import annotations
@@ -89,6 +90,20 @@ def q_matrix(a, n: int):
     mat = np.zeros(shape + a.shape[1:], dtype=complex)
     mat[row, col] += sign.reshape((-1,) + (1,) * (a.ndim - 1)) * a[p]
     return mat if a.ndim == 1 else PolyMatrix(mat)
+
+
+def lowering_operators(F: PolyMatrix) -> dict:
+    """The lowering operators of the rows of F, each built when first read.
+
+    Key (j, s), j 1-based and s >= 0, holds ``q_matrix`` of row j at degree
+    s, so (j, 0) is row j itself; a solve's chain row and G_i share one dict.
+    """
+    class LoweringOperators(dict):
+        def __missing__(self, key):
+            op = self[key] = q_matrix(F.coeffs[key[0] - 1], key[1])
+            return op
+
+    return LoweringOperators()
 
 
 def q_star_matrix(a, n: int) -> np.ndarray:

@@ -129,9 +129,13 @@ def _edited_f1(edit):
      "grid.radii[0]"),
     (_edited_f1(lambda t: t.__setitem__("grid", {"radii": [0.5], "angles": 8.9})),
      "grid.angles"),
+    (lambda tmp_path: ["alpha", "--t", "nan"], "t must lie in [0, 1], got nan"),
+    (lambda tmp_path: ["alpha", "--t", "0.5", "--c", "nan"], "c > e^e = 15.154262, got nan"),
+    (lambda tmp_path: ["alpha", "--t", "0.5", "--c", "inf"], "c > e^e = 15.154262, got inf"),
+    (lambda tmp_path: ["check", F1, "--grid-radii", "0.5,abc"], "--grid-radii"),
 ], ids=["fixture-coefficient", "grid-radius", "tol", "null-coefficient", "string-coefficient",
         "null-degree-cap", "float-m", "string-d", "bool-coefficient", "string-radius",
-        "float-angles"])
+        "float-angles", "alpha-t-nan", "alpha-c-nan", "alpha-c-inf", "grid-radii-text"])
 def test_non_finite_input_exits_2_naming_the_field(tmp_path, argv, fault):
     code, out, err = run_cli(argv(tmp_path))
     assert code == 2 and out == ""

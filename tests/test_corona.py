@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import cmat, cvec, rng
+from koszul.combinat import enumerate_tuples
 from koszul.corona import (
     check_hypotheses,
     corona_row,
@@ -11,6 +12,7 @@ from koszul.corona import (
     scalar_corona_solve,
 )
 from koszul.detk import det_k_gram
+from koszul.exterior import chain_row, lowering_operators
 from koszul.poly import DiscGrid, PolyMatrix
 
 
@@ -110,7 +112,7 @@ def test_pointwise_min_norm_on_consistent_systems():
 
 def test_corona_row_m1_layout():
     F = PolyMatrix.from_rows([[P(1), P(0)]])
-    R = corona_row(F, 1)
+    R = corona_row(F, 1, lowering_operators(F))
     assert R.shape == (1, 2)
     assert R.coeffs.tolist() == [[[1 + 0j], [0j]]]
 
@@ -123,7 +125,7 @@ def test_corona_row_norm_identity_random():
         F = PolyMatrix.from_rows(
             [[cvec(r, 2) for _ in range(d)] for _ in range(m)]
         )
-        R = corona_row(F, k)
+        R = corona_row(F, k, lowering_operators(F))
         for z in 0.8 * (r.random(5) * np.exp(2j * np.pi * r.random(5))):
             Rz = R.eval(z)
             lhs = float((Rz @ Rz.conj().T)[0, 0].real)
@@ -131,15 +133,31 @@ def test_corona_row_norm_identity_random():
             assert abs(lhs - rhs) <= 1e-8 * max(abs(rhs), 1e-30)
 
 
+@pytest.mark.parametrize("m,d,k", [(3, 4, 2), (4, 5, 2), (3, 4, 3), (4, 6, 4)])
+def test_corona_row_blocks_are_scaled_chain_rows_bitwise(m, d, k):
+    # chain_row stays the oracle: each block is k! times the tuple's chain,
+    # for k < m and for k = m
+    r = rng(30 + m + d + k)
+    F = PolyMatrix(r.standard_normal((m, d, 3)) + 1j * r.standard_normal((m, d, 3)))
+    R = corona_row(F, k, lowering_operators(F))
+    width = R.cols // len(enumerate_tuples(m, k))
+    for t, pi in enumerate(enumerate_tuples(m, k)):
+        want = chain_row(F.coeffs[[j - 1 for j in pi]]).scale(float(factorial(k)))
+        got = R.coeffs[:, t * width:(t + 1) * width, :want.coeffs.shape[2]]
+        assert got.tobytes() == want.coeffs.tobytes(), pi
+        assert not R.coeffs[:, t * width:(t + 1) * width, want.coeffs.shape[2]:].any()
+
+
 def test_corona_row_k_out_of_range():
     F = PolyMatrix.from_rows([[P(1), P(0)]])
     with pytest.raises(ValueError):
-        corona_row(F, 2)
+        corona_row(F, 2, lowering_operators(F))
 
 
 def test_scalar_solve_m1_trivial(small_grid):
     F = PolyMatrix.from_rows([[P(1), P(0)]])
-    res = scalar_corona_solve(corona_row(F, 1), S(1), 4, grid=small_grid)
+    R = corona_row(F, 1, lowering_operators(F))
+    res = scalar_corona_solve(R, S(1), 4, grid=small_grid)
     assert res.success
     assert res.solve_report.residual <= 1e-12
     assert res.v.coeffs.tolist() == [[[1 + 0j]], [[0j]]]
@@ -147,7 +165,8 @@ def test_scalar_solve_m1_trivial(small_grid):
 
 def test_scalar_solve_two_row_bezout(small_grid):
     s = 1 / np.sqrt(2)
-    R = corona_row(PolyMatrix.from_rows([[P(s), P(0)], [P(0), P(s)]]), 1)
+    F = PolyMatrix.from_rows([[P(s), P(0)], [P(0), P(s)]])
+    R = corona_row(F, 1, lowering_operators(F))
     res = scalar_corona_solve(R, S(1), 4, grid=small_grid)
     assert res.success
     assert res.solve_report.residual <= 1e-10
@@ -158,6 +177,7 @@ def test_scalar_solve_two_row_bezout(small_grid):
 def test_scalar_solve_reports_miss(small_grid):
     # h = 1 against a row vanishing at 0 forces a reported miss at low cap
     F = PolyMatrix.from_rows([[P(0, 1), P(0, 2)]])
-    res = scalar_corona_solve(corona_row(F, 1), S(1), 4, grid=DiscGrid.make([0.0, 0.4], 8))
+    R = corona_row(F, 1, lowering_operators(F))
+    res = scalar_corona_solve(R, S(1), 4, grid=DiscGrid.make([0.0, 0.4], 8))
     assert not res.success
     assert res.solve_report.residual > 1e-4

@@ -40,8 +40,8 @@ def test_K_components():
 def test_alpha_params_validation():
     with pytest.raises(ValueError):
         AlphaParams(c=15.0)  # below e^e
-    with pytest.raises(ValueError):
-        AlphaParams(c=16.0, A0=1.0)
+    with pytest.raises(TypeError, match="A0"):
+        AlphaParams(c=16.0, A0=1.0)  # derived from c, not a field
     p = AlphaParams(c=16.0)
     assert p.A0 > 0
 
