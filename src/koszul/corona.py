@@ -11,6 +11,9 @@ The stacked chain row over all k-tuples of row indices depends on F and k
 alone, so a solve builds it once, from the lowering operators its G_i read,
 and solves it against each scalar target for polynomial coefficients.  That
 is a search with a degree cap, so a miss is reported rather than raised.
+Each solve is checked on the grid values of its residual polynomial
+R v - h, so neither R nor v is evaluated for the check, and sup_v, the
+grid sup of a column, is a Euclidean norm per point with no SVD.
 """
 
 from __future__ import annotations
@@ -169,9 +172,10 @@ def scalar_corona_solve(
         raise ValueError(f"target must be scalar, got {h_target.shape}")
     grid = grid or DiscGrid.default()
     if tol is None:
-        # Python's abs: the vectorised np.abs rounds some moduli differently
-        sup_h = max(abs(hz) for hz in h_target.eval(grid.points)[:, 0, 0].tolist())
-        tol = 1e-8 * max(1.0, sup_h)
+        # np.hypot calls the libm hypot that Python's abs(complex) calls,
+        # so each modulus is bitwise abs(hz); np.abs rounds some differently
+        hv = h_target.eval(grid.points)[:, 0, 0]
+        tol = 1e-8 * max(1.0, float(np.hypot(hv.real, hv.imag).max()))
     v, rep = coefficient_match_solve(R, h_target, degree_cap=degree_cap, tol=tol, grid=grid)
     return ScalarSolveResult(
         v=v, success=rep.success,

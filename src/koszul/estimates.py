@@ -27,8 +27,8 @@ def K_constant() -> float:
 
 
 def _alpha_unnormalized(t: float, c: float) -> float:
-    x = c / t
-    l1 = math.log(x)
+    # log(c / t) would overflow for t below about 1e-307; the difference does not
+    l1 = math.log(c) - math.log(t)
     l2 = math.log(l1)
     l3 = math.log(l2)
     return l1 ** -1.5 * l2 ** -1.5 / l3

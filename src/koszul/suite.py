@@ -19,6 +19,11 @@ from .exterior import (
 from .opdet import rank_vanishing_det, rank_vanishing_residual, top_row_expansion_residual
 
 
+#: Largest max_d the battery accepts (and so the largest max_m): its dense
+#: operators grow like C(d, n) x C(d, n + 1), and d = 10 already takes 1-2 s.
+MAX_D = 10
+
+
 def _cvec(rng, n):
     return rng.standard_normal(n) + 1j * rng.standard_normal(n)
 
@@ -30,9 +35,10 @@ def _cmat(rng, m, n):
 def run_identity_suite(seed: int = 0, max_m: int = 4, max_d: int = 6, cases: int = 100) -> dict:
     """Run every randomized identity check; returns {name: check block dict}.
 
-    The draws need 3 <= max_m <= max_d (rank_vanishing draws m above a
-    rank of up to 2, and the minor-sum oracle draws d from m up to max_d)
-    and a non-negative seed; anything else raises ValueError.
+    The draws need 3 <= max_m <= max_d <= MAX_D (rank_vanishing draws m
+    above a rank of up to 2, the minor-sum oracle draws d from m up to
+    max_d, and the dense operators grow combinatorially in d) and a
+    non-negative seed; anything else raises ValueError.
     """
     if seed < 0:
         raise ValueError(f"seed must be non-negative, got {seed}")
@@ -40,6 +46,8 @@ def run_identity_suite(seed: int = 0, max_m: int = 4, max_d: int = 6, cases: int
         raise ValueError(f"max_m must be at least 3, got {max_m}")
     if max_d < max_m:
         raise ValueError(f"max_d must be at least max_m = {max_m}, got {max_d}")
+    if max_d > MAX_D:
+        raise ValueError(f"max_d must be at most {MAX_D}, got {max_d}")
     rng = np.random.default_rng(seed)
     checks = {}
 

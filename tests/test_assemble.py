@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import cmat, cvec, rng
-from koszul import exterior
+from koszul import assemble, corona, exterior
 from koszul.assemble import (
     build_Gi,
     concat_solve,
@@ -172,6 +172,35 @@ def test_solve_full_builds_each_lowering_operator_it_reads_once(monkeypatch):
     bundle = solve_full(F, H)
     assert bundle.success and bundle.k == 4
     assert sorted(built) == [(1, 0)] + [(j, s) for s in (1, 2, 3) for j in (s, s + 1)]
+
+
+def test_solve_full_evaluates_on_the_grid_18_times(monkeypatch):
+    # a (4, 6, 2) ladder-style instance: F and H once for the hypotheses;
+    # per row, h for the tolerance, the residual polynomial R v - h and v
+    # for sup_v; then F, G and H for the residual and G for sup_G
+    r = rng(46)
+    F = random_poly_matrix(r, 4, 6, 2)
+    F = F.scale(1 / sup_operator_norm(F, DiscGrid.default()))
+    H = F @ random_poly_matrix(r, 6, 1, 1)
+    evals, sups = [], []
+    eval_ = PolyMatrix.eval
+
+    def counted_eval(self, z):
+        evals.append(self.shape)
+        return eval_(self, z)
+
+    def counted_sup(M, grid):
+        sups.append(M.shape)
+        return sup_operator_norm(M, grid)
+
+    monkeypatch.setattr(PolyMatrix, "eval", counted_eval)
+    monkeypatch.setattr(corona, "sup_operator_norm", counted_sup)
+    monkeypatch.setattr(assemble, "sup_operator_norm", counted_sup)
+    bundle = solve_full(F, H)
+    assert bundle.success and bundle.k == 4
+    assert len(evals) == 18 and len(sups) == 5
+    # R (1 x 15) is never evaluated, and each v_i (15 x 1) once, for sup_v
+    assert (1, 15) not in evals and evals.count((15, 1)) == 4
 
 
 def test_build_Gi_shape_validation():

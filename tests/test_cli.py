@@ -48,6 +48,8 @@ def test_identities_passes_with_default_seed():
     (["--max-m", "4", "--max-d", "3"], "max_d must be at least max_m = 4, got 3"),
     (["--max-m", "5", "--max-d", "4"], "max_d must be at least max_m = 5, got 4"),
     (["--seed", "-1"], "seed must be non-negative, got -1"),
+    (["--max-d", "12"], "max_d must be at most 10, got 12"),
+    (["--max-m", "11", "--max-d", "11"], "max_d must be at most 10, got 11"),
 ])
 def test_identities_names_a_bad_size_or_seed(flags, message):
     code, out, err = run_cli(["identities", *flags])

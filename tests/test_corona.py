@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import cmat, cvec, rng
+from koszul.assemble import solve_full
 from koszul.combinat import enumerate_tuples
 from koszul.corona import (
     check_hypotheses,
@@ -181,3 +182,32 @@ def test_scalar_solve_reports_miss(small_grid):
     res = scalar_corona_solve(R, S(1), 4, grid=DiscGrid.make([0.0, 0.4], 8))
     assert not res.success
     assert res.solve_report.residual > 1e-4
+
+
+def test_hypot_is_bitwise_pythons_complex_abs():
+    # the default tolerance takes np.hypot because it rounds like abs(complex)
+    r = rng(11)
+    z = np.concatenate([
+        cvec(r, 2000),
+        cvec(r, 200) * 1e200, cvec(r, 200) * 1e-200,
+        cvec(r, 200) * 1e-310, cvec(r, 200) * 5e-324,
+        np.array([0j, 1e308 + 1e308j, 3e-320 - 4e-320j]),
+    ])
+    got = np.hypot(z.real, z.imag)
+    assert got.tobytes() == np.array([abs(v) for v in z.tolist()]).tobytes()
+
+
+def test_default_tol_is_the_python_abs_grid_maximum(fixtures_by_id, grid):
+    for fid in ("f0", "f1", "f2", "f3"):
+        fx = fixtures_by_id[fid]
+        bundle = solve_full(fx.F, fx.H, grid)
+        for i, sol in enumerate(bundle.scalar_solutions):
+            vals = fx.H.eval(grid.points)[:, i, 0].tolist()
+            assert sol.solve_report.tol == 1e-8 * max(1.0, max(abs(v) for v in vals))
+    # a target far above 1 sets the tolerance from its own modulus
+    F = PolyMatrix.from_rows([[P(1)]])
+    R = corona_row(F, 1, lowering_operators(F))
+    h = S(3e100, -4e99j)
+    res = scalar_corona_solve(R, h, 2, grid=grid)
+    vals = h.eval(grid.points)[:, 0, 0].tolist()
+    assert res.solve_report.tol == 1e-8 * max(abs(v) for v in vals)

@@ -84,6 +84,14 @@ def test_alpha_vanishes_continuously_at_zero():
         prev = cur
 
 
+def test_alpha_stays_positive_and_non_decreasing_near_the_smallest_t():
+    # log(c / t) overflows below t ~ 1.8e-307; log(c) - log(t) does not
+    p = AlphaParams(c=16.0)
+    vals = [alpha(float(t), p) for t in np.geomspace(1e-320, 1e-300, 400)]
+    assert all(v > 0 for v in vals)
+    assert np.all(np.diff(vals) >= 0)
+
+
 def test_alpha_margin_zero_target(small_grid):
     F = PolyMatrix.from_rows([[P(0.5), P(0, 0.25)]])
     rep = alpha_hypothesis_check(F, S(0), small_grid)

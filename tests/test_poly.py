@@ -10,6 +10,7 @@ from koszul.poly import (
     DiscGrid,
     PolyMatrix,
     coefficient_match_solve,
+    max_operator_norm,
     slice_norms,
     sup_operator_norm,
     trimmed,
@@ -226,6 +227,10 @@ def test_default_grid_shape():
     assert all(abs(z) < 1 for z in g.points)
 
 
+def test_default_grid_is_built_once():
+    assert DiscGrid.default() is DiscGrid.default()
+
+
 def test_grid_rejects_bad_radii():
     with pytest.raises(ValueError):
         DiscGrid.make([1.0], 8)
@@ -241,6 +246,41 @@ def test_sup_norm_examples():
     assert sup_operator_norm(z, g9) == pytest.approx(0.9)
     row = PolyMatrix.from_rows([[P(1), P(0, 1)]])
     assert sup_operator_norm(row, g9) == pytest.approx(math.sqrt(1.81))
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (1, 5), (5, 1), (1, 12), (12, 1)])
+def test_sup_norm_of_a_vector_is_its_euclidean_norm(shape):
+    # a single row or column: the grid maximum of the Euclidean norm, with
+    # no SVD, and so within a few ulp of the spectral-norm route
+    r = np.random.default_rng(sum(shape))
+    grid = DiscGrid.default()
+    for deg in (0, 2, 6):
+        c = r.standard_normal(shape + (deg + 1,)) + 1j * r.standard_normal(shape + (deg + 1,))
+        vals = PolyMatrix(c).eval(grid.points)
+        got = sup_operator_norm(PolyMatrix(c), grid)
+        assert got == float(slice_norms(vals).max())
+        ref = max_operator_norm(vals)
+        assert abs(got - ref) <= 4 * np.spacing(ref)
+
+
+@pytest.mark.parametrize("scale", [1e200, 1e-200, 0.0])
+def test_sup_norm_of_a_vector_survives_extreme_magnitudes(scale):
+    # squares of 1e200 overflow and of 1e-200 underflow; the norm must not
+    r = np.random.default_rng(5)
+    grid = DiscGrid.default()
+    for shape in ((1, 4), (4, 1)):
+        c = scale * (r.standard_normal(shape + (2,)) + 1j * r.standard_normal(shape + (2,)))
+        got = sup_operator_norm(PolyMatrix(c), grid)
+        ref = max_operator_norm(PolyMatrix(c).eval(grid.points))
+        assert abs(got - ref) <= 4 * np.spacing(ref)
+
+
+@pytest.mark.parametrize("shape", [(2, 2), (2, 5), (5, 2), (4, 6)])
+def test_sup_norm_of_a_matrix_stays_the_spectral_norm(shape):
+    r = np.random.default_rng(sum(shape))
+    grid = DiscGrid.default()
+    M = PolyMatrix(r.standard_normal(shape + (3,)) + 1j * r.standard_normal(shape + (3,)))
+    assert sup_operator_norm(M, grid) == max_operator_norm(M.eval(grid.points))
 
 
 def test_sup_norm_monotone_in_grid():
@@ -300,6 +340,44 @@ def test_coefficient_match_reports_miss_without_raising():
     # a target of higher degree than A times the cap can reach is a miss too
     x, rep = coefficient_match_solve(A, PolyMatrix.from_rows([[P(0, 0, 0, 0, 1)]]), 1, 1e-8)
     assert not rep.success and rep.system_shape == (5, 2)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_coefficient_match_residual_is_the_pointwise_residual(seed):
+    # the residual read off the residual polynomial A x - b matches the
+    # pointwise A(z) x(z) - b(z) maximum, relative to the larger of that
+    # maximum and the target's size, at caps that solve and caps too low
+    r = np.random.default_rng(seed)
+    grid = DiscGrid.default()
+    rows, cols, deg = int(r.integers(1, 3)), int(r.integers(1, 4)), int(r.integers(0, 3))
+
+    def rand(a, b, n):
+        return PolyMatrix(r.standard_normal((a, b, n + 1)) + 1j * r.standard_normal((a, b, n + 1)))
+
+    A = rand(rows, cols, deg)
+    for b in (A @ rand(cols, 1, 2), rand(rows, 1, 4)):
+        for cap in (0, 1, 2, 5):
+            tol = 1e-8
+            x, rep = coefficient_match_solve(A, b, degree_cap=cap, tol=tol, grid=grid)
+            pts = grid.points
+            pointwise = float(slice_norms(A.eval(pts) @ x.eval(pts) - b.eval(pts)).max())
+            scale = max(pointwise, float(slice_norms(b.eval(pts)).max()))
+            assert abs(rep.residual - pointwise) <= 1e-12 * scale
+            assert rep.success == (pointwise <= tol)
+    # a cap too low to reach the product is reported as a miss
+    _, rep = coefficient_match_solve(A, A @ rand(cols, 1, 2), degree_cap=0, tol=1e-8, grid=grid)
+    assert not rep.success
+
+
+def test_aligned_zero_padding_matches_np_pad():
+    r = np.random.default_rng(3)
+    for da, db in ((0, 0), (0, 4), (3, 1), (2, 2)):
+        a = PolyMatrix(r.standard_normal((2, 3, da + 1)) + 1j * r.standard_normal((2, 3, da + 1)))
+        b = PolyMatrix(r.standard_normal((2, 3, db + 1)) + 1j * r.standard_normal((2, 3, db + 1)))
+        n = max(da, db) + 1
+        for got, c in zip(a._aligned(b), (a.coeffs, b.coeffs)):
+            want = np.pad(c, ((0, 0), (0, 0), (0, n - c.shape[2])))
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 def test_coefficient_match_shape_errors():
