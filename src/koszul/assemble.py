@@ -7,10 +7,9 @@ of the solved coefficient vector, summed over tuples, and scaled by k.
 Tuples not containing i contribute nothing because their selector row is
 zero.  On a tuple that contains i the determinant collapses, by the
 anticommutation of the lowering operators, to a signed, (k-1)!-scaled
-ordered chain of the tuple's other rows, which is applied right to left
-to the block as a sequence of matrix-vector products.  The chain row and
-every G_i of a solve read one on-demand set of lowering operators, which
-builds each one when first read.  G is the sum of the G_i.
+ordered chain of the tuple's other rows, applied right to left to the
+block one :func:`koszul.exterior.lower` step at a time, which forms no
+operator.  G is the sum of the G_i.
 """
 
 from __future__ import annotations
@@ -32,23 +31,22 @@ from .corona import (
 from .detk import det_k_gram
 from .errors import PreconditionError
 from .estimates import K_constant
-from .exterior import lowering_operators
+from .exterior import lower
 from .opdet import numeric_rank
 from .poly import DiscGrid, PolyMatrix, slice_norms, sup_operator_norm, trimmed
 
 
-def build_Gi(F: PolyMatrix, v_i: PolyMatrix, i: int, k: int, lowering: dict) -> PolyMatrix:
+def build_Gi(F: PolyMatrix, v_i: PolyMatrix, i: int, k: int) -> PolyMatrix:
     """Assemble the d x 1 vector for target row i from its solved coefficients.
 
     v_i stacks one C(d, k) block per k-tuple in canonical order.  For a
     tuple pi holding i at 0-based position pos, the selector block
     determinant equals (-1)^pos (k-1)! Q_{r_1}^(1) ... Q_{r_{k-1}}^(k-1),
     where r is pi without i in increasing order and Q_j^(s) is the
-    degree-lowering operator of row j, read from ``lowering`` (the dict
-    :func:`lowering_operators` gives for F).  The chain is applied
-    right to left to the tuple's block, so each step is a matrix-vector
-    product; for k = 1 the chain is empty and the block itself is the
-    contribution.  The signed sum over tuples is scaled by k * (k-1)! = k!.
+    degree-lowering operator of row j.  The chain is applied right to left
+    to the tuple's coefficients, one :func:`lower` step at a time; for k = 1
+    the chain is empty and the block itself is the contribution.  The
+    signed sum over tuples is scaled by k * (k-1)! = k!.
     """
     m, d = F.shape
     if not 1 <= i <= m:
@@ -62,18 +60,16 @@ def build_Gi(F: PolyMatrix, v_i: PolyMatrix, i: int, k: int, lowering: dict) -> 
             f"expected stacked vector of shape ({len(tuples_k) * block_len}, 1), "
             f"got {v_i.shape}"
         )
-    G = PolyMatrix.zeros(d, 1)
+    G = np.zeros((d, 1, 1), dtype=complex)
     for t_index, pi in enumerate(tuples_k):
         if i not in pi:
             continue  # selector row vanishes on these tuples
-        w = v_i.submatrix(
-            slice(t_index * block_len, (t_index + 1) * block_len), slice(0, 1)
-        )
+        w = v_i.coeffs[t_index * block_len:(t_index + 1) * block_len]
         rest = tuple(j for j in pi if j != i)
         for s in range(k - 1, 0, -1):
-            w = lowering[rest[s - 1], s] @ w
+            w = lower(F.coeffs[rest[s - 1] - 1], w, s)
         G = G - w if pi.index(i) % 2 else G + w
-    return G.scale(float(factorial(k)))
+    return PolyMatrix(float(factorial(k)) * G)
 
 
 def norm_bound(m: int, k: int) -> float:
@@ -164,9 +160,8 @@ def solve_full(
     """Run the scalar division for every row, assemble G, and measure it.
 
     The chain row depends on F and the detected rank alone, so it is built
-    once, from the one on-demand set of lowering operators every G_i reads,
-    and every row's target is solved against it.  A row's default degree
-    cap is 2 * max(deg F, deg h_i) + 4.  Requires the range hypothesis to
+    once and every row's target is solved against it.  A row's default
+    degree cap is 2 * max(deg F, deg h_i) + 4.  Requires the range hypothesis to
     hold on the grid; a failed scalar solve is flagged in the bundle rather
     than raised, and so is an assembled G whose residual fails
     ``residual_ok``.
@@ -192,8 +187,7 @@ def solve_full(
     if k < 1:
         return aborted("rank-zero")
 
-    lowering = lowering_operators(F)
-    R = corona_row(F, k, lowering)
+    R = corona_row(F, k)
     solutions, parts, failed = [], [], []
     for i in range(1, m + 1):
         h = H.submatrix(slice(i - 1, i), slice(0, 1))
@@ -202,7 +196,7 @@ def solve_full(
         solutions.append(sol)
         if not sol.success:
             failed.append(i)
-        parts.append(build_Gi(F, sol.v, i, k, lowering))
+        parts.append(build_Gi(F, sol.v, i, k))
 
     G = parts[0]
     for p in parts[1:]:

@@ -8,9 +8,9 @@ and pseudo-inverses are computed once per grid on those (P, m, d) stacks:
 one SVD call gives both the detected rank and the norm estimate.  Only
 the scalar margin arithmetic runs point by point, on Python floats.
 The stacked chain row over all k-tuples of row indices depends on F and k
-alone, so a solve builds it once, from the lowering operators its G_i read,
-and solves it against each scalar target for polynomial coefficients.  That
-is a search with a degree cap, so a miss is reported rather than raised.
+alone, so a solve builds it once, by :func:`koszul.exterior.lower` steps
+that form no operator, and solves it against each scalar target for
+polynomial coefficients: a search with a degree cap, so a miss is reported.
 Each solve is checked on the grid values of its residual polynomial
 R v - h, so neither R nor v is evaluated for the check, and sup_v, the
 grid sup of a column, is a Euclidean norm per point with no SVD.
@@ -26,6 +26,7 @@ import numpy as np
 
 from .combinat import enumerate_tuples
 from .detk import det_k_gram
+from .exterior import lower
 from .opdet import rank_from_singular_values
 from .poly import (
     CoefficientSolveReport,
@@ -132,19 +133,19 @@ def check_hypotheses(
     )
 
 
-def corona_row(F: PolyMatrix, k: int, lowering: dict) -> PolyMatrix:
+def corona_row(F: PolyMatrix, k: int) -> PolyMatrix:
     """The k!-scaled stacked chain row over all k-tuples of row indices.
 
-    Block pi holds the ordered chain of pi's rows, from ``lowering``; blocks in
-    canonical tuple order, each of width C(d, k).  The squared pointwise
-    norm of the row equals (k!)^2 times the k-th minor sum of F F^*.
+    Block pi holds the ordered chain of pi's rows, one lowering step per row;
+    blocks in canonical tuple order, each of width C(d, k).  The squared
+    pointwise norm of the row equals (k!)^2 times the k-th minor sum of F F^*.
     """
     m, d = F.shape
     if k < 1 or k > min(m, d):
         raise ValueError(f"need 1 <= k <= min(m, d) = {min(m, d)}, got k={k}")
-    chains = (reduce(PolyMatrix.__matmul__, (lowering[j, s] for s, j in enumerate(pi)))
-              for pi in enumerate_tuples(m, k))
-    return reduce(PolyMatrix.hstack, chains).scale(float(factorial(k)))
+    chains = [reduce(lambda w, s: lower(F.coeffs[pi[s] - 1], w, s, transpose=True),
+                     range(k), np.ones((1, 1, 1), dtype=complex)) for pi in enumerate_tuples(m, k)]
+    return PolyMatrix(float(factorial(k)) * np.concatenate(chains, axis=1))
 
 
 @dataclass(frozen=True)

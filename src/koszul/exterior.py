@@ -3,16 +3,14 @@
 For a row vector a, the adjoint operator sends w to conj(a) ^ w and raises
 the degree by one; its adjoint lowers the degree and has entries that are
 signed copies of the row entries themselves (no conjugates), so a row of
-polynomials yields an operator with polynomial entries.  Numeric and
-polynomial rows share one construction path: one scatter of signed row
-entries into zeros, where a polynomial row carries a trailing axis of
-Taylor coefficients that rides along.  Where each entry goes, and with
-which sign, depends only on d and the degree, so that pattern is an index
-table built once per (d, n) and kept; only the scatter runs per row.  The
-raising operator is the conjugate transpose of that scatter.  All signs
-come from :func:`koszul.combinat.insertion_sign`, and a table is rebuilt
-when that function is replaced.  A solve reads its rows' operators from
-one :func:`lowering_operators` dict, which builds each when first read.
+polynomials yields an operator with polynomial entries.  Where each entry
+goes, and with which sign, depends only on d and the degree: an index table
+built once per (d, n) and kept.  The solve applies a polynomial row's
+operator only through :func:`lower`, a signed gather, convolution and
+scatter over that table that forms no operator; :func:`q_matrix` scatters
+the row into the dense operator for the identities and the test oracles,
+and the raising operator is its conjugate transpose.  All signs come from
+:func:`koszul.combinat.insertion_sign`, and replacing it rebuilds each table.
 """
 
 from __future__ import annotations
@@ -53,6 +51,8 @@ def _lowering_table(d: int, n: int):
     the function it was built from, so a replaced sign convention reaches
     every operator.
     """
+    if n + 1 > d:
+        raise ValueError(f"need n+1 <= d, got n={n}, d={d}")
     sign_of = combinat.insertion_sign
     kept = _LOWERING_TABLES.get((d, n))
     if kept is not None and kept[0] is sign_of:
@@ -83,27 +83,29 @@ def q_matrix(a, n: int):
     it in one step, added into zeros so that a -0.0 entry lands as +0.0.
     """
     a = _row_array(a)
-    d = len(a)
-    if n + 1 > d:
-        raise ValueError(f"need n+1 <= d, got n={n}, d={d}")
-    row, col, sign, p, shape = _lowering_table(d, n)
+    row, col, sign, p, shape = _lowering_table(len(a), n)
     mat = np.zeros(shape + a.shape[1:], dtype=complex)
     mat[row, col] += sign.reshape((-1,) + (1,) * (a.ndim - 1)) * a[p]
     return mat if a.ndim == 1 else PolyMatrix(mat)
 
 
-def lowering_operators(F: PolyMatrix) -> dict:
-    """The lowering operators of the rows of F, each built when first read.
+def lower(a, x, n: int, transpose: bool = False) -> np.ndarray:
+    """``q_matrix(a, n) @ x``, or ``x @ q_matrix(a, n)`` with ``transpose``.
 
-    Key (j, s), j 1-based and s >= 0, holds ``q_matrix`` of row j at degree
-    s, so (j, 0) is row j itself; a solve's chain row and G_i share one dict.
+    ``a`` is a row's (d, degree + 1) coefficients, ``x`` and the result are
+    (rows, cols, degree + 1) arrays.  Each table entry convolves its signed
+    row entry with the x slice it reads (its col, or with ``transpose`` its
+    row) and adds the product into the slice it writes; no operator is formed.
     """
-    class LoweringOperators(dict):
-        def __missing__(self, key):
-            op = self[key] = q_matrix(F.coeffs[key[0] - 1], key[1])
-            return op
-
-    return LoweringOperators()
+    row, col, sign, p, shape = _lowering_table(len(a), n)
+    src, dst, axis = (row, col, 1) if transpose else (col, row, 0)
+    ga, gx = sign[:, None] * a[p], x.swapaxes(0, axis)[src]
+    out = np.zeros((shape[axis], gx.shape[1], ga.shape[1] + gx.shape[2] - 1), dtype=complex)
+    terms = np.zeros((len(dst),) + out.shape[1:], dtype=complex)
+    for q in range(ga.shape[1]):
+        terms[..., q:q + gx.shape[2]] += ga[:, q, None, None] * gx
+    np.add.at(out, dst, terms)
+    return out.swapaxes(0, axis)
 
 
 def q_star_matrix(a, n: int) -> np.ndarray:

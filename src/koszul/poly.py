@@ -235,13 +235,21 @@ def slice_norms(stack: np.ndarray) -> np.ndarray:
     """Euclidean norm of each slice stack[p], bitwise np.linalg.norm(stack[p]).
 
     Like np.linalg.norm, each slice's squared norm is the dot product of its
-    strided real view plus that of its imaginary view; a norm over
-    axis=(1, 2) reduces in another order and can differ in the last bit.
+    strided real view plus that of its imaginary view (a norm over axis=(1, 2)
+    can differ in the last bit).  A norm outside (1e-150, 1e150), where squares
+    may over- or underflow, is recomputed on the slice scaled by a power of two.
     """
     flat = stack.reshape(len(stack), -1)
     re, im = flat.real, flat.imag
-    sq = re[:, None, :] @ re[:, :, None] + im[:, None, :] @ im[:, :, None]
-    return np.sqrt(sq[:, 0, 0])
+    with np.errstate(over="ignore"):
+        sq = re[:, None, :] @ re[:, :, None] + im[:, None, :] @ im[:, :, None]
+    norms = np.sqrt(sq[:, 0, 0])
+    far = ~((1e-150 < norms) & (norms < 1e150))
+    if far.any():
+        parts = flat[far].view(float)
+        e = np.frexp(np.abs(parts).max(axis=1, initial=0.0))[1]
+        norms[far] = np.ldexp(np.linalg.norm(np.ldexp(parts, -e[:, None]), axis=1), e)
+    return norms
 
 
 def max_operator_norm(stack: np.ndarray) -> float:
@@ -256,18 +264,13 @@ def sup_operator_norm(M: PolyMatrix, grid: DiscGrid) -> float:
 
     A lower estimate of the true multiplier norm; adding grid points can
     only increase it.  The spectral norm of a single row or column is its
-    Euclidean norm, so a vector needs no SVD while its sum of squares
-    neither overflows nor underflows; outside 1e-150 < norm < 1e150 the SVD,
-    which scales, takes over.
+    Euclidean norm, so a vector needs no SVD.
     """
     if len(grid) == 0:
         raise ValueError("grid is empty")
     vals = M.eval(grid.points)
     if 1 in M.shape:
-        with np.errstate(over="ignore"):
-            norm = float(slice_norms(vals).max())
-        if 1e-150 < norm < 1e150:
-            return norm
+        return float(slice_norms(vals).max())
     return max_operator_norm(vals)
 
 

@@ -30,7 +30,6 @@ from koszul.exterior import (
     chain_row,
     clifford_residual,
     contraction_anticommute_residual,
-    lowering_operators,
     range_kernel_composition,
 )
 from koszul.fixtures import emit_fixture, load_fixture, parse_fixture
@@ -155,7 +154,7 @@ def test_c5_stacked_row_norm_identity_on_fixtures():
     for fid in SOLVE_FIXTURE_IDS:
         fx = load_fixture(FIXTURE_DIR / f"{fid}.json")
         k = max(numeric_rank(fx.F.eval(z)) for z in grid.points)
-        R = corona_row(fx.F, k, lowering_operators(fx.F))
+        R = corona_row(fx.F, k)
         for z in pts:
             Rz = R.eval(z)
             lhs = float((Rz @ Rz.conj().T)[0, 0].real)

@@ -17,7 +17,7 @@ from koszul.combinat import enumerate_tuples
 from koszul.corona import corona_row, scalar_corona_solve
 from koszul.errors import PreconditionError
 from koszul.estimates import K_constant
-from koszul.exterior import chain_row, lowering_operators, q_matrix
+from koszul.exterior import chain_row, q_matrix
 from koszul.opdet import BlockOperatorMatrix, operator_det
 from koszul.poly import DiscGrid, PolyMatrix, sup_operator_norm
 
@@ -85,9 +85,9 @@ def test_row_composition_identity_consistent_coefficients_low_rank():
 def test_build_Gi_k1_places_the_selected_block():
     F = PolyMatrix.from_rows([[P(1), P(0)], [P(0), P(1)]])
     v = PolyMatrix.from_rows([[P(0.3)], [P(0.4)], [P(0.5)], [P(0.6)]])
-    G1 = build_Gi(F, v, i=1, k=1, lowering={})
+    G1 = build_Gi(F, v, i=1, k=1)
     assert G1.coeffs.tolist() == [[[0.3 + 0j]], [[0.4 + 0j]]]
-    G2 = build_Gi(F, v, i=2, k=1, lowering={})
+    G2 = build_Gi(F, v, i=2, k=1)
     assert G2.coeffs.tolist() == [[[0.5 + 0j]], [[0.6 + 0j]]]
 
 
@@ -97,10 +97,9 @@ def test_build_Gi_hand_expanded_diagonal_two_by_two(small_grid):
     c1, c2 = 0.6, -0.8
     F = PolyMatrix.from_rows([[P(c1), P(0)], [P(0), P(c2)]])
     h = PolyMatrix.from_rows([[P(0.1, 0.05)]])
-    lowering = lowering_operators(F)
-    res = scalar_corona_solve(corona_row(F, 2, lowering), h, 6, grid=small_grid)
+    res = scalar_corona_solve(corona_row(F, 2), h, 6, grid=small_grid)
     assert res.success
-    G1 = build_Gi(F, res.v, i=1, k=2, lowering=lowering)
+    G1 = build_Gi(F, res.v, i=1, k=2)
     for z in small_grid.points[:6]:
         np.testing.assert_allclose(
             G1.eval(z), np.array([[h.eval(z)[0, 0] / c1], [0.0]]), atol=1e-12
@@ -138,40 +137,40 @@ def test_build_Gi_matches_factorial_selector_determinant(m, d):
     r = rng(20 + m)
     F = random_poly_matrix(r, m, d, 2)
     for k in range(1, min(m, d) + 1):
-        lowering = lowering_operators(F)
         for i in range(1, m + 1):
             v = random_poly_matrix(r, comb(m, k) * comb(d, k), 1, 2)
-            got, want = build_Gi(F, v, i, k, lowering), reference_Gi(F, v, i, k)
+            got, want = build_Gi(F, v, i, k), reference_Gi(F, v, i, k)
             n = max(got.max_degree, want.max_degree) + 1
             diff = np.abs(coeff_array(got, n) - coeff_array(want, n)).max()
             assert diff <= 1e-12 * np.abs(coeff_array(want, n)).max(), (k, i)
-        # the dict built exactly the operators the chains read
-        assert set(lowering) == {
-            (rest[s - 1], s)
-            for pi in enumerate_tuples(m, k) for i in pi
-            for rest in [tuple(j for j in pi if j != i)] for s in range(1, k)
-        }
 
 
-def test_solve_full_builds_each_lowering_operator_it_reads_once(monkeypatch):
-    # a (4, 6, 2) ladder-style instance: F of grid sup-norm 1, H = F u; with
-    # k = m = 4 the chain row reads (1, 0), and the chains read (s, s) and
-    # (s + 1, s) for s = 1 .. 3
+def test_solve_full_forms_no_dense_operator(monkeypatch):
+    # a (4, 6, 2) ladder-style instance: F of grid sup-norm 1, H = F u; the
+    # chain row and every G_i apply their operators through index tables
     r = rng(46)
     F = random_poly_matrix(r, 4, 6, 2)
     F = F.scale(1 / sup_operator_norm(F, DiscGrid.default()))
     H = F @ random_poly_matrix(r, 6, 1, 1)
-    built = []
 
-    def counted(a, n):
-        j = next(j for j in range(1, 5) if np.array_equal(a, F.coeffs[j - 1]))
-        built.append((j, n))
-        return q_matrix(a, n)
+    def refuse(a, n):
+        raise AssertionError(f"dense lowering operator formed at degree {n}")
 
-    monkeypatch.setattr(exterior, "q_matrix", counted)
+    monkeypatch.setattr(exterior, "q_matrix", refuse)
     bundle = solve_full(F, H)
     assert bundle.success and bundle.k == 4
-    assert sorted(built) == [(1, 0)] + [(j, s) for s in (1, 2, 3) for j in (s, s + 1)]
+
+
+def test_solve_full_reports_finite_norms_for_a_huge_target():
+    # H of grid sup about 3e200: every squared norm would overflow unscaled
+    r = rng(7)
+    F = random_poly_matrix(r, 2, 3, 1)
+    F = F.scale(1 / sup_operator_norm(F, DiscGrid.default()))
+    H = (F @ PolyMatrix(r.standard_normal((3, 1, 2)) + 0j)).scale(3e200)
+    bundle = solve_full(F, H)
+    assert 1e200 < bundle.hypothesis_report.sup_H < 1e201
+    assert np.isfinite(bundle.max_residual) and np.isfinite(bundle.sup_v).all()
+    assert bundle.success and bundle.k == 2
 
 
 def test_solve_full_evaluates_on_the_grid_18_times(monkeypatch):
@@ -207,9 +206,9 @@ def test_build_Gi_shape_validation():
     F = PolyMatrix.from_rows([[P(1), P(0)], [P(0), P(1)]])
     bad_v = PolyMatrix.from_rows([[P(1)], [P(0)]])
     with pytest.raises(ValueError):
-        build_Gi(F, bad_v, i=1, k=1, lowering={})
+        build_Gi(F, bad_v, i=1, k=1)
     with pytest.raises(ValueError):
-        build_Gi(F, bad_v, i=3, k=1, lowering={})
+        build_Gi(F, bad_v, i=3, k=1)
 
 
 def test_norm_bound_values():

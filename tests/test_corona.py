@@ -13,7 +13,7 @@ from koszul.corona import (
     scalar_corona_solve,
 )
 from koszul.detk import det_k_gram
-from koszul.exterior import chain_row, lowering_operators
+from koszul.exterior import chain_row
 from koszul.poly import DiscGrid, PolyMatrix
 
 
@@ -113,7 +113,7 @@ def test_pointwise_min_norm_on_consistent_systems():
 
 def test_corona_row_m1_layout():
     F = PolyMatrix.from_rows([[P(1), P(0)]])
-    R = corona_row(F, 1, lowering_operators(F))
+    R = corona_row(F, 1)
     assert R.shape == (1, 2)
     assert R.coeffs.tolist() == [[[1 + 0j], [0j]]]
 
@@ -126,7 +126,7 @@ def test_corona_row_norm_identity_random():
         F = PolyMatrix.from_rows(
             [[cvec(r, 2) for _ in range(d)] for _ in range(m)]
         )
-        R = corona_row(F, k, lowering_operators(F))
+        R = corona_row(F, k)
         for z in 0.8 * (r.random(5) * np.exp(2j * np.pi * r.random(5))):
             Rz = R.eval(z)
             lhs = float((Rz @ Rz.conj().T)[0, 0].real)
@@ -135,29 +135,46 @@ def test_corona_row_norm_identity_random():
 
 
 @pytest.mark.parametrize("m,d,k", [(3, 4, 2), (4, 5, 2), (3, 4, 3), (4, 6, 4)])
-def test_corona_row_blocks_are_scaled_chain_rows_bitwise(m, d, k):
+def test_corona_row_blocks_are_scaled_chain_rows(m, d, k):
     # chain_row stays the oracle: each block is k! times the tuple's chain,
-    # for k < m and for k = m
+    # for k < m and for k = m, up to the order in which terms are summed
     r = rng(30 + m + d + k)
     F = PolyMatrix(r.standard_normal((m, d, 3)) + 1j * r.standard_normal((m, d, 3)))
-    R = corona_row(F, k, lowering_operators(F))
+    R = corona_row(F, k)
     width = R.cols // len(enumerate_tuples(m, k))
     for t, pi in enumerate(enumerate_tuples(m, k)):
-        want = chain_row(F.coeffs[[j - 1 for j in pi]]).scale(float(factorial(k)))
-        got = R.coeffs[:, t * width:(t + 1) * width, :want.coeffs.shape[2]]
-        assert got.tobytes() == want.coeffs.tobytes(), pi
-        assert not R.coeffs[:, t * width:(t + 1) * width, want.coeffs.shape[2]:].any()
+        want = chain_row(F.coeffs[[j - 1 for j in pi]]).scale(float(factorial(k))).coeffs
+        got = R.coeffs[:, t * width:(t + 1) * width, :want.shape[2]]
+        assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max(), pi
+        assert not R.coeffs[:, t * width:(t + 1) * width, want.shape[2]:].any()
+
+
+@pytest.mark.parametrize("m,d", [(1, 3), (2, 3), (3, 4), (3, 5), (4, 5), (5, 6), (5, 7)])
+def test_corona_row_blocks_are_signed_scaled_minors(m, d):
+    # independent of every lowering operator: block pi, entry tau of R(z) is
+    # (-1)^(k(k-1)/2) k! det F(z)[pi, tau], for every k <= min(m, 5)
+    r = rng(60 + 10 * m + d)
+    F = PolyMatrix(r.standard_normal((m, d, 3)) + 1j * r.standard_normal((m, d, 3)))
+    for k in range(1, min(m, d, 5) + 1):
+        scale = (-1) ** (k * (k - 1) // 2) * factorial(k)
+        zs = 0.9 * r.random(3) * np.exp(2j * np.pi * r.random(3))
+        for Fz, Rz in zip(F.eval(zs), corona_row(F, k).eval(zs)[:, 0]):
+            want = np.array([
+                scale * np.linalg.det(Fz[np.ix_([j - 1 for j in pi], [c - 1 for c in tau])])
+                for pi in enumerate_tuples(m, k) for tau in enumerate_tuples(d, k)
+            ])
+            assert np.abs(Rz - want).max() <= 1e-13 * np.abs(want).max(), k
 
 
 def test_corona_row_k_out_of_range():
     F = PolyMatrix.from_rows([[P(1), P(0)]])
     with pytest.raises(ValueError):
-        corona_row(F, 2, lowering_operators(F))
+        corona_row(F, 2)
 
 
 def test_scalar_solve_m1_trivial(small_grid):
     F = PolyMatrix.from_rows([[P(1), P(0)]])
-    R = corona_row(F, 1, lowering_operators(F))
+    R = corona_row(F, 1)
     res = scalar_corona_solve(R, S(1), 4, grid=small_grid)
     assert res.success
     assert res.solve_report.residual <= 1e-12
@@ -167,7 +184,7 @@ def test_scalar_solve_m1_trivial(small_grid):
 def test_scalar_solve_two_row_bezout(small_grid):
     s = 1 / np.sqrt(2)
     F = PolyMatrix.from_rows([[P(s), P(0)], [P(0), P(s)]])
-    R = corona_row(F, 1, lowering_operators(F))
+    R = corona_row(F, 1)
     res = scalar_corona_solve(R, S(1), 4, grid=small_grid)
     assert res.success
     assert res.solve_report.residual <= 1e-10
@@ -178,7 +195,7 @@ def test_scalar_solve_two_row_bezout(small_grid):
 def test_scalar_solve_reports_miss(small_grid):
     # h = 1 against a row vanishing at 0 forces a reported miss at low cap
     F = PolyMatrix.from_rows([[P(0, 1), P(0, 2)]])
-    R = corona_row(F, 1, lowering_operators(F))
+    R = corona_row(F, 1)
     res = scalar_corona_solve(R, S(1), 4, grid=DiscGrid.make([0.0, 0.4], 8))
     assert not res.success
     assert res.solve_report.residual > 1e-4
@@ -206,7 +223,7 @@ def test_default_tol_is_the_python_abs_grid_maximum(fixtures_by_id, grid):
             assert sol.solve_report.tol == 1e-8 * max(1.0, max(abs(v) for v in vals))
     # a target far above 1 sets the tolerance from its own modulus
     F = PolyMatrix.from_rows([[P(1)]])
-    R = corona_row(F, 1, lowering_operators(F))
+    R = corona_row(F, 1)
     h = S(3e100, -4e99j)
     res = scalar_corona_solve(R, h, 2, grid=grid)
     vals = h.eval(grid.points)[:, 0, 0].tolist()

@@ -101,6 +101,27 @@ def test_q_matrix_is_bitwise_the_per_entry_loop():
             assert got.coeffs.tobytes() == reference_q_matrix(poly, n).tobytes()
 
 
+@pytest.mark.parametrize("deg_a,deg_x", [(0, 0), (2, 3), (1, 5)])
+def test_lower_is_the_dense_operator_product_on_either_side(deg_a, deg_x):
+    # the gather forms no operator but sums the same terms as the product
+    # with q_matrix, in another order; rows and columns beyond one ride along
+    r = rng(41 + deg_a + deg_x)
+    for d in range(1, 7):
+        for n in range(d):
+            a = cmat(r, d, deg_a + 1)
+            Q = q_matrix(a, n)
+            for transpose, x in (
+                (False, cmat(r, comb(d, n + 1) * 2, deg_x + 1).reshape(-1, 2, deg_x + 1)),
+                (True, cmat(r, 3, comb(d, n) * (deg_x + 1)).reshape(3, -1, deg_x + 1)),
+            ):
+                want = (PolyMatrix(x) @ Q if transpose else Q @ PolyMatrix(x)).coeffs
+                got = exterior.lower(a, x, n, transpose=transpose)
+                assert got.shape[:2] == want.shape[:2]
+                assert not got[..., want.shape[2]:].any()
+                got = got[..., :want.shape[2]]
+                assert np.abs(got - want).max() <= 1e-14 * max(np.abs(want).max(), 1.0), (d, n)
+
+
 def test_lowering_table_follows_a_replaced_sign_function(monkeypatch):
     a = cvec(rng(41), 5)
     warm = q_matrix(a, 2).tobytes()

@@ -275,6 +275,28 @@ def test_sup_norm_of_a_vector_survives_extreme_magnitudes(scale):
         assert abs(got - ref) <= 4 * np.spacing(ref)
 
 
+@pytest.mark.parametrize("scale", [1.0, 1e100, 1e-100, 3e200, 1e300, 1e-200])
+def test_slice_norms_rescale_only_out_of_range_slices(scale):
+    # in range, every norm is bitwise the unscaled np.linalg.norm; outside
+    # it, the power-of-two rescale stays within a few ulp of the SVD
+    r = np.random.default_rng(9)
+    stack = scale * (r.standard_normal((40, 5, 1)) + 1j * r.standard_normal((40, 5, 1)))
+    got = slice_norms(stack)
+    svd = np.array([np.linalg.norm(s, 2) for s in stack])
+    if 1e-150 < scale < 1e150:
+        assert got.tobytes() == np.array([np.linalg.norm(s) for s in stack]).tobytes()
+    assert np.all(np.abs(got - svd) <= 4 * np.spacing(svd))
+
+
+def test_slice_norms_of_zero_and_mixed_slices():
+    # a zero slice stays zero, and a huge slice does not touch its neighbours
+    stack = np.array([[[0j], [0j]], [[3e200], [4e200j]], [[3.0], [4.0]], [[3e-200], [-4e-200]]])
+    got = slice_norms(stack)
+    assert got[0] == 0.0 and got[2] == 5.0
+    assert abs(got[1] - 5e200) <= 2 * np.spacing(5e200)
+    assert abs(got[3] - 5e-200) <= 2 * np.spacing(5e-200)
+
+
 @pytest.mark.parametrize("shape", [(2, 2), (2, 5), (5, 2), (4, 6)])
 def test_sup_norm_of_a_matrix_stays_the_spectral_norm(shape):
     r = np.random.default_rng(sum(shape))
