@@ -9,7 +9,9 @@ zero.  On a tuple that contains i the determinant collapses, by the
 anticommutation of the lowering operators, to a signed, (k-1)!-scaled
 ordered chain of the tuple's other rows, applied right to left to the
 block one :func:`koszul.exterior.lower` step at a time, which forms no
-operator.  G is the sum of the G_i.
+operator.  G is the sum of the G_i.  A solve evaluates F and H once, in
+the hypothesis check, and reads each row's default tolerance and the final
+residual from the stacks the check keeps.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from .corona import (
     ScalarSolveResult,
     check_hypotheses,
     corona_row,
+    default_tolerance,
     scalar_corona_solve,
 )
 from .detk import det_k_gram
@@ -96,14 +99,14 @@ def offdiagonal_annihilation_check(
     full detected rank.
     """
     m, d = F.shape
-    F_vals = F.eval(grid.points)
+    F_vals = F.eval(grid.point_array)
     ranks = numeric_rank(F_vals)
     if k is None:
         k = int(ranks.max())
     # row j times G_i as a 1 x d by d x 1 product per point, which takes the
     # same dot-product kernel as multiplying one row at a time
     others = [j - 1 for j in range(1, m + 1) if j != i]
-    products = np.matmul(F_vals[:, others, None, :], G_i.eval(grid.points)[:, None])
+    products = np.matmul(F_vals[:, others, None, :], G_i.eval(grid.point_array)[:, None])
     included_max, argmax = 0.0, None
     excluded = []
     for z, full_rank, row in zip(grid.points, (ranks >= k).tolist(),
@@ -192,7 +195,8 @@ def solve_full(
     for i in range(1, m + 1):
         h = H.submatrix(slice(i - 1, i), slice(0, 1))
         cap = degree_cap if degree_cap is not None else 2 * max(F.max_degree, h.max_degree) + 4
-        sol = scalar_corona_solve(R, h, cap, tol=tol, grid=grid)
+        row_tol = tol if tol is not None else default_tolerance(hyp.H_vals[:, i - 1, 0])
+        sol = scalar_corona_solve(R, h, cap, tol=row_tol, grid=grid)
         solutions.append(sol)
         if not sol.success:
             failed.append(i)
@@ -201,8 +205,7 @@ def solve_full(
     G = parts[0]
     for p in parts[1:]:
         G = G + p
-    pts = grid.points
-    residuals = slice_norms(F.eval(pts) @ G.eval(pts) - H.eval(pts)).tolist()
+    residuals = slice_norms(hyp.F_vals @ G.eval(grid.point_array) - hyp.H_vals).tolist()
     imax = int(np.argmax(residuals))
     sup_v = tuple(s.sup_v for s in solutions)
     binom = comb(m - 1, k - 1)
@@ -260,8 +263,8 @@ def radical_necessary_check(
     Hn = PolyMatrix.from_rows(
         [[reduce(np.convolve, [trimmed(h)] * n, one)] for h in H.coeffs[:, 0]]
     )
-    F_vals, Hn_vals = F.eval(grid.points), Hn.eval(grid.points)
-    pre_resid = float(slice_norms(F_vals @ G.eval(grid.points) - Hn_vals).max())
+    F_vals, Hn_vals = F.eval(grid.point_array), Hn.eval(grid.point_array)
+    pre_resid = float(slice_norms(F_vals @ G.eval(grid.point_array) - Hn_vals).max())
     sup_Hn = float(slice_norms(Hn_vals).max())
     if pre_resid > 1e-6 * max(sup_Hn, 1.0):
         raise PreconditionError(
@@ -270,7 +273,7 @@ def radical_necessary_check(
     sup_G = sup_operator_norm(G, grid)
     C = sup_G ** 2
     dk = det_k_gram(F_vals, 1).tolist()
-    h_max = np.abs(H.eval(grid.points)).max(axis=(1, 2)).tolist()
+    h_max = np.abs(H.eval(grid.point_array)).max(axis=(1, 2)).tolist()
     margins = [C * a - b ** (2 * n) for a, b in zip(dk, h_max)]
     imin = int(np.argmin(margins))
     return RadicalReport(

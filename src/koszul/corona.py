@@ -3,10 +3,12 @@
 The three hypotheses checked on a grid: the k-th minor sum of F F^*
 raised to 3/2 dominates every |h_i|; the multiplier norm of F is 1 (or at
 most 1 in inequality mode); and H lies in the pointwise range of F.  F
-and H are evaluated once on the grid, and the singular values, minor sums
-and pseudo-inverses are computed once per grid on those (P, m, d) stacks:
-one SVD call gives both the detected rank and the norm estimate.  Only
-the scalar margin arithmetic runs point by point, on Python floats.
+and H are evaluated once on the grid, and the minor sums are computed once
+per grid on those stacks.  One SVD call of the (P, m, d) F stack gives the
+detected rank, the norm estimate and, through pseudo-inverses built from
+its factors, the range residuals.  The report keeps both stacks, so a
+solve evaluates F and H once.  Only the scalar margin arithmetic runs
+point by point, on Python floats.
 The stacked chain row over all k-tuples of row indices depends on F and k
 alone, so a solve builds it once, by :func:`koszul.exterior.lower` steps
 that form no operator, and solves it against each scalar target for
@@ -18,7 +20,7 @@ grid sup of a column, is a Euclidean norm per point with no SVD.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import reduce
 from math import factorial
 
@@ -40,7 +42,12 @@ from .poly import (
 
 @dataclass(frozen=True)
 class HypothesisReport:
-    """Grid verdicts for the three hypotheses plus the detected rank."""
+    """Grid verdicts for the three hypotheses plus the detected rank.
+
+    ``F_vals`` and ``H_vals`` are the read-only (P, m, d) and (P, m, 1)
+    stacks the check evaluated, kept so a solve need not evaluate F and H
+    again; they take no part in comparisons or the repr.
+    """
 
     k_detected: int
     minor_margins: tuple[float, ...]
@@ -55,10 +62,35 @@ class HypothesisReport:
     passed_minor_bound: bool
     passed_norm: bool
     passed_range: bool
+    F_vals: np.ndarray = field(compare=False, repr=False)
+    H_vals: np.ndarray = field(compare=False, repr=False)
 
     @property
     def all_passed(self) -> bool:
         return self.passed_minor_bound and self.passed_norm and self.passed_range
+
+
+def _svd_pinv(F: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Singular values and pseudo-inverses of a (P, m, d) stack from one SVD.
+
+    The pseudo-inverse repeats numpy's pinv step for step with rcond 1e-10:
+    the SVD of F.conj(), singular values at or below 1e-10 times the
+    largest dropped and the rest inverted, then vt^T @ (s_inv * u^T).  So
+    each (d, m) slice is bitwise pinv(F[p], rcond=1e-10), empty ones
+    included, and the singular values are F's.
+    """
+    u, s, vt = np.linalg.svd(F.conj(), full_matrices=False)
+    if 0 in F.shape[-2:]:
+        return s, np.empty(F.shape[:-2] + F.shape[:-3:-1], dtype=complex)
+    large = s > 1e-10 * s.max(axis=-1, keepdims=True)
+    s_inv = np.divide(1, s, where=large, out=np.zeros_like(s))
+    return s, np.swapaxes(vt, -1, -2) @ (s_inv[..., None] * np.swapaxes(u, -1, -2))
+
+
+def _min_norm_solution(F, F_pinv, H):
+    """u = F^+ H and |F u - H| for (P, m, d), (P, d, m) and (P, m) stacks."""
+    u = (F_pinv @ H[..., None])[..., 0]
+    return u, slice_norms((F @ u[..., None])[..., 0] - H)
 
 
 def pointwise_min_norm_solution(F_point, H_point):
@@ -66,18 +98,26 @@ def pointwise_min_norm_solution(F_point, H_point):
 
     At one point (F m x d, H of m values) this returns (u, float).  A
     (P, m, d) stack of F values with a (P, m) or (P, m, 1) stack of H values
-    takes one pseudo-inverse call and returns a (P, d) array of solutions
-    and a (P,) array of residual norms, each slice bitwise the one-point
-    result.
+    takes one SVD call and returns a (P, d) array of solutions and a (P,)
+    array of residual norms, each slice bitwise the one-point result.
     """
     F = np.atleast_2d(np.asarray(F_point, dtype=complex))
     stacked = F.ndim > 2
     if not stacked:
         F = F[None]
     H = np.asarray(H_point, dtype=complex).reshape(F.shape[:-1])
-    u = (np.linalg.pinv(F, rcond=1e-10) @ H[..., None])[..., 0]
-    resid = slice_norms((F @ u[..., None])[..., 0] - H)
+    u, resid = _min_norm_solution(F, _svd_pinv(F)[1], H)
     return (u, resid) if stacked else (u[0], float(resid[0]))
+
+
+def default_tolerance(h_vals: np.ndarray) -> float:
+    """A scalar solve's default tolerance, 1e-8 * max(1, grid sup of |h|).
+
+    ``h_vals`` are the target's values on the grid.  np.hypot calls the
+    libm hypot that Python's abs(complex) calls, so each modulus is bitwise
+    abs(hz); np.abs rounds some differently.
+    """
+    return 1e-8 * max(1.0, float(np.hypot(h_vals.real, h_vals.imag).max()))
 
 
 def check_hypotheses(
@@ -92,12 +132,13 @@ def check_hypotheses(
         raise ValueError(f"unknown norm mode {norm_mode!r}")
     grid = grid or DiscGrid.default()
 
-    F_vals = F.eval(grid.points)
-    H_vals = H.eval(grid.points)
+    F_vals = F.eval(grid.point_array)
+    H_vals = H.eval(grid.point_array)
+    F_vals.flags.writeable = H_vals.flags.writeable = False
 
-    # one SVD per grid: the rank rule and the operator-norm estimate
-    # (np.linalg.norm(., 2) is the largest of these values) both read it
-    sing = np.linalg.svd(F_vals, compute_uv=False)
+    # one SVD per grid: the rank rule, the operator-norm estimate (the
+    # largest singular value) and the range residuals all read it
+    sing, F_pinv = _svd_pinv(F_vals)
     k = int(rank_from_singular_values(sing).max(initial=0))
 
     # margins on Python floats: numpy's vectorised ** can round differently
@@ -112,7 +153,7 @@ def check_hypotheses(
     else:
         passed_norm = norm_est <= 1.0 + 1e-6
 
-    range_residuals = pointwise_min_norm_solution(F_vals, H_vals)[1].tolist()
+    range_residuals = _min_norm_solution(F_vals, F_pinv, H_vals[..., 0])[1].tolist()
     imax = int(np.argmax(range_residuals))
     sup_H = float(slice_norms(H_vals).max())
 
@@ -130,6 +171,8 @@ def check_hypotheses(
         passed_minor_bound=margins[imin] >= -1e-12,
         passed_norm=passed_norm,
         passed_range=range_residuals[imax] <= 1e-8 * sup_H,
+        F_vals=F_vals,
+        H_vals=H_vals,
     )
 
 
@@ -173,10 +216,7 @@ def scalar_corona_solve(
         raise ValueError(f"target must be scalar, got {h_target.shape}")
     grid = grid or DiscGrid.default()
     if tol is None:
-        # np.hypot calls the libm hypot that Python's abs(complex) calls,
-        # so each modulus is bitwise abs(hz); np.abs rounds some differently
-        hv = h_target.eval(grid.points)[:, 0, 0]
-        tol = 1e-8 * max(1.0, float(np.hypot(hv.real, hv.imag).max()))
+        tol = default_tolerance(h_target.eval(grid.point_array)[:, 0, 0])
     v, rep = coefficient_match_solve(R, h_target, degree_cap=degree_cap, tol=tol, grid=grid)
     return ScalarSolveResult(
         v=v, success=rep.success,

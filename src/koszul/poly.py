@@ -6,12 +6,13 @@ shape (rows, cols, max_degree + 1), and its sums, products, slices and
 grid evaluations are array operations on it.  A scalar, such as one
 target entry, is a 1 x 1 matrix; :func:`trimmed` gives one entry's
 coefficients for file I/O and entrywise arithmetic.
-Matrices are evaluated on finite grids inside the disc; every supremum
-reported by this package is a grid maximum and therefore a lower
-estimate of the true sup over the disc.  The pointwise norm of a single
-row or column is its Euclidean norm, so a vector's sup needs no SVD, and a
-coefficient solve is checked on the grid values of its residual
-polynomial A x - b.
+Matrices are evaluated on finite grids inside the disc, by one Horner
+sweep with the points on the last axis over a grid's cached point array;
+every supremum reported by this package is a grid maximum and therefore
+a lower estimate of the true sup over the disc.  The pointwise norm of a
+single row or column is its Euclidean norm, so a vector's sup needs no
+SVD, and a coefficient solve is checked on the grid values of its
+residual polynomial A x - b.
 """
 
 from __future__ import annotations
@@ -33,26 +34,30 @@ LSTSQ_RCOND = 1e-10
 def _horner(coeffs, z) -> np.ndarray:
     """Horner's rule on the real and imaginary parts separately.
 
-    ``coeffs`` lists Taylor coefficients in ascending degree; each is a
-    scalar or an array that broadcasts against ``z``.  Every step repeats
-    Python's complex product and sum operation for operation, so each value
+    ``coeffs`` is a (..., n) array of Taylor coefficients in ascending
+    degree and ``z`` a 1-D array of P points; the result is the (P, ...)
+    stack of values.  The sweep runs with the points on the last axis and
+    their real and imaginary parts copied to contiguous arrays, so each
+    step is a pass over contiguous values, and every step repeats
+    Python's complex product and sum operation for operation: each value
     is bitwise the one a scalar Python-complex Horner loop gives; leading
-    zero coefficients leave the accumulator at +0 and change nothing.
+    zero coefficients leave the accumulator at zero, which the first
+    nonzero coefficient replaces exactly.
     Points outside the open unit disc are allowed but warned about, since
     every norm statement in this package concerns the disc.
     """
-    z = np.asarray(z, dtype=complex)
     radius = np.abs(z).max(initial=0.0)
     if radius >= 1:
         warnings.warn(
             f"evaluating at |z| = {radius:.3f} >= 1, outside the unit disc", stacklevel=3
         )
-    zr, zi = z.real, z.imag
+    zr, zi = np.ascontiguousarray(z.real), np.ascontiguousarray(z.imag)
     re = im = 0.0
-    for c in reversed(coeffs):
+    for n in range(coeffs.shape[-1] - 1, -1, -1):
+        c = coeffs[..., n, None]
         re, im = re * zr - im * zi + c.real, re * zi + im * zr + c.imag
-    out = np.empty(np.broadcast(re, im).shape, dtype=complex)
-    out.real, out.imag = re, im
+    out = np.empty(z.shape + coeffs.shape[:-1], dtype=complex)
+    out.real, out.imag = np.moveaxis(re, -1, 0), np.moveaxis(im, -1, 0)
     return out
 
 
@@ -132,11 +137,12 @@ class PolyMatrix:
     def eval(self, z) -> np.ndarray:
         """Values at a point, or a (P, rows, cols) stack at P points.
 
+        A point array of any shape gives its shape followed by (rows, cols).
         One Horner pass covers every entry and every point; each value is
         bitwise the scalar evaluation of its entry at its point.
         """
-        z = np.asarray(z, dtype=complex)[..., None, None]
-        return _horner(np.moveaxis(self.coeffs, 2, 0), z)
+        z = np.asarray(z, dtype=complex)
+        return _horner(self.coeffs, z.reshape(-1)).reshape(z.shape + self.shape)
 
     def __add__(self, other: "PolyMatrix") -> "PolyMatrix":
         self._check_same_shape(other)
@@ -227,6 +233,17 @@ class DiscGrid:
         radii = [round(0.1 * i, 1) for i in range(1, 10)] + [0.95]
         return cls.make(radii, 64)
 
+    @functools.cached_property
+    def point_array(self) -> np.ndarray:
+        """The points as a read-only complex array, built once per grid.
+
+        Every grid sweep evaluates on this array rather than converting the
+        tuple again; per-point reports still quote ``points``.
+        """
+        z = np.array(self.points, dtype=complex)
+        z.flags.writeable = False
+        return z
+
     def __len__(self):
         return len(self.points)
 
@@ -268,7 +285,7 @@ def sup_operator_norm(M: PolyMatrix, grid: DiscGrid) -> float:
     """
     if len(grid) == 0:
         raise ValueError("grid is empty")
-    vals = M.eval(grid.points)
+    vals = M.eval(grid.point_array)
     if 1 in M.shape:
         return float(slice_norms(vals).max())
     return max_operator_norm(vals)
@@ -319,7 +336,7 @@ def coefficient_match_solve(
     x = PolyMatrix(sol.reshape(A.cols, 1, width))
     resid = 0.0
     if len(grid):
-        resid = float(slice_norms((A @ x - b).eval(grid.points)).max())
+        resid = float(slice_norms((A @ x - b).eval(grid.point_array)).max())
     report = CoefficientSolveReport(
         residual=resid, tol=tol, success=resid <= tol,
         system_shape=M.shape, lstsq_rank=int(rank),

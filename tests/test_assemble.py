@@ -173,14 +173,19 @@ def test_solve_full_reports_finite_norms_for_a_huge_target():
     assert bundle.success and bundle.k == 2
 
 
-def test_solve_full_evaluates_on_the_grid_18_times(monkeypatch):
-    # a (4, 6, 2) ladder-style instance: F and H once for the hypotheses;
-    # per row, h for the tolerance, the residual polynomial R v - h and v
-    # for sup_v; then F, G and H for the residual and G for sup_G
+def _ladder_462():
+    """A seeded (4, 6, 2) ladder-style instance with a solvable H."""
     r = rng(46)
     F = random_poly_matrix(r, 4, 6, 2)
     F = F.scale(1 / sup_operator_norm(F, DiscGrid.default()))
-    H = F @ random_poly_matrix(r, 6, 1, 1)
+    return F, F @ random_poly_matrix(r, 6, 1, 1)
+
+
+def test_solve_full_evaluates_on_the_grid_12_times(monkeypatch):
+    # F and H once, in the hypothesis check; per row, the residual
+    # polynomial R v - h and v for sup_v; then G for the residual and for
+    # sup_G.  The residual and each row's tolerance read the check's stacks.
+    F, H = _ladder_462()
     evals, sups = [], []
     eval_ = PolyMatrix.eval
 
@@ -197,9 +202,36 @@ def test_solve_full_evaluates_on_the_grid_18_times(monkeypatch):
     monkeypatch.setattr(assemble, "sup_operator_norm", counted_sup)
     bundle = solve_full(F, H)
     assert bundle.success and bundle.k == 4
-    assert len(evals) == 18 and len(sups) == 5
+    assert len(evals) == 12 and len(sups) == 5
+    assert evals.count((4, 6)) == 1 and evals.count((4, 1)) == 1
     # R (1 x 15) is never evaluated, and each v_i (15 x 1) once, for sup_v
     assert (1, 15) not in evals and evals.count((15, 1)) == 4
+    assert evals.count((1, 1)) == 4 and evals.count((6, 1)) == 2
+
+
+def test_one_svd_per_hypothesis_check_and_per_solve(monkeypatch):
+    F, H = _ladder_462()
+    calls = {"svd": 0, "pinv": 0}
+    svd, pinv = np.linalg.svd, np.linalg.pinv
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(np.linalg, "svd", counted("svd", svd))
+    monkeypatch.setattr(np.linalg, "pinv", counted("pinv", pinv))
+    hyp = corona.check_hypotheses(F, H)
+    assert calls == {"svd": 1, "pinv": 0}
+    assert hyp.passed_range and hyp.k_detected == 4
+    # the report keeps the stacks it evaluated, read-only
+    for vals, M in ((hyp.F_vals, F), (hyp.H_vals, H)):
+        assert not vals.flags.writeable
+        assert vals.tobytes() == M.eval(DiscGrid.default().point_array).tobytes()
+    calls.update(svd=0)
+    assert solve_full(F, H).success
+    assert calls == {"svd": 1, "pinv": 0}
 
 
 def test_build_Gi_shape_validation():

@@ -76,9 +76,12 @@ def test_eval_outside_disc_warns_but_evaluates():
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         val = S(1, 1).eval(2.0)
-    assert val.tolist() == [[3 + 0j]]
-    assert len(caught) == 1
-    assert "outside the unit disc" in str(caught[0].message)
+        stack = S(1, 1).eval([0.5, 2.0])
+    assert val.tolist() == [[3 + 0j]] and stack.tolist() == [[[1.5 + 0j]], [[3 + 0j]]]
+    assert len(caught) == 2
+    for w in caught:
+        # the warning points at the line that asked for the evaluation
+        assert "outside the unit disc" in str(w.message) and w.filename == __file__
 
 
 def test_from_rows_takes_numbers_and_coefficient_sequences():
@@ -132,6 +135,50 @@ def test_stacked_eval_is_bitwise_the_scalar_horner(seed):
     assert stack.tobytes() == reference.tobytes()
     norms = slice_norms(stack[:, :, :1])
     assert norms.tobytes() == np.array([np.linalg.norm(s) for s in stack[:, :, :1]]).tobytes()
+
+
+def _python_horner_untrimmed(p, z):
+    """The scalar loop over every stored coefficient: a zero of either sign
+    inside p steps like any other coefficient."""
+    acc = 0j
+    for c in reversed(p.tolist()):
+        acc = acc * complex(z) + c
+    return acc
+
+
+def test_eval_keeps_point_shapes_signed_zeros_and_padded_rows():
+    # -0.0 coefficients, a row whose entries are padded with trailing zeros
+    # up to the matrix degree, and a column that is a signed zero throughout
+    M = PolyMatrix(np.array([
+        [[1, -0.0, 2j, 0.5], [-0.0, 0, 0, 0]],
+        [[0.25, -1j, 0, 0], [complex(-0.0, -0.0), complex(0.0, -0.0), 0, 0]],
+    ], dtype=complex))
+    grid = DiscGrid.default()
+    # the grid's point array is built once, read-only, from its points
+    assert grid.point_array is grid.point_array and not grid.point_array.flags.writeable
+    assert grid.point_array.tolist() == list(grid.points)
+    stack = M.eval(grid.point_array)
+    assert stack.shape == (len(grid), 2, 2) and stack.flags.c_contiguous
+    reference = np.array(
+        [[[_python_horner_untrimmed(M.coeffs[i, j], z) for j in range(2)] for i in range(2)]
+         for z in grid.points]
+    )
+    assert stack.tobytes() == reference.tobytes()
+    assert stack.tobytes() == M.eval(grid.points).tobytes()
+    # the padded row evaluates bitwise as the row on its own
+    row = M.submatrix(slice(1, 2), slice(0, 2))
+    assert row.max_degree == 1
+    assert row.eval(grid.point_array)[:, 0].tobytes() == stack[:, 1].tobytes()
+    # one point, as a number or a 0-d array, gives one (rows, cols) matrix
+    z0 = grid.points[77]
+    for z in (z0, np.asarray(z0)):
+        one = M.eval(z)
+        assert one.shape == (2, 2) and one.tobytes() == stack[77].tobytes()
+    # a 2-D array of points gives its shape followed by (rows, cols)
+    square = M.eval(grid.point_array.reshape(10, 64))
+    assert square.shape == (10, 64, 2, 2)
+    assert square.tobytes() == stack.tobytes()
+    assert M.eval(np.zeros((0, 3))).shape == (0, 3, 2, 2)
 
 
 def test_slice_norms_match_numpy_for_every_length():

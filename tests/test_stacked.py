@@ -17,14 +17,17 @@ from koszul.corona import HypothesisReport, check_hypotheses, pointwise_min_norm
 from koszul.detk import det_k, det_k_gram
 from koszul.fixtures import load_fixture
 from koszul.opdet import numeric_rank
-from koszul.poly import DiscGrid, PolyMatrix, max_operator_norm, slice_norms
+from koszul.poly import DiscGrid, PolyMatrix, slice_norms
 
 
-def rank_ref(A):
-    s = np.linalg.svd(A, compute_uv=False) if A.size else np.zeros(0)
+def rank_of_singular_values_ref(s):
     if len(s) == 0 or s[0] == 0:
         return 0
     return int(np.sum(s > 1e-10 * s[0]))
+
+
+def rank_ref(A):
+    return rank_of_singular_values_ref(np.linalg.svd(A, compute_uv=False) if A.size else np.zeros(0))
 
 
 def det_k_ref(B, k):
@@ -114,15 +117,21 @@ def test_single_matrix_keeps_its_scalar_types(P, m, d):
 
 
 def hypotheses_ref(F, H, grid):
-    """check_hypotheses as one computation per grid point."""
+    """check_hypotheses as one computation per grid point.
+
+    Rank and norm read each point's singular values from the SVD that its
+    pseudo-inverse takes, np.linalg.svd(Fz.conj(), full_matrices=False);
+    the compute_uv=False values can differ from those in the last bit.
+    """
     F_vals, H_vals = F.eval(grid.points), H.eval(grid.points)
-    k = max((rank_ref(Fz) for Fz in F_vals), default=0)
+    sing = [np.linalg.svd(Fz.conj(), full_matrices=False)[1] for Fz in F_vals]
+    k = max((rank_of_singular_values_ref(s) for s in sing), default=0)
     margins = []
     for Fz, Hz in zip(F_vals, H_vals):
         dk = det_k_gram_ref(Fz, k) if k >= 1 else 0.0
         margins.append(max(dk, 0.0) ** 1.5 - float(np.max(np.abs(Hz))))
     imin = int(np.argmin(margins))
-    norm_est = max_operator_norm(F_vals)
+    norm_est = max((float(s.max(initial=0.0)) for s in sing), default=0.0)
     residuals = [pointwise_ref(Fz, Hz.reshape(-1))[1] for Fz, Hz in zip(F_vals, H_vals)]
     imax = int(np.argmax(residuals))
     sup_H = float(slice_norms(H_vals).max())
@@ -136,6 +145,7 @@ def hypotheses_ref(F, H, grid):
         passed_minor_bound=margins[imin] >= -1e-12,
         passed_norm=abs(norm_est - 1.0) <= 1e-6,
         passed_range=residuals[imax] <= 1e-8 * sup_H,
+        F_vals=F_vals, H_vals=H_vals,
     )
 
 
