@@ -8,6 +8,7 @@ Exit codes: 0 all checks passed, 1 a check failed, 2 invalid input.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 
@@ -54,7 +55,9 @@ def _solver_options(p: argparse.ArgumentParser) -> None:
                    help="degree cap for solved coefficient vectors")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and shared by every later one."""
     ap = argparse.ArgumentParser(prog="koszul", description=__doc__)
     ap.add_argument("--version", action="version", version=f"koszul {__version__}")
     sub = ap.add_subparsers(dest="command", required=True)

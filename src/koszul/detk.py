@@ -62,23 +62,36 @@ def elementary_symmetric(values, k: int) -> complex:
     return e[k]
 
 
-def det_k_eigen_oracle(B, k: int) -> float:
-    """Oracle: e_k of the eigenvalues of a Hermitian matrix."""
+def det_k_eigen_oracle(B, k: int):
+    """Oracle: e_k of the eigenvalues of a Hermitian matrix.
+
+    A (..., m, m) stack takes one eigvalsh call and gives an array, one
+    value per slice; e_k is then summed slice by slice on Python scalars.
+    """
     A = _as_square(B)
-    eig = np.linalg.eigvalsh((A + A.conj().T) / 2)
-    return float(elementary_symmetric(eig, k).real)
+    eig = np.linalg.eigvalsh((A + A.conj().swapaxes(-1, -2)) / 2)
+    vals = [float(elementary_symmetric(e, k).real) for e in eig.reshape(-1, eig.shape[-1])]
+    return vals[0] if A.ndim == 2 else np.reshape(vals, eig.shape[:-1])
 
 
-def det_k_minor_sum_oracle(F_point, k: int) -> float:
-    """Oracle: squared moduli of all k x k minors of F (rows x columns)."""
+def det_k_minor_sum_oracle(F_point, k: int):
+    """Oracle: squared moduli of all k x k minors of F (rows x columns).
+
+    Every minor of every slice of a (..., m, d) stack comes from one det
+    call; each slice then sums abs(minor) ** 2 in canonical tuple order
+    (row tuple, then column tuple), giving one value per slice.
+    """
     F = np.atleast_2d(np.asarray(F_point, dtype=complex))
-    m, d = F.shape
+    m, d = F.shape[-2:]
     if k > m or k > d:
-        return 0.0
-    total = 0.0
-    for rho in enumerate_tuples(m, k):
-        rows = F[[r - 1 for r in rho], :]
-        for gamma in enumerate_tuples(d, k):
-            sub = rows[:, [c - 1 for c in gamma]]
-            total += abs(np.linalg.det(sub)) ** 2
-    return total
+        return 0.0 if F.ndim == 2 else np.zeros(F.shape[:-2])
+    rho = np.array(enumerate_tuples(m, k), dtype=int) - 1
+    gamma = np.array(enumerate_tuples(d, k), dtype=int) - 1
+    minors = np.linalg.det(F[..., rho[:, None, :, None], gamma[None, :, None, :]])
+    totals = []
+    for dets in minors.reshape(-1, len(rho) * len(gamma)):
+        total = 0.0
+        for x in dets:
+            total += abs(x) ** 2
+        totals.append(total)
+    return totals[0] if F.ndim == 2 else np.reshape(totals, F.shape[:-2])

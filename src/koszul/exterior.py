@@ -9,8 +9,11 @@ built once per (d, n) and kept.  The solve applies a polynomial row's
 operator only through :func:`lower`, a signed gather, convolution and
 scatter over that table that forms no operator; :func:`q_matrix` scatters
 the row into the dense operator for the identities and the test oracles,
-and the raising operator is its conjugate transpose.  All signs come from
-:func:`koszul.combinat.insertion_sign`, and replacing it rebuilds each table.
+and the raising operator is its conjugate transpose.  The identities take
+one row or a (B, d) stack of numeric rows, whose operators come from the
+same scatter in one step, and each slice's result is bitwise that of its
+row alone.  All signs come from :func:`koszul.combinat.insertion_sign`,
+and replacing it rebuilds each table.
 """
 
 from __future__ import annotations
@@ -73,20 +76,33 @@ def _lowering_table(d: int, n: int):
     return table
 
 
+def _lowering(a: np.ndarray, n: int) -> np.ndarray:
+    """Lowering operators of a (..., d) stack of numeric rows, one per slice.
+
+    Returns a (..., C(d, n), C(d, n + 1)) array: each row's entries are
+    scattered into the signed pattern of the memoised
+    :func:`_lowering_table`, added into zeros so that a -0.0 entry lands as
+    +0.0.  Every stacked operator here and in :mod:`koszul.opdet` comes from
+    this scatter, so a replaced sign convention reaches all of them.
+    """
+    row, col, sign, p, shape = _lowering_table(a.shape[-1], n)
+    mat = np.zeros(a.shape[:-1] + shape, dtype=complex)
+    mat[..., row, col] += sign * a[..., p]
+    return mat
+
+
 def q_matrix(a, n: int):
     """Degree-lowering operator of a row: degree n+1 -> degree n.
 
     Entries are 0 or signed row entries: a numeric row gives a numpy
     array, a polynomial row a PolyMatrix.  For n = 0 the operator is the
-    row itself as a 1 x d matrix.  The signed pattern comes from the
-    memoised :func:`_lowering_table`; the row's entries are scattered into
-    it in one step, added into zeros so that a -0.0 entry lands as +0.0.
+    row itself as a 1 x d matrix.  Both are :func:`_lowering` of the row;
+    a polynomial row is lowered as the stack of its Taylor coefficients.
     """
     a = _row_array(a)
-    row, col, sign, p, shape = _lowering_table(len(a), n)
-    mat = np.zeros(shape + a.shape[1:], dtype=complex)
-    mat[row, col] += sign.reshape((-1,) + (1,) * (a.ndim - 1)) * a[p]
-    return mat if a.ndim == 1 else PolyMatrix(mat)
+    if a.ndim == 1:
+        return _lowering(a, n)
+    return PolyMatrix(np.ascontiguousarray(np.moveaxis(_lowering(a.T, n), 0, -1)))
 
 
 def lower(a, x, n: int, transpose: bool = False) -> np.ndarray:
@@ -116,37 +132,50 @@ def q_star_matrix(a, n: int) -> np.ndarray:
     return q_matrix(np.asarray(a, dtype=complex), n).conj().T
 
 
-def clifford_residual(a, n: int) -> float:
+def _spectral_norms(M: np.ndarray):
+    """np.linalg.norm(M, 2) of a matrix (a float) or of each slice of a stack."""
+    norms = np.linalg.svd(M, compute_uv=False).max(axis=-1)
+    return float(norms) if M.ndim == 2 else norms
+
+
+def _adjoint(M: np.ndarray) -> np.ndarray:
+    return M.conj().swapaxes(-1, -2)
+
+
+def clifford_residual(a, n: int):
     """Residual of Q_n* Q_n + Q_{n+1} Q_{n+1}* = |a|^2 I on degree n+1.
 
     Contract: at most 1e-10 * |a|^2 for any nonzero a with n + 2 <= d.
+    A (B, d) stack of rows gives a (B,) array, each entry bitwise the
+    residual of its row alone; any zero row raises ValueError.
     """
     av = np.asarray(list(a), dtype=complex)
-    if not np.any(av):
+    if not np.all(np.any(av, axis=-1)):
         raise ValueError("row must be nonzero")
-    d = len(av)
+    d = av.shape[-1]
     if n + 2 > d:
         raise ValueError(f"need n+2 <= d, got n={n}, d={d}")
-    Qn = q_matrix(av, n)
-    Qn1 = q_matrix(av, n + 1)
-    norm2 = float(np.vdot(av, av).real)
+    Qn = _lowering(av, n)
+    Qn1 = _lowering(av, n + 1)
+    norm2 = np.array([float(np.vdot(x, x).real) for x in av.reshape(-1, d)])
     I = np.eye(comb(d, n + 1))
-    return float(np.linalg.norm(Qn.conj().T @ Qn + Qn1 @ Qn1.conj().T - norm2 * I, 2))
+    scaled_I = norm2.reshape(av.shape[:-1] + (1, 1)) * I
+    return _spectral_norms(_adjoint(Qn) @ Qn + Qn1 @ _adjoint(Qn1) - scaled_I)
 
 
-def contraction_anticommute_residual(a, b, n: int) -> float:
+def contraction_anticommute_residual(a, b, n: int):
     """Residual of Q_a^(n) Q_b^(n+1) = -Q_b^(n) Q_a^(n+1).
 
-    Contract: at most 1e-12 * |a| * |b|; exactly zero when a == b.
+    Contract: at most 1e-12 * |a| * |b|; exactly zero when a == b.  Two
+    (B, d) stacks of rows give a (B,) array, bitwise one pair at a time.
     """
-    av = np.asarray(list(a), dtype=complex)
-    bv = np.asarray(list(b), dtype=complex)
-    d = len(av)
+    av, bv = np.asarray(list(a), dtype=complex), np.asarray(list(b), dtype=complex)
+    d = av.shape[-1]
     if n + 2 > d:
         raise ValueError(f"need n+2 <= d, got n={n}, d={d}")
-    lhs = q_matrix(av, n) @ q_matrix(bv, n + 1)
-    rhs = q_matrix(bv, n) @ q_matrix(av, n + 1)
-    return float(np.linalg.norm(lhs + rhs, 2))
+    lhs = _lowering(av, n) @ _lowering(bv, n + 1)
+    rhs = _lowering(bv, n) @ _lowering(av, n + 1)
+    return _spectral_norms(lhs + rhs)
 
 
 def exact_compose(A: np.ndarray, B: np.ndarray) -> np.ndarray:
@@ -156,14 +185,19 @@ def exact_compose(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     cancellation this package's exact-zero checks rely on.  Splitting into
     real components keeps every elementwise product correctly rounded and
     symmetric in its operands, so term pairs that are opposite in exact
-    arithmetic stay opposite in floating point and sum to exact zeros.
+    arithmetic stay opposite in floating point, and an entry whose nonzero
+    terms are such a pair sums to an exact zero.  The terms are added one
+    inner index at a time, so (..., r, s) and (..., s, t) stacks compose
+    slice by slice with no (r, s, t) temporary.
     """
-    Ar, Ai = np.ascontiguousarray(A.real), np.ascontiguousarray(A.imag)
-    Br, Bi = np.ascontiguousarray(B.real), np.ascontiguousarray(B.imag)
-    a_r, a_i = Ar[:, :, None], Ai[:, :, None]
-    b_r, b_i = Br[None, :, :], Bi[None, :, :]
-    re = (a_r * b_r - a_i * b_i).sum(axis=1)
-    im = (a_r * b_i + a_i * b_r).sum(axis=1)
+    Ar, Ai, Br, Bi = A.real, A.imag, B.real, B.imag
+    re = np.zeros(A.shape[:-1] + B.shape[-1:])
+    im = np.zeros_like(re)
+    for j in range(A.shape[-1]):
+        a_r, a_i = Ar[..., :, j, None], Ai[..., :, j, None]
+        b_r, b_i = Br[..., None, j, :], Bi[..., None, j, :]
+        re += a_r * b_r - a_i * b_i
+        im += a_r * b_i + a_i * b_r
     return re + 1j * im
 
 
@@ -173,10 +207,20 @@ def range_kernel_composition(a, n: int) -> np.ndarray:
     Identically zero: the raised range sits inside the next kernel.  Each
     entry is a sum of at most two exactly-opposite products, so the result
     is bitwise zero and callers may compare against zero without tolerance.
+    A (B, d) stack of rows gives one composition per row.
     """
-    up1 = q_star_matrix(a, n)
-    up2 = q_star_matrix(a, n + 1)
+    av = np.asarray(a, dtype=complex)
+    up1 = _adjoint(_lowering(av, n))
+    up2 = _adjoint(_lowering(av, n + 1))
     return exact_compose(up2, up1)
+
+
+def _chain(rows, lowering):
+    """rows[0] . Q_{rows[1]}^(1) ... Q_{rows[k-1]}^(k-1), each factor from ``lowering``."""
+    out = lowering(rows[0], 0)
+    for s in range(1, len(rows)):
+        out = out @ lowering(rows[s], s)
+    return out
 
 
 def chain_row(rows):
@@ -190,7 +234,26 @@ def chain_row(rows):
     rows = list(rows)
     if not rows:
         raise ValueError("need at least one row")
-    out = q_matrix(rows[0], 0)
-    for s in range(1, len(rows)):
-        out = out @ q_matrix(rows[s], s)
-    return out
+    return _chain(rows, q_matrix)
+
+
+def chain_rows(A: np.ndarray) -> np.ndarray:
+    """:func:`chain_row` of the rows of each slice of a numeric (..., k, d) stack.
+
+    Returns (..., 1, C(d, k)), every slice bitwise ``chain_row(list(A[b]))``.
+    """
+    return _chain([A[..., s, :] for s in range(A.shape[-2])], _lowering)
+
+
+def chain_gram_residual(A):
+    """Relative residual of |chain_row(rows of A)|^2 = det(A A*).
+
+    A is a k x d numeric matrix (a float) or a (B, k, d) stack (a (B,)
+    array, each entry bitwise its slice's residual).  Contract: ~1e-8.
+    """
+    A = np.asarray(A, dtype=complex)
+    R = chain_rows(A)
+    lhs = (R @ _adjoint(R))[..., 0, 0].real
+    rhs = np.linalg.det(A @ _adjoint(A)).real
+    res = abs(lhs - rhs) / np.maximum(abs(rhs), 1e-300)
+    return float(res) if A.ndim == 2 else res

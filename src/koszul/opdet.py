@@ -5,7 +5,8 @@ products taken strictly in row order; blocks need not commute, so the
 order is part of the definition.  Block (j, k) maps the space with
 signature index j+1 into the space with index j: every block in row j
 shares its source and target, and each column just selects which operator
-sits in that slot.
+sits in that slot.  The block-determinant identities take one case or a
+stack of cases, whose blocks carry a leading case axis.
 
 The numeric rank rule used by the grid checks lives here too, as one
 function of the singular values: :func:`numeric_rank` applies it to a
@@ -22,7 +23,8 @@ from math import factorial
 import numpy as np
 
 from .errors import PreconditionError
-from .exterior import chain_row, q_matrix
+from .exterior import _lowering, chain_rows
+from .poly import slice_norms
 
 #: Relative singular-value threshold for numeric rank decisions.
 RANK_RTOL = 1e-10
@@ -34,7 +36,9 @@ class BlockOperatorMatrix:
 
     ``signature`` lists the n+1 space dimensions; block (j, k) must have
     shape (signature[j], signature[j+1]), which makes every row-ordered
-    product of one block per row composable.
+    product of one block per row composable.  Blocks may also be stacks
+    (..., signature[j], signature[j+1]) with common leading axes: only the
+    last two dims are validated, and the products run slice by slice.
     """
 
     blocks: tuple[tuple[object, ...], ...]
@@ -52,7 +56,7 @@ class BlockOperatorMatrix:
                 raise ValueError(f"row {j} has {len(row)} blocks, expected {n}")
             want = (self.signature[j], self.signature[j + 1])
             for k, b in enumerate(row):
-                if b.shape != want:
+                if b.shape[-2:] != want:
                     raise ValueError(
                         f"block ({j},{k}) has shape {b.shape}, expected {want}"
                     )
@@ -60,9 +64,9 @@ class BlockOperatorMatrix:
     @classmethod
     def from_rows(cls, rows) -> "BlockOperatorMatrix":
         rows = tuple(tuple(r) for r in rows)
-        signature = [rows[0][0].shape[0]]
+        signature = [rows[0][0].shape[-2]]
         for row in rows:
-            signature.append(row[0].shape[1])
+            signature.append(row[0].shape[-1])
         return cls(rows, tuple(signature))
 
     @property
@@ -118,47 +122,55 @@ def numeric_rank(A: np.ndarray):
     return int(ranks) if A.ndim == 2 else ranks
 
 
-def _scalar_top_blocks(scalars):
-    return [np.array([[complex(s)]]) for s in scalars]
+def _frobenius(M: np.ndarray):
+    """np.linalg.norm(M) of a matrix (a float) or of each slice of a stack."""
+    norms = slice_norms(M.reshape((-1,) + M.shape[-2:]))
+    return float(norms[0]) if M.ndim == 2 else norms
 
 
-def _mixed_block_matrix(top_scalars, f_rows) -> BlockOperatorMatrix:
-    """Block matrix with a scalar first row, then f rows, then their
-    degree-lowering operators of increasing degree."""
-    cols = len(top_scalars)
-    p = cols - 1
-    d = len(f_rows[0])
-    rows = [_scalar_top_blocks(top_scalars)]
-    rows.append([np.asarray(f, dtype=complex).reshape(1, d) for f in f_rows])
-    for s in range(1, p):
-        rows.append([q_matrix(f, s) for f in f_rows])
+def _mixed_block_matrix(h: np.ndarray, f: np.ndarray) -> BlockOperatorMatrix:
+    """Block matrix with the scalars h as its first row, then the rows f,
+    then their degree-lowering operators of increasing degree.
+
+    h is (..., p+1) and f is (..., p+1, d); every block carries the leading
+    axes, and each slice's block is laid out as for a single matrix.
+    """
+    lead, cols, d = f.shape[:-2], f.shape[-2], f.shape[-1]
+    rows = [[np.ascontiguousarray(h[..., c]).reshape(lead + (1, 1)) for c in range(cols)],
+            [np.ascontiguousarray(f[..., c, :]).reshape(lead + (1, d)) for c in range(cols)]]
+    for s in range(1, cols - 1):
+        rows.append([_lowering(f[..., c, :], s) for c in range(cols)])
     return BlockOperatorMatrix.from_rows(rows)
 
 
-def top_row_expansion_residual(h_scalars, f_rows) -> float:
+def top_row_expansion_residual(h_scalars, f_rows):
     """Residual of the scalar-top-row determinant identity.
 
     The determinant of the mixed block matrix (scalars, rows, then their
     lowering operators) collapses to p! times an alternating expansion in
     which each scalar multiplies the ordered chain of the remaining rows.
     Holds for arbitrary complex data; contract is ~1e-9 at unit scale.
+    p+1 scalars and p+1 rows give a float; a (B, p+1) stack of scalars
+    with a (B, p+1, d) stack of rows gives a (B,) array, each entry
+    bitwise the residual of its slice alone.
     """
-    h = [complex(x) for x in h_scalars]
-    p = len(h) - 1
+    h = np.asarray(h_scalars, dtype=complex)
+    f = np.asarray(f_rows, dtype=complex)
+    p = h.shape[-1] - 1
     if p < 1:
         raise ValueError("need at least two columns")
-    if len(f_rows) != p + 1:
+    if f.shape[-2] != p + 1:
         raise ValueError("need one row per scalar")
-    d = len(f_rows[0])
+    d = f.shape[-1]
     if p > d:
         raise ValueError(f"need p <= d, got p={p}, d={d}")
-    lhs = operator_det(_mixed_block_matrix(h, f_rows))
-    rhs = h[0] * chain_row(f_rows[1:])
+    lhs = operator_det(_mixed_block_matrix(h, f))
+    rhs = h[..., 0, None, None] * chain_rows(f[..., 1:, :])
     for l in range(1, p + 1):
-        rest = [f_rows[0]] + [f_rows[c] for c in range(1, p + 1) if c != l]
-        rhs = rhs + ((-1) ** l) * h[l] * chain_row(rest)
+        rest = [0] + [c for c in range(1, p + 1) if c != l]
+        rhs = rhs + ((-1) ** l) * h[..., l, None, None] * chain_rows(f[..., rest, :])
     rhs = factorial(p) * rhs
-    return float(np.linalg.norm(lhs - rhs))
+    return _frobenius(lhs - rhs)
 
 
 def rank_vanishing_det(F_point: np.ndarray, u: np.ndarray, pi) -> np.ndarray:
@@ -166,27 +178,35 @@ def rank_vanishing_det(F_point: np.ndarray, u: np.ndarray, pi) -> np.ndarray:
 
     For the p+1 rows selected by pi, with F of rank at most p, the result
     vanishes.  Returned raw so callers can probe the full-rank case too.
+    A (B, m, d) stack of F with a (B, d) stack of u gives one determinant
+    per slice; pi is one tuple for every slice or a (B, p+1) array of them.
     """
     F = np.asarray(F_point, dtype=complex)
-    u = np.asarray(u, dtype=complex).reshape(-1)
-    pi = list(pi)
-    H = F @ u
-    scalars = [H[i - 1] for i in pi]
-    rows = [F[i - 1] for i in pi]
+    u = np.asarray(u, dtype=complex).reshape(F.shape[:-2] + (-1, 1))
+    H = (F @ u)[..., 0]
+    idx = np.broadcast_to(np.asarray(pi) - 1, F.shape[:-2] + np.shape(pi)[-1:])
+    scalars = np.take_along_axis(H, idx, axis=-1)
+    rows = np.take_along_axis(F, idx[..., None], axis=-2)
     return operator_det(_mixed_block_matrix(scalars, rows))
 
 
-def rank_vanishing_residual(F_point: np.ndarray, u: np.ndarray, pi) -> float:
+def rank_vanishing_residual(F_point: np.ndarray, u: np.ndarray, pi):
     """Norm of :func:`rank_vanishing_det` under the rank-deficiency precondition.
 
     Requires numeric rank of F at most p = len(pi) - 1; raises
     PreconditionError otherwise so callers can skip rather than misreport.
+    Stacks as :func:`rank_vanishing_det` does, giving a (B,) array; the
+    precondition is checked on every whole F, and one slice failing it
+    raises for the stack.
     """
     F = np.asarray(F_point, dtype=complex)
-    p = len(list(pi)) - 1
+    p = np.shape(pi)[-1] - 1
     s = np.linalg.svd(F, compute_uv=False)
-    if len(s) > p and s[0] > 0 and s[p] > RANK_RTOL * s[0]:
-        raise PreconditionError(
-            f"rank precondition failed: sigma_{p + 1}/sigma_1 = {s[p] / s[0]:.3e}"
-        )
-    return float(np.linalg.norm(rank_vanishing_det(F, u, pi)))
+    if s.shape[-1] > p:
+        failed = (s[..., 0] > 0) & (s[..., p] > RANK_RTOL * s[..., 0])
+        if np.any(failed):
+            ratio = np.extract(failed, s[..., p] / s[..., 0])[0]
+            raise PreconditionError(
+                f"rank precondition failed: sigma_{p + 1}/sigma_1 = {ratio:.3e}"
+            )
+    return _frobenius(rank_vanishing_det(F, u, pi))
