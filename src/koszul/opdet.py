@@ -125,7 +125,7 @@ def numeric_rank(A: np.ndarray):
 def _frobenius(M: np.ndarray):
     """np.linalg.norm(M) of a matrix (a float) or of each slice of a stack."""
     norms = slice_norms(M.reshape((-1,) + M.shape[-2:]))
-    return float(norms[0]) if M.ndim == 2 else norms
+    return float(norms[0]) if M.ndim == 2 else norms.reshape(M.shape[:-2])
 
 
 def _mixed_block_matrix(h: np.ndarray, f: np.ndarray) -> BlockOperatorMatrix:
