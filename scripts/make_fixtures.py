@@ -126,7 +126,7 @@ def main():
         if fx.fixture_id == "f1b":
             print(f"{fx.fixture_id}: concat partner, no hypothesis target")
             continue
-        hyp = check_hypotheses(fx.F, fx.H, fx.grid or DiscGrid.default())
+        hyp = check_hypotheses(fx.F, fx.H, fx.grid)
         print(
             f"{fx.fixture_id}: k={hyp.k_detected} min_margin={hyp.min_margin:.3e} "
             f"norm={hyp.norm_estimate:.12f} range_resid={hyp.max_range_residual:.2e} "

@@ -19,9 +19,9 @@ from koszul.fixtures import load_fixture  # noqa: E402
 from koszul.poly import DiscGrid  # noqa: E402
 
 GRIDS = {
-    "coarse": DiscGrid.make([0.3, 0.6, 0.9], 16),
+    "coarse": DiscGrid([0.3, 0.6, 0.9], 16),
     "default": DiscGrid.default(),
-    "fine": DiscGrid.make([0.1 * i for i in range(1, 10)] + [0.95, 0.99], 128),
+    "fine": DiscGrid([0.1 * i for i in range(1, 10)] + [0.95, 0.99], 128),
 }
 CAPS = (2, 6, 12, 20)
 

@@ -6,7 +6,11 @@ Usage: scripts/snapshot_outputs.py OUTDIR
 Runs, in process, `check` and `solve --out --csv` on f0-f3, `concat f1
 f1b`, `radical f1` with `--n 1` and `--n 2` (against the G that `solve`
 wrote for f1; the second fails its precondition and exits 1), `alpha --t
-0.5`, `bound --m 3 --k 2` and `identities --seed 0`.  Each command's
+0.5`, `bound --m 3 --k 2` and `identities --seed 0`.  Two grids other than
+the default one are covered too: `check` and `solve --csv` of f1 with
+`--grid-radii 0.3,0.6,0.9 --grid-angles 32`, and `check` of
+`f1_grid.json`, a copy of f1 with its own `grid` block that the script
+writes into OUTDIR first.  Each command's
 stdout goes to `<name>.json` with the report timestamp blanked, the
 written G files and residual CSVs sit beside them, and `exit_codes.txt`
 lists each command's exit code.
@@ -20,6 +24,7 @@ snapshots taken from two checkouts compare bitwise with one `diff -r`.
 
 import contextlib
 import io
+import json
 import pathlib
 import re
 import sys
@@ -38,6 +43,9 @@ TIMESTAMP = re.compile(r'("timestamp": )"[^"]*"')
 #: (m, d, deg F) of the ladder bundles, and their seeds.
 LADDER_RUNGS = ((2, 3, 2), (3, 4, 2), (4, 5, 2), (4, 6, 2), (5, 6, 1), (3, 5, 1), (5, 8, 1))
 LADDER_SEEDS = (0, 1, 2)
+#: The flags of the f1 runs on a coarse grid, and the grid of the f1 copy.
+GRID_FLAGS = ["--grid-radii", "0.3,0.6,0.9", "--grid-angles", "32"]
+FIXTURE_GRID = {"radii": [0.25, 0.5, 0.75, 0.9], "angles": 48}
 
 
 def commands(out: pathlib.Path):
@@ -53,6 +61,12 @@ def commands(out: pathlib.Path):
     yield "alpha_t0.5", ["alpha", "--t", "0.5"]
     yield "bound_m3_k2", ["bound", "--m", "3", "--k", "2"]
     yield "identities_seed0", ["identities", "--seed", "0"]
+    yield "check_f1_grid32", ["check", fx["f1"], *GRID_FLAGS]
+    yield "solve_f1_grid32", ["solve", fx["f1"], *GRID_FLAGS,
+                              "--csv", str(out / "residuals_f1_grid32.csv")]
+    tree = json.loads(pathlib.Path(fx["f1"]).read_text())
+    (out / "f1_grid.json").write_text(json.dumps({**tree, "grid": FIXTURE_GRID}, indent=2))
+    yield "check_f1_fixture_grid", ["check", str(out / "f1_grid.json")]
 
 
 def _exact(M) -> str:

@@ -99,14 +99,14 @@ def offdiagonal_annihilation_check(
     full detected rank.
     """
     m, d = F.shape
-    F_vals = F.eval(grid.point_array)
+    F_vals = F.eval(grid.points)
     ranks = numeric_rank(F_vals)
     if k is None:
         k = int(ranks.max())
     # row j times G_i as a 1 x d by d x 1 product per point, which takes the
     # same dot-product kernel as multiplying one row at a time
     others = [j - 1 for j in range(1, m + 1) if j != i]
-    products = np.matmul(F_vals[:, others, None, :], G_i.eval(grid.point_array)[:, None])
+    products = np.matmul(F_vals[:, others, None, :], G_i.eval(grid.points)[:, None])
     included_max, argmax = 0.0, None
     excluded = []
     for z, full_rank, row in zip(grid.points, (ranks >= k).tolist(),
@@ -169,7 +169,8 @@ def solve_full(
     than raised, and so is an assembled G whose residual fails
     ``residual_ok``.
     """
-    grid = grid or DiscGrid.default()
+    if grid is None:
+        grid = DiscGrid.default()
     hyp = check_hypotheses(F, H, grid, norm_mode=norm_mode)
     m, d = F.shape
     k = hyp.k_detected
@@ -196,7 +197,7 @@ def solve_full(
         h = H.submatrix(slice(i - 1, i), slice(0, 1))
         cap = degree_cap if degree_cap is not None else 2 * max(F.max_degree, h.max_degree) + 4
         row_tol = tol if tol is not None else default_tolerance(hyp.H_vals[:, i - 1, 0])
-        sol = scalar_corona_solve(R, h, cap, tol=row_tol, grid=grid)
+        sol = scalar_corona_solve(R, h, cap, row_tol, grid)
         solutions.append(sol)
         if not sol.success:
             failed.append(i)
@@ -205,7 +206,7 @@ def solve_full(
     G = parts[0]
     for p in parts[1:]:
         G = G + p
-    residuals = slice_norms(hyp.F_vals @ G.eval(grid.point_array) - hyp.H_vals).tolist()
+    residuals = slice_norms(hyp.F_vals @ G.eval(grid.points) - hyp.H_vals).tolist()
     imax = int(np.argmax(residuals))
     sup_v = tuple(s.sup_v for s in solutions)
     binom = comb(m - 1, k - 1)
@@ -256,24 +257,26 @@ def radical_necessary_check(
     if G.shape != (F.cols, 1):
         raise ValueError(f"G must be {F.cols} x 1 to multiply F ({F.rows} x {F.cols}), "
                          f"got {G.shape[0]} x {G.shape[1]}")
-    grid = grid or DiscGrid.default()
+    if grid is None:
+        grid = DiscGrid.default()
     m = F.rows
     # each entry's power by repeated convolution of its trimmed coefficients
     one = np.ones(1, dtype=complex)
     Hn = PolyMatrix.from_rows(
         [[reduce(np.convolve, [trimmed(h)] * n, one)] for h in H.coeffs[:, 0]]
     )
-    F_vals, Hn_vals = F.eval(grid.point_array), Hn.eval(grid.point_array)
-    pre_resid = float(slice_norms(F_vals @ G.eval(grid.point_array) - Hn_vals).max())
+    F_vals, G_vals, Hn_vals = F.eval(grid.points), G.eval(grid.points), Hn.eval(grid.points)
+    pre_resid = float(slice_norms(F_vals @ G_vals - Hn_vals).max())
     sup_Hn = float(slice_norms(Hn_vals).max())
     if pre_resid > 1e-6 * max(sup_Hn, 1.0):
         raise PreconditionError(
             f"F G = H^{n} fails on the grid: residual {pre_resid:.3e}"
         )
-    sup_G = sup_operator_norm(G, grid)
+    # G is d x 1, so its pointwise spectral norm is the Euclidean norm of G_vals
+    sup_G = float(slice_norms(G_vals).max())
     C = sup_G ** 2
     dk = det_k_gram(F_vals, 1).tolist()
-    h_max = np.abs(H.eval(grid.point_array)).max(axis=(1, 2)).tolist()
+    h_max = np.abs(H.eval(grid.points)).max(axis=(1, 2)).tolist()
     margins = [C * a - b ** (2 * n) for a, b in zip(dk, h_max)]
     imin = int(np.argmin(margins))
     return RadicalReport(

@@ -109,8 +109,8 @@ def _resolve_grid(args, fixture) -> DiscGrid:
     radii, angles = args.grid_radii, args.grid_angles
     if radii is None and angles is None:
         return base
-    return DiscGrid.make(radii if radii is not None else list(base.radii),
-                         angles if angles is not None else base.angles)
+    return DiscGrid(radii if radii is not None else base.radii,
+                    angles if angles is not None else base.angles)
 
 
 def _grid_params(grid: DiscGrid) -> dict:

@@ -13,9 +13,13 @@ The stacked chain row over all k-tuples of row indices depends on F and k
 alone, so a solve builds it once, by :func:`koszul.exterior.lower` steps
 that form no operator, and solves it against each scalar target for
 polynomial coefficients: a search with a degree cap, so a miss is reported.
-Each solve is checked on the grid values of its residual polynomial
+The scalar solve takes its grid and tolerance from the caller, which for
+:func:`koszul.assemble.solve_full` are the checked grid and a tolerance
+read off the H stack the check kept; only the entry points default the
+grid.  Each solve is checked on the grid values of its residual polynomial
 R v - h, so neither R nor v is evaluated for the check, and sup_v, the
-grid sup of a column, is a Euclidean norm per point with no SVD.
+grid sup of a column, is a Euclidean norm per point with no SVD.  A
+solve's verdict is its coefficient report's, read through ``success``.
 """
 
 from __future__ import annotations
@@ -130,10 +134,11 @@ def check_hypotheses(
         raise ValueError(f"H must be {F.rows} x 1, got {H.shape}")
     if norm_mode not in ("strict", "inequality"):
         raise ValueError(f"unknown norm mode {norm_mode!r}")
-    grid = grid or DiscGrid.default()
+    if grid is None:
+        grid = DiscGrid.default()
 
-    F_vals = F.eval(grid.point_array)
-    H_vals = H.eval(grid.point_array)
+    F_vals = F.eval(grid.points)
+    H_vals = H.eval(grid.points)
     F_vals.flags.writeable = H_vals.flags.writeable = False
 
     # one SVD per grid: the rank rule, the operator-norm estimate (the
@@ -194,17 +199,20 @@ def corona_row(F: PolyMatrix, k: int) -> PolyMatrix:
 @dataclass(frozen=True)
 class ScalarSolveResult:
     v: PolyMatrix  # stacked C(m,k)*C(d,k) x 1 solution, canonical tuple order
-    success: bool
     sup_v: float
     solve_report: CoefficientSolveReport
+
+    @property
+    def success(self) -> bool:
+        return self.solve_report.success
 
 
 def scalar_corona_solve(
     R: PolyMatrix,
     h_target: PolyMatrix,
     degree_cap: int,
-    tol: float | None = None,
-    grid: DiscGrid | None = None,
+    tol: float,
+    grid: DiscGrid,
 ) -> ScalarSolveResult:
     """Solve R . v = h for polynomial coefficients of v.
 
@@ -214,11 +222,5 @@ def scalar_corona_solve(
     """
     if h_target.shape != (1, 1):
         raise ValueError(f"target must be scalar, got {h_target.shape}")
-    grid = grid or DiscGrid.default()
-    if tol is None:
-        tol = default_tolerance(h_target.eval(grid.point_array)[:, 0, 0])
-    v, rep = coefficient_match_solve(R, h_target, degree_cap=degree_cap, tol=tol, grid=grid)
-    return ScalarSolveResult(
-        v=v, success=rep.success,
-        sup_v=sup_operator_norm(v, grid), solve_report=rep,
-    )
+    v, rep = coefficient_match_solve(R, h_target, degree_cap, tol, grid)
+    return ScalarSolveResult(v=v, sup_v=sup_operator_norm(v, grid), solve_report=rep)

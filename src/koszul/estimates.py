@@ -88,10 +88,10 @@ def alpha_hypothesis_check(
     if h.shape != (1, 1):
         raise ValueError(f"h must be scalar, got shape {h.shape}")
 
-    F_vals = F.eval(grid.point_array)
+    F_vals = F.eval(grid.points)
     gram = (F_vals @ F_vals.conj().swapaxes(1, 2))[:, 0, 0].real.tolist()
     margins = []
-    for z, t, hz in zip(grid.points, gram, h.eval(grid.point_array)[:, 0, 0].tolist()):
+    for z, t, hz in zip(grid.points, gram, h.eval(grid.points)[:, 0, 0].tolist()):
         if t > 1 + 1e-9:
             raise PreconditionError(f"F is not normalized: F(z)F(z)* = {t} at z = {z}")
         t = min(max(t, 0.0), 1.0)

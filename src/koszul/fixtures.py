@@ -127,7 +127,7 @@ def parse_fixture(obj: dict) -> Fixture:
             if not _is_number(r):
                 raise ValueError(f"grid.radii[{i}] must be a number, got {r!r}")
         try:
-            grid = DiscGrid.make(radii, angles)
+            grid = DiscGrid(radii, angles)
         except ValueError as exc:
             raise ValueError(f"bad grid parameters: {exc}")
     return Fixture(

@@ -202,11 +202,10 @@ def rank_vanishing_residual(F_point: np.ndarray, u: np.ndarray, pi):
     F = np.asarray(F_point, dtype=complex)
     p = np.shape(pi)[-1] - 1
     s = np.linalg.svd(F, compute_uv=False)
-    if s.shape[-1] > p:
-        failed = (s[..., 0] > 0) & (s[..., p] > RANK_RTOL * s[..., 0])
-        if np.any(failed):
-            ratio = np.extract(failed, s[..., p] / s[..., 0])[0]
-            raise PreconditionError(
-                f"rank precondition failed: sigma_{p + 1}/sigma_1 = {ratio:.3e}"
-            )
+    failed = rank_from_singular_values(s) > p
+    if np.any(failed):
+        first = s[failed][0]
+        raise PreconditionError(
+            f"rank precondition failed: sigma_{p + 1}/sigma_1 = {first[p] / first[0]:.3e}"
+        )
     return _frobenius(rank_vanishing_det(F, u, pi))

@@ -7,12 +7,14 @@ grid evaluations are array operations on it.  A scalar, such as one
 target entry, is a 1 x 1 matrix; :func:`trimmed` gives one entry's
 coefficients for file I/O and entrywise arithmetic.
 Matrices are evaluated on finite grids inside the disc, by one Horner
-sweep with the points on the last axis over a grid's cached point array;
-every supremum reported by this package is a grid maximum and therefore
-a lower estimate of the true sup over the disc.  The pointwise norm of a
-single row or column is its Euclidean norm, so a vector's sup needs no
-SVD, and a coefficient solve is checked on the grid values of its
-residual polynomial A x - b.
+sweep with the points on the last axis over a grid's ``points`` array.
+A :class:`DiscGrid` is its radii and angle count; it checks them and
+builds its points once, at construction, so no grid in use is empty and
+every sweep reads the same read-only array.  Every supremum reported by
+this package is a grid maximum and therefore a lower estimate of the
+true sup over the disc.  The pointwise norm of a single row or column is
+its Euclidean norm, so a vector's sup needs no SVD, and a coefficient
+solve is checked on the grid values of its residual polynomial A x - b.
 """
 
 from __future__ import annotations
@@ -198,51 +200,43 @@ class PolyMatrix:
 
 @dataclass(frozen=True)
 class DiscGrid:
-    """A finite sample of points strictly inside the unit disc.
+    """``angles`` equispaced points on each of ``radii``, strictly inside the unit disc.
 
-    ``points[q + angles * r_index]`` walks each circle in angle order, which
-    is the aggregation order for every per-point report.
+    The grid is its two fields; ``points`` is built once from them as a
+    read-only complex array, r * exp(2 pi i q / angles) with q running
+    fastest, so ``points[q + angles * r_index]`` walks each circle in angle
+    order, which is the aggregation order for every per-point report.  An
+    empty radius list, a radius outside [0, 1), fewer than one angle or a
+    point that rounds onto the circle raises ValueError.
     """
 
-    points: tuple[complex, ...]
     radii: tuple[float, ...]
     angles: int
 
     def __post_init__(self):
-        for z in self.points:
-            if abs(z) >= 1:
-                raise ValueError(f"grid point {z} is not inside the unit disc")
-
-    @classmethod
-    def make(cls, radii, angles: int) -> "DiscGrid":
-        radii = tuple(float(r) for r in radii)
-        if angles <= 0:
-            raise ValueError("angle count must be positive")
+        radii = tuple(float(r) for r in self.radii)
+        if not radii:
+            raise ValueError("grid needs at least one radius")
         for r in radii:
             if not 0 <= r < 1:
                 raise ValueError(f"radius {r} is not in [0, 1)")
-        pts = tuple(
-            r * cmath.exp(2j * cmath.pi * q / angles) for r in radii for q in range(angles)
-        )
-        return cls(pts, radii, angles)
+        if self.angles < 1:
+            raise ValueError(f"angle count must be positive, got {self.angles}")
+        z = np.array([r * cmath.exp(2j * cmath.pi * q / self.angles)
+                      for r in radii for q in range(self.angles)], dtype=complex)
+        # np.hypot rounds as abs(complex) does; np.abs can differ in the last bit
+        outside = z[np.hypot(z.real, z.imag) >= 1]
+        if outside.size:
+            raise ValueError(f"grid point {outside[0]} is not inside the unit disc")
+        z.flags.writeable = False
+        object.__setattr__(self, "radii", radii)
+        object.__setattr__(self, "points", z)
 
     @classmethod
     @functools.cache
     def default(cls) -> "DiscGrid":
         """The 640-point grid: 64 angles on radii 0.1, ..., 0.9 and 0.95, built once."""
-        radii = [round(0.1 * i, 1) for i in range(1, 10)] + [0.95]
-        return cls.make(radii, 64)
-
-    @functools.cached_property
-    def point_array(self) -> np.ndarray:
-        """The points as a read-only complex array, built once per grid.
-
-        Every grid sweep evaluates on this array rather than converting the
-        tuple again; per-point reports still quote ``points``.
-        """
-        z = np.array(self.points, dtype=complex)
-        z.flags.writeable = False
-        return z
+        return cls([round(0.1 * i, 1) for i in range(1, 10)] + [0.95], 64)
 
     def __len__(self):
         return len(self.points)
@@ -283,9 +277,7 @@ def sup_operator_norm(M: PolyMatrix, grid: DiscGrid) -> float:
     only increase it.  The spectral norm of a single row or column is its
     Euclidean norm, so a vector needs no SVD.
     """
-    if len(grid) == 0:
-        raise ValueError("grid is empty")
-    vals = M.eval(grid.point_array)
+    vals = M.eval(grid.points)
     if 1 in M.shape:
         return float(slice_norms(vals).max())
     return max_operator_norm(vals)
@@ -305,7 +297,7 @@ def coefficient_match_solve(
     b: PolyMatrix,
     degree_cap: int,
     tol: float,
-    grid: DiscGrid | None = None,
+    grid: DiscGrid,
 ) -> tuple[PolyMatrix, CoefficientSolveReport]:
     """Least-squares x with A(z) x(z) = b(z), x entries of degree <= degree_cap.
 
@@ -320,7 +312,6 @@ def coefficient_match_solve(
         raise ValueError(f"incompatible shapes: A {A.shape}, b {b.shape}")
     if degree_cap < 0:
         raise ValueError("degree_cap must be non-negative")
-    grid = grid or DiscGrid.default()
     # block (i, j) is the convolution matrix of entry A[i, j]: row s + n,
     # column s holds coefficient n, for every unknown coefficient s; a
     # target of higher degree than the cap can reach adds zero rows
@@ -334,9 +325,7 @@ def coefficient_match_solve(
     rhs[:, :b.max_degree + 1] = b.coeffs[:, 0]
     sol, _, rank, _ = np.linalg.lstsq(M, rhs.reshape(-1), rcond=LSTSQ_RCOND)
     x = PolyMatrix(sol.reshape(A.cols, 1, width))
-    resid = 0.0
-    if len(grid):
-        resid = float(slice_norms((A @ x - b).eval(grid.point_array)).max())
+    resid = float(slice_norms((A @ x - b).eval(grid.points)).max())
     report = CoefficientSolveReport(
         residual=resid, tol=tol, success=resid <= tol,
         system_shape=M.shape, lstsq_rank=int(rank),

@@ -20,7 +20,7 @@ def grid():
 
 @pytest.fixture(scope="session")
 def small_grid():
-    return DiscGrid.make([0.2, 0.5, 0.8], 8)
+    return DiscGrid([0.2, 0.5, 0.8], 8)
 
 
 @pytest.fixture(scope="session")

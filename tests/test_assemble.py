@@ -97,7 +97,7 @@ def test_build_Gi_hand_expanded_diagonal_two_by_two(small_grid):
     c1, c2 = 0.6, -0.8
     F = PolyMatrix.from_rows([[P(c1), P(0)], [P(0), P(c2)]])
     h = PolyMatrix.from_rows([[P(0.1, 0.05)]])
-    res = scalar_corona_solve(corona_row(F, 2), h, 6, grid=small_grid)
+    res = scalar_corona_solve(corona_row(F, 2), h, 6, 1e-8, small_grid)
     assert res.success
     G1 = build_Gi(F, res.v, i=1, k=2)
     for z in small_grid.points[:6]:
@@ -143,6 +143,32 @@ def test_build_Gi_matches_factorial_selector_determinant(m, d):
             n = max(got.max_degree, want.max_degree) + 1
             diff = np.abs(coeff_array(got, n) - coeff_array(want, n)).max()
             assert diff <= 1e-12 * np.abs(coeff_array(want, n)).max(), (k, i)
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 5])
+def test_build_Gi_chains_are_signed_minors(k):
+    # independent of every lowering operator: with m = k the one tuple holds
+    # i at position i - 1, so G_i(e_tau) is (-1)^(i-1) k! times column tau of
+    # the chain Q_{r_1}^(1) ... Q_{r_{k-1}}^(k-1) over r = the rows without i,
+    # whose entry (p, tau) is (-1)^(k(k-1)/2) (-1)^(pos of p in tau)
+    # det F(z)[r, tau without p], and 0 when p is not in tau
+    r = rng(70 + k)
+    zs = DiscGrid.default().points[r.choice(640, size=3, replace=False)]
+    for d in range(k, 8):
+        F = random_poly_matrix(r, k, d, 2)
+        i = int(r.integers(1, k + 1))
+        rows = [j - 1 for j in range(1, k + 1) if j != i]
+        taus = enumerate_tuples(d, k)
+        basis = np.eye(len(taus), dtype=complex)[:, :, None, None]
+        got = np.stack([build_Gi(F, PolyMatrix(e), i, k).eval(zs)[:, :, 0] for e in basis], -1)
+        scale = (-1) ** (i - 1) * factorial(k) * (-1) ** (k * (k - 1) // 2)
+        for Fz, Gz in zip(F.eval(zs), got):
+            want = np.zeros((d, len(taus)), dtype=complex)
+            for c, tau in enumerate(taus):
+                for pos, p in enumerate(tau):
+                    cols = [t - 1 for t in tau if t != p]
+                    want[p - 1, c] = scale * (-1) ** pos * np.linalg.det(Fz[np.ix_(rows, cols)])
+            assert np.abs(Gz - want).max() <= 1e-13 * np.abs(want).max(), (k, d)
 
 
 def test_solve_full_forms_no_dense_operator(monkeypatch):
@@ -228,7 +254,7 @@ def test_one_svd_per_hypothesis_check_and_per_solve(monkeypatch):
     # the report keeps the stacks it evaluated, read-only
     for vals, M in ((hyp.F_vals, F), (hyp.H_vals, H)):
         assert not vals.flags.writeable
-        assert vals.tobytes() == M.eval(DiscGrid.default().point_array).tobytes()
+        assert vals.tobytes() == M.eval(DiscGrid.default().points).tobytes()
     calls.update(svd=0)
     assert solve_full(F, H).success
     assert calls == {"svd": 1, "pinv": 0}
@@ -274,7 +300,7 @@ def test_solve_full_diagonal_constant_fixture(small_grid):
 
 
 def test_solve_full_flags_range_failure():
-    grid = DiscGrid.make([0.0, 0.4], 8)
+    grid = DiscGrid([0.0, 0.4], 8)
     F = PolyMatrix.from_rows([[P(0, 1), P(0)]])
     H = PolyMatrix.from_rows([[P(1)]])
     bundle = solve_full(F, H, grid)

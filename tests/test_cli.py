@@ -282,6 +282,28 @@ def test_grid_override_flags():
     assert rep["params"]["grid"] == {"radii": [0.2, 0.6], "angles": 16, "points": 32}
 
 
+@pytest.mark.parametrize("grid,message", [
+    ({"radii": [], "angles": 64}, "bad grid parameters: grid needs at least one radius"),
+    ({"radii": [0.5], "angles": 0}, "bad grid parameters: angle count must be positive, got 0"),
+])
+def test_a_fixture_grid_with_no_points_exits_2(tmp_path, grid, message):
+    # an empty fixture grid is malformed input, not a request for the default grid
+    G = tmp_path / "G.json"
+    assert run_cli(["solve", F1, "--out", str(G)])[0] == 0
+    tree = json.loads(open(F1).read())
+    tree["grid"] = grid
+    path = tmp_path / "no_points.json"
+    path.write_text(json.dumps(tree))
+    for argv in (["check", str(path)], ["solve", str(path)],
+                 ["radical", str(path), "--n", "1", "--g", str(G)]):
+        assert run_cli(argv) == (2, "", f"error: {message}\n"), argv[0]
+
+
+def test_grid_flags_with_no_points_exit_2():
+    code, out, err = run_cli(["check", F1, "--grid-angles", "0"])
+    assert (code, out) == (2, "") and "angle count must be positive, got 0" in err
+
+
 def test_corrupted_sign_convention_is_caught(monkeypatch):
     # mutation probe for the battery itself.  A global sign flip is a
     # symmetry of the algebra, so flatten the signs to +1 instead: that

@@ -151,8 +151,16 @@ def test_rank_vanishing_full_rank_probe_is_nonvacuous():
 def test_rank_vanishing_precondition_reported():
     r = rng(11)
     F = cmat(r, 3, 4)  # full rank, violates the rank <= p hypothesis
-    with pytest.raises(PreconditionError):
+    s = np.linalg.svd(F, compute_uv=False)
+    with pytest.raises(PreconditionError, match=f"sigma_3/sigma_1 = {s[2] / s[0]:.3e}$"):
         rank_vanishing_residual(F, cvec(r, 4), (1, 2, 3))
+    # in a stack the message quotes the first slice that fails; a zero
+    # slice and a rank-2 slice pass
+    low = cmat(r, 3, 2) @ cmat(r, 2, 4)
+    stack = np.stack([np.zeros((3, 4)), low, F, 2 * F])
+    with pytest.raises(PreconditionError, match=f"= {s[2] / s[0]:.3e}$"):
+        rank_vanishing_residual(stack, cmat(r, 4, 4), (1, 2, 3))
+    assert rank_vanishing_residual(stack[:2], cmat(r, 2, 4), (1, 2, 3)).shape == (2,)
 
 
 def test_numeric_rank():

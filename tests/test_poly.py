@@ -1,3 +1,5 @@
+import cmath
+import dataclasses
 import math
 from functools import reduce
 
@@ -154,28 +156,25 @@ def test_eval_keeps_point_shapes_signed_zeros_and_padded_rows():
         [[0.25, -1j, 0, 0], [complex(-0.0, -0.0), complex(0.0, -0.0), 0, 0]],
     ], dtype=complex))
     grid = DiscGrid.default()
-    # the grid's point array is built once, read-only, from its points
-    assert grid.point_array is grid.point_array and not grid.point_array.flags.writeable
-    assert grid.point_array.tolist() == list(grid.points)
-    stack = M.eval(grid.point_array)
+    stack = M.eval(grid.points)
     assert stack.shape == (len(grid), 2, 2) and stack.flags.c_contiguous
     reference = np.array(
         [[[_python_horner_untrimmed(M.coeffs[i, j], z) for j in range(2)] for i in range(2)]
          for z in grid.points]
     )
     assert stack.tobytes() == reference.tobytes()
-    assert stack.tobytes() == M.eval(grid.points).tobytes()
+    assert stack.tobytes() == M.eval(grid.points.tolist()).tobytes()
     # the padded row evaluates bitwise as the row on its own
     row = M.submatrix(slice(1, 2), slice(0, 2))
     assert row.max_degree == 1
-    assert row.eval(grid.point_array)[:, 0].tobytes() == stack[:, 1].tobytes()
+    assert row.eval(grid.points)[:, 0].tobytes() == stack[:, 1].tobytes()
     # one point, as a number or a 0-d array, gives one (rows, cols) matrix
     z0 = grid.points[77]
     for z in (z0, np.asarray(z0)):
         one = M.eval(z)
         assert one.shape == (2, 2) and one.tobytes() == stack[77].tobytes()
     # a 2-D array of points gives its shape followed by (rows, cols)
-    square = M.eval(grid.point_array.reshape(10, 64))
+    square = M.eval(grid.points.reshape(10, 64))
     assert square.shape == (10, 64, 2, 2)
     assert square.tobytes() == stack.tobytes()
     assert M.eval(np.zeros((0, 3))).shape == (0, 3, 2, 2)
@@ -279,14 +278,45 @@ def test_default_grid_is_built_once():
 
 
 def test_grid_rejects_bad_radii():
+    with pytest.raises(ValueError, match="radius 1.0 is not in"):
+        DiscGrid([1.0], 8)
+    with pytest.raises(ValueError, match="radius -0.1 is not in"):
+        DiscGrid([0.5, -0.1], 8)
+    with pytest.raises(ValueError, match="angle count must be positive"):
+        DiscGrid([0.5], 0)
+    # the largest double below 1 is a valid radius, but at 289 angles one
+    # of its points rounds onto the unit circle
+    assert len(DiscGrid([0.9999999999999999], 64)) == 64
+    with pytest.raises(ValueError, match="is not inside the unit disc"):
+        DiscGrid([0.9999999999999999], 289)
+
+
+def test_grid_rejects_empty_radii():
+    with pytest.raises(ValueError, match="at least one radius"):
+        DiscGrid((), 1)
+    with pytest.raises(ValueError, match="at least one radius"):
+        DiscGrid([], 64)
+
+
+def test_grid_is_its_radii_and_angles():
+    assert [f.name for f in dataclasses.fields(DiscGrid)] == ["radii", "angles"]
+    g = DiscGrid([0, 0.5], 3)
+    assert g.radii == (0.0, 0.5) and all(type(r) is float for r in g.radii)
+    assert g == DiscGrid((0.0, 0.5), 3) and hash(g) == hash(DiscGrid((0.0, 0.5), 3))
+    assert g != DiscGrid([0.0, 0.5], 4)
+    # one read-only complex array, each point bitwise the scalar expression
+    # r * exp(2 pi i q / angles), angles fastest
+    assert g.points.dtype == complex and not g.points.flags.writeable
+    want = [r * cmath.exp(2j * cmath.pi * q / 3) for r in (0.0, 0.5) for q in range(3)]
+    assert g.points.tobytes() == np.array(want, dtype=complex).tobytes()
     with pytest.raises(ValueError):
-        DiscGrid.make([1.0], 8)
-    with pytest.raises(ValueError):
-        DiscGrid.make([0.5], 0)
+        g.points[0] = 0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        g.angles = 4
 
 
 def test_sup_norm_examples():
-    g9 = DiscGrid.make([0.3, 0.6, 0.9], 32)
+    g9 = DiscGrid([0.3, 0.6, 0.9], 32)
     one = PolyMatrix.from_rows([[P(1)]])
     assert sup_operator_norm(one, g9) == pytest.approx(1.0)
     z = PolyMatrix.from_rows([[P(0, 1)]])
@@ -353,24 +383,17 @@ def test_sup_norm_of_a_matrix_stays_the_spectral_norm(shape):
 
 
 def test_sup_norm_monotone_in_grid():
-    small = DiscGrid.make([0.2, 0.5], 16)
-    big = DiscGrid.make([0.2, 0.5, 0.9], 16)
+    small = DiscGrid([0.2, 0.5], 16)
+    big = DiscGrid([0.2, 0.5, 0.9], 16)
     M = PolyMatrix.from_rows([[P(0.3, 0.7), P(0, 0, 0.4)]])
     assert sup_operator_norm(M, big) >= sup_operator_norm(M, small)
-
-
-def test_sup_norm_rejects_empty_grid():
-    g = DiscGrid((), (), 1)
-    M = PolyMatrix.from_rows([[P(1)]])
-    with pytest.raises(ValueError):
-        sup_operator_norm(M, g)
 
 
 def test_coefficient_match_identity_system():
     h = P(0.3, -0.2, 0.1j)
     A = PolyMatrix.from_rows([[P(1)]])
     b = PolyMatrix.from_rows([[h]])
-    x, rep = coefficient_match_solve(A, b, degree_cap=4, tol=1e-10)
+    x, rep = coefficient_match_solve(A, b, 4, 1e-10, DiscGrid.default())
     assert rep.success
     assert rep.residual <= 1e-12
     assert trimmed(x.coeffs[0, 0]).tolist() == h
@@ -380,7 +403,7 @@ def test_coefficient_match_bezout_pair():
     # z * 1 + (1 - z) * 1 = 1
     A = PolyMatrix.from_rows([[P(0, 1), P(1, -1)]])
     b = PolyMatrix.from_rows([[P(1)]])
-    x, rep = coefficient_match_solve(A, b, degree_cap=3, tol=1e-10)
+    x, rep = coefficient_match_solve(A, b, 3, 1e-10, DiscGrid.default())
     assert rep.success
     assert rep.residual <= 1e-10
     for z in (0.1, 0.5j, -0.7):
@@ -394,7 +417,7 @@ def test_coefficient_match_constructed_factor_system():
     A = PolyMatrix.from_rows([[f1, f2]])
     x_known = PolyMatrix.from_rows([[P(0)], [f2]])
     b = A @ x_known
-    x, rep = coefficient_match_solve(A, b, degree_cap=8, tol=1e-8)
+    x, rep = coefficient_match_solve(A, b, 8, 1e-8, DiscGrid.default())
     assert rep.success
     assert rep.residual <= 1e-8
 
@@ -403,11 +426,12 @@ def test_coefficient_match_reports_miss_without_raising():
     # 1 = z * x has no polynomial solution at any cap
     A = PolyMatrix.from_rows([[P(0, 1)]])
     b = PolyMatrix.from_rows([[P(1)]])
-    x, rep = coefficient_match_solve(A, b, degree_cap=6, tol=1e-8)
+    x, rep = coefficient_match_solve(A, b, 6, 1e-8, DiscGrid.default())
     assert not rep.success
     assert rep.residual > 1e-3
     # a target of higher degree than A times the cap can reach is a miss too
-    x, rep = coefficient_match_solve(A, PolyMatrix.from_rows([[P(0, 0, 0, 0, 1)]]), 1, 1e-8)
+    x, rep = coefficient_match_solve(A, PolyMatrix.from_rows([[P(0, 0, 0, 0, 1)]]), 1, 1e-8,
+                                     DiscGrid.default())
     assert not rep.success and rep.system_shape == (5, 2)
 
 
@@ -453,7 +477,7 @@ def test_coefficient_match_shape_errors():
     A = PolyMatrix.from_rows([[P(1)]])
     b = PolyMatrix.from_rows([[P(1)], [P(2)]])
     with pytest.raises(ValueError):
-        coefficient_match_solve(A, b, degree_cap=2, tol=1e-8)
+        coefficient_match_solve(A, b, 2, 1e-8, DiscGrid.default())
 
 
 @given(st.integers(0, 3), st.data())
@@ -468,5 +492,5 @@ def test_constructed_systems_solve_within_cap(deg, data):
         [[rng.standard_normal(deg + 1) + 1j * rng.standard_normal(deg + 1)] for _ in range(c)]
     )
     b = A @ x_known
-    _, rep = coefficient_match_solve(A, b, degree_cap=max(deg, 1), tol=1e-8)
+    _, rep = coefficient_match_solve(A, b, max(deg, 1), 1e-8, DiscGrid.default())
     assert rep.residual <= 1e-8

@@ -195,7 +195,7 @@ DEGENERATE = {
 def test_check_hypotheses_matches_the_per_point_loop_on_degenerate_input(case):
     F_rows, H_rows = DEGENERATE[case]
     F, H = PolyMatrix.from_rows(F_rows), PolyMatrix.from_rows(H_rows)
-    grid = DiscGrid.make([0.0, 0.3, 0.9], 16)
+    grid = DiscGrid([0.0, 0.3, 0.9], 16)
     assert check_hypotheses(F, H, grid) == hypotheses_ref(F, H, grid)
 
 
