@@ -9,9 +9,10 @@ zero.  On a tuple that contains i the determinant collapses, by the
 anticommutation of the lowering operators, to a signed, (k-1)!-scaled
 ordered chain of the tuple's other rows, applied right to left to the
 block one :func:`koszul.exterior.lower` step at a time, which forms no
-operator.  G is the sum of the G_i.  A solve evaluates F and H once, in
-the hypothesis check, and reads each row's default tolerance and the final
-residual from the stacks the check keeps.
+operator.  G is the sum of the G_i; its cross terms f_j G_i (j != i)
+vanish at full rank, by the battery's ``rank_vanishing`` identity, so only
+F G = H is measured.  A solve evaluates F and H once, in the hypothesis
+check, and reads row tolerances and the final residual off its stacks.
 """
 
 from __future__ import annotations
@@ -35,8 +36,11 @@ from .detk import det_k_gram
 from .errors import PreconditionError
 from .estimates import K_constant
 from .exterior import lower
-from .opdet import numeric_rank
 from .poly import DiscGrid, PolyMatrix, slice_norms, sup_operator_norm, trimmed
+
+ASSEMBLY_RTOL = 1e-6  # largest F G - H residual, relative to the grid sup of |H|
+RADICAL_PRECONDITION_RTOL = 1e-6  # largest F G - H^n residual, relative to max(sup |H^n|, 1)
+RADICAL_MARGIN_FLOOR = -1e-10  # the radical check passes if its smallest margin is at least this
 
 
 def build_Gi(F: PolyMatrix, v_i: PolyMatrix, i: int, k: int) -> PolyMatrix:
@@ -83,47 +87,6 @@ def norm_bound(m: int, k: int) -> float:
 
 
 @dataclass(frozen=True)
-class OffdiagReport:
-    max_residual: float
-    argmax_point: complex | None
-    excluded_points: tuple[complex, ...]
-
-
-def offdiagonal_annihilation_check(
-    F: PolyMatrix, G_i: PolyMatrix, i: int, grid: DiscGrid, k: int | None = None
-) -> OffdiagReport:
-    """Grid maximum of |f_j(z) . G_i(z)| over rows j != i.
-
-    Points where the numeric rank of F(z) drops below k are excluded from
-    the maximum and listed, since the vanishing argument only applies at
-    full detected rank.
-    """
-    m, d = F.shape
-    F_vals = F.eval(grid.points)
-    ranks = numeric_rank(F_vals)
-    if k is None:
-        k = int(ranks.max())
-    # row j times G_i as a 1 x d by d x 1 product per point, which takes the
-    # same dot-product kernel as multiplying one row at a time
-    others = [j - 1 for j in range(1, m + 1) if j != i]
-    products = np.matmul(F_vals[:, others, None, :], G_i.eval(grid.points)[:, None])
-    included_max, argmax = 0.0, None
-    excluded = []
-    for z, full_rank, row in zip(grid.points, (ranks >= k).tolist(),
-                                 products[:, :, 0, 0].tolist()):
-        if not full_rank:
-            excluded.append(z)
-            continue
-        for c in row:
-            val = abs(c)
-            if val > included_max:
-                included_max, argmax = val, z
-    return OffdiagReport(
-        max_residual=included_max, argmax_point=argmax, excluded_points=tuple(excluded)
-    )
-
-
-@dataclass(frozen=True)
 class SolutionBundle:
     """Everything solve_full produces for one instance."""
 
@@ -148,7 +111,7 @@ class SolutionBundle:
     def success(self) -> bool:
         return self.failure is None and not self.failed_rows
 
-    def residual_ok(self, rel: float = 1e-6) -> bool:
+    def residual_ok(self, rel: float = ASSEMBLY_RTOL) -> bool:
         return self.max_residual <= rel * max(self.hypothesis_report.sup_H, 1e-300)
 
 
@@ -268,7 +231,7 @@ def radical_necessary_check(
     F_vals, G_vals, Hn_vals = F.eval(grid.points), G.eval(grid.points), Hn.eval(grid.points)
     pre_resid = float(slice_norms(F_vals @ G_vals - Hn_vals).max())
     sup_Hn = float(slice_norms(Hn_vals).max())
-    if pre_resid > 1e-6 * max(sup_Hn, 1.0):
+    if pre_resid > RADICAL_PRECONDITION_RTOL * max(sup_Hn, 1.0):
         raise PreconditionError(
             f"F G = H^{n} fails on the grid: residual {pre_resid:.3e}"
         )
@@ -287,7 +250,7 @@ def radical_necessary_check(
         min_margin=float(margins[imin]),
         argmin_point=grid.points[imin],
         precondition_residual=pre_resid,
-        passed=margins[imin] >= -1e-10,
+        passed=margins[imin] >= RADICAL_MARGIN_FLOOR,
     )
 
 

@@ -13,10 +13,11 @@ import math
 import sys
 
 from . import __version__
-from .assemble import concat_solve, norm_bound, radical_necessary_check, solve_full
-from .corona import check_hypotheses
+from .assemble import (ASSEMBLY_RTOL, RADICAL_MARGIN_FLOOR, RADICAL_PRECONDITION_RTOL,
+                       concat_solve, norm_bound, radical_necessary_check, solve_full)
+from .corona import MINOR_MARGIN_FLOOR, NORM_TOL, RANGE_RTOL, check_hypotheses
 from .errors import PreconditionError
-from .estimates import AlphaParams, K_constant, alpha, alpha_hypothesis_check
+from .estimates import ALPHA_MARGIN_FLOOR, AlphaParams, K_constant, alpha, alpha_hypothesis_check
 from .fixtures import load_fixture, load_solution, save_solution
 from .poly import DiscGrid
 from .report import check_block, dumps_report, make_report, write_csv
@@ -133,15 +134,15 @@ def _cmd_identities(args) -> int:
 def _hypothesis_checks(hyp) -> dict:
     return {
         "minor_bound": check_block(
-            hyp.passed_minor_bound, -1e-12,
+            hyp.passed_minor_bound, MINOR_MARGIN_FLOOR,
             min_margin=hyp.min_margin, argmin_point=hyp.argmin_margin_point,
         ),
         "multiplier_norm": check_block(
-            hyp.passed_norm, 1e-6,
+            hyp.passed_norm, NORM_TOL,
             estimate=hyp.norm_estimate, mode=hyp.norm_mode,
         ),
         "range_membership": check_block(
-            hyp.passed_range, 1e-8,
+            hyp.passed_range, RANGE_RTOL,
             max_residual=hyp.max_range_residual,
             argmax_point=hyp.argmax_range_point, sup_H=hyp.sup_H,
         ),
@@ -160,7 +161,7 @@ def _cmd_check(args) -> int:
         try:
             amr = alpha_hypothesis_check(fx.F, fx.H, grid)
             extra["alpha_margin"] = check_block(
-                amr.passed, -1e-12,
+                amr.passed, ALPHA_MARGIN_FLOOR,
                 min_margin=amr.min_margin, argmin_point=amr.argmin_point, c=amr.params_c,
             )
         except PreconditionError as exc:
@@ -180,7 +181,7 @@ def _cmd_solve(args) -> int:
     rel = bundle.max_residual / max(bundle.hypothesis_report.sup_H, 1e-300)
     checks = {
         "solve_residual": check_block(
-            bundle.success, 1e-6,
+            bundle.success, ASSEMBLY_RTOL,
             max_residual=bundle.max_residual, mean_residual=bundle.mean_residual,
             relative_residual=rel, argmax_point=bundle.argmax_point,
             failed_rows=list(bundle.failed_rows), failure=bundle.failure,
@@ -212,11 +213,11 @@ def _cmd_radical(args) -> int:
     try:
         rr = radical_necessary_check(fx.F, G, fx.H, args.n, grid)
     except PreconditionError as exc:
-        return _finish("radical", params,
-                       {"precondition": check_block(False, 1e-6, message=str(exc))})
+        precondition = check_block(False, RADICAL_PRECONDITION_RTOL, message=str(exc))
+        return _finish("radical", params, {"precondition": precondition})
     checks = {
         "radical_margin": check_block(
-            rr.passed, -1e-10,
+            rr.passed, RADICAL_MARGIN_FLOOR,
             min_margin=rr.min_margin, argmin_point=rr.argmin_point,
             constant=rr.constant, constant_exponent_2m=rr.constant_exponent_2m,
             precondition_residual=rr.precondition_residual,
@@ -229,6 +230,9 @@ def _cmd_concat(args) -> int:
     fa = load_fixture(args.fixture_a)
     fb = load_fixture(args.fixture_b)
     grid = _resolve_grid(args, fa)
+    if args.grid_radii is None and args.grid_angles is None and fb.grid not in (None, grid):
+        raise ValueError(f"fixture_b grid {_grid_params(fb.grid)} differs from the grid in "
+                         f"use {_grid_params(grid)}; choose one with --grid-radii/--grid-angles")
     res = concat_solve(
         fa.F, fb.F, fa.H, grid,
         degree_cap=args.degree_cap, tol=args.tol, norm_mode=args.norm_mode,
@@ -237,7 +241,7 @@ def _cmd_concat(args) -> int:
     rel = b.max_residual / max(b.hypothesis_report.sup_H, 1e-300)
     checks = {
         "solve_residual": check_block(
-            b.success, 1e-6,
+            b.success, ASSEMBLY_RTOL,
             max_residual=b.max_residual, relative_residual=rel,
             argmax_point=b.argmax_point, failure=b.failure,
         ),

@@ -43,6 +43,10 @@ from .poly import (
     sup_operator_norm,
 )
 
+MINOR_MARGIN_FLOOR = -1e-12  # the minor bound passes if its smallest margin is at least this
+NORM_TOL = 1e-6  # how far the norm estimate may sit from 1, or above it
+RANGE_RTOL = 1e-8  # largest range residual, relative to the grid sup of |H|
+
 
 @dataclass(frozen=True)
 class HypothesisReport:
@@ -154,9 +158,9 @@ def check_hypotheses(
 
     norm_est = float(sing.max(initial=0.0))
     if norm_mode == "strict":
-        passed_norm = abs(norm_est - 1.0) <= 1e-6
+        passed_norm = abs(norm_est - 1.0) <= NORM_TOL
     else:
-        passed_norm = norm_est <= 1.0 + 1e-6
+        passed_norm = norm_est <= 1.0 + NORM_TOL
 
     range_residuals = _min_norm_solution(F_vals, F_pinv, H_vals[..., 0])[1].tolist()
     imax = int(np.argmax(range_residuals))
@@ -173,9 +177,9 @@ def check_hypotheses(
         max_range_residual=float(range_residuals[imax]),
         argmax_range_point=grid.points[imax],
         sup_H=sup_H,
-        passed_minor_bound=margins[imin] >= -1e-12,
+        passed_minor_bound=margins[imin] >= MINOR_MARGIN_FLOOR,
         passed_norm=passed_norm,
-        passed_range=range_residuals[imax] <= 1e-8 * sup_H,
+        passed_range=range_residuals[imax] <= RANGE_RTOL * sup_H,
         F_vals=F_vals,
         H_vals=H_vals,
     )

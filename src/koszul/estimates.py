@@ -19,6 +19,8 @@ from .poly import DiscGrid, PolyMatrix
 
 E_TO_E = math.e ** math.e
 
+ALPHA_MARGIN_FLOOR = -1e-12  # the gauge check passes if its smallest margin is at least this
+
 
 def K_constant() -> float:
     """1 + 4*sqrt(e) + 8*sqrt(2)*e + 72*e^(3/2) in double precision."""
@@ -103,5 +105,5 @@ def alpha_hypothesis_check(
         min_margin=float(margins[imin]),
         argmin_point=grid.points[imin],
         params_c=params.c,
-        passed=margins[imin] >= -1e-12,
+        passed=margins[imin] >= ALPHA_MARGIN_FLOOR,
     )

@@ -7,13 +7,13 @@ polynomials yields an operator with polynomial entries.  Where each entry
 goes, and with which sign, depends only on d and the degree: an index table
 built once per (d, n) and kept.  The solve applies a polynomial row's
 operator only through :func:`lower`, a signed gather, convolution and
-scatter over that table that forms no operator; :func:`q_matrix` scatters
-the row into the dense operator for the identities and the test oracles,
+scatter over that table that forms no operator.  :func:`q_matrix` scatters
+numeric rows into dense operators for the identities and the test oracles,
 and the raising operator is its conjugate transpose.  The identities take
-one row or a (B, d) stack of numeric rows, whose operators come from the
-same scatter in one step, and each slice's result is bitwise that of its
-row alone.  All signs come from :func:`koszul.combinat.insertion_sign`,
-and replacing it rebuilds each table.
+one row or a (B, d) stack of rows, whose operators come from the same
+scatter in one step, and each slice's result is bitwise that of its row
+alone.  All signs come from :func:`koszul.combinat.insertion_sign`, and
+replacing it rebuilds each table.
 """
 
 from __future__ import annotations
@@ -24,19 +24,6 @@ from math import comb
 import numpy as np
 
 from . import combinat
-from .poly import PolyMatrix
-
-
-def _row_array(a) -> np.ndarray:
-    """A row as a (d,) numeric array, or as (d, degree + 1) Taylor coefficients.
-
-    A 1 x d PolyMatrix and a (d, degree + 1) array of coefficients are
-    polynomial rows; a sequence of numbers is numeric.
-    """
-    if isinstance(a, PolyMatrix):
-        (row,) = a.coeffs
-        return row
-    return np.asarray(a, dtype=complex)
 
 
 #: (d, n) -> (the insertion_sign it was built from, its lowering table)
@@ -91,27 +78,22 @@ def _lowering(a: np.ndarray, n: int) -> np.ndarray:
     return mat
 
 
-def q_matrix(a, n: int):
-    """Degree-lowering operator of a row: degree n+1 -> degree n.
+def q_matrix(a, n: int) -> np.ndarray:
+    """Degree-lowering operator of a numeric row, or of each row of a (..., d) stack.
 
-    Entries are 0 or signed row entries: a numeric row gives a numpy
-    array, a polynomial row a PolyMatrix.  For n = 0 the operator is the
-    row itself as a 1 x d matrix.  Both are :func:`_lowering` of the row;
-    a polynomial row is lowered as the stack of its Taylor coefficients.
+    It maps degree n+1 to degree n; entries are 0 or signed row entries,
+    and for n = 0 the operator is the row itself as a 1 x d matrix.
     """
-    a = _row_array(a)
-    if a.ndim == 1:
-        return _lowering(a, n)
-    return PolyMatrix(np.ascontiguousarray(np.moveaxis(_lowering(a.T, n), 0, -1)))
+    return _lowering(np.asarray(a, dtype=complex), n)
 
 
 def lower(a, x, n: int, transpose: bool = False) -> np.ndarray:
-    """``q_matrix(a, n) @ x``, or ``x @ q_matrix(a, n)`` with ``transpose``.
+    """Q @ x, or x @ Q with ``transpose``, for Q the lowering operator of row ``a``.
 
-    ``a`` is a row's (d, degree + 1) coefficients, ``x`` and the result are
-    (rows, cols, degree + 1) arrays.  Each table entry convolves its signed
-    row entry with the x slice it reads (its col, or with ``transpose`` its
-    row) and adds the product into the slice it writes; no operator is formed.
+    ``a`` is a polynomial row's (d, degree + 1) coefficients; ``x`` and the
+    result are (rows, cols, degree + 1) arrays.  Each table entry convolves its
+    signed row entry with the x slice it reads (its col, or with ``transpose``
+    its row) and adds it into the slice it writes; no operator is formed.
     """
     row, col, sign, p, shape = _lowering_table(len(a), n)
     src, dst, axis = (row, col, 1) if transpose else (col, row, 0)
@@ -122,14 +104,6 @@ def lower(a, x, n: int, transpose: bool = False) -> np.ndarray:
         terms[..., q:q + gx.shape[2]] += ga[:, q, None, None] * gx
     np.add.at(out, dst, terms)
     return out.swapaxes(0, axis)
-
-
-def q_star_matrix(a, n: int) -> np.ndarray:
-    """Degree-raising operator w -> conj(a) ^ w: degree n -> degree n+1.
-
-    It is the adjoint of the lowering operator of the same row.
-    """
-    return q_matrix(np.asarray(a, dtype=complex), n).conj().T
 
 
 def _spectral_norms(M: np.ndarray):
@@ -215,26 +189,17 @@ def range_kernel_composition(a, n: int) -> np.ndarray:
     return exact_compose(up2, up1)
 
 
-def _chain(rows, lowering):
-    """rows[0] . Q_{rows[1]}^(1) ... Q_{rows[k-1]}^(k-1), each factor from ``lowering``."""
-    out = lowering(rows[0], 0)
-    for s in range(1, len(rows)):
-        out = out @ lowering(rows[s], s)
-    return out
-
-
 def chain_row(rows):
-    """Ordered product row_1 . Q_{row_2}^(1) ... Q_{row_k}^(k-1).
+    """Ordered product row_1 . Q_{row_2}^(1) ... Q_{row_k}^(k-1) of numeric rows.
 
-    Maps degree k to scalars; returned as a 1 x C(d, k) row, the first
-    factor being Q_{row_1}^(0), the row itself.  Numeric rows give a numpy
-    row, polynomial rows give a PolyMatrix.  Squaring its norm recovers
-    the Gram determinant of the stacked rows.
+    Maps degree k to scalars; returned as a 1 x C(d, k) numpy row, the
+    first factor being Q_{row_1}^(0), the row itself.  Squaring its norm
+    recovers the Gram determinant of the stacked rows.
     """
     rows = list(rows)
     if not rows:
         raise ValueError("need at least one row")
-    return _chain(rows, q_matrix)
+    return chain_rows(np.asarray(rows, dtype=complex))
 
 
 def chain_rows(A: np.ndarray) -> np.ndarray:
@@ -242,7 +207,10 @@ def chain_rows(A: np.ndarray) -> np.ndarray:
 
     Returns (..., 1, C(d, k)), every slice bitwise ``chain_row(list(A[b]))``.
     """
-    return _chain([A[..., s, :] for s in range(A.shape[-2])], _lowering)
+    out = _lowering(A[..., 0, :], 0)
+    for s in range(1, A.shape[-2]):
+        out = out @ _lowering(A[..., s, :], s)
+    return out
 
 
 def chain_gram_residual(A):

@@ -116,10 +116,6 @@ class PolyMatrix:
     def zeros(cls, rows: int, cols: int) -> "PolyMatrix":
         return cls(np.zeros((rows, cols, 1), dtype=complex))
 
-    @classmethod
-    def identity(cls, n: int) -> "PolyMatrix":
-        return cls(np.eye(n, dtype=complex)[:, :, None])
-
     @property
     def rows(self) -> int:
         return self.coeffs.shape[0]
@@ -263,15 +259,8 @@ def slice_norms(stack: np.ndarray) -> np.ndarray:
     return norms
 
 
-def max_operator_norm(stack: np.ndarray) -> float:
-    """Largest spectral norm over the slices of a (P, rows, cols) stack."""
-    if stack.size == 0:
-        return 0.0
-    return float(np.linalg.norm(stack, 2, axis=(1, 2)).max())
-
-
 def sup_operator_norm(M: PolyMatrix, grid: DiscGrid) -> float:
-    """Grid maximum of the pointwise spectral norm of M(z).
+    """Grid maximum of the pointwise spectral norm of M(z), 0.0 if M has no entries.
 
     A lower estimate of the true multiplier norm; adding grid points can
     only increase it.  The spectral norm of a single row or column is its
@@ -280,7 +269,7 @@ def sup_operator_norm(M: PolyMatrix, grid: DiscGrid) -> float:
     vals = M.eval(grid.points)
     if 1 in M.shape:
         return float(slice_norms(vals).max())
-    return max_operator_norm(vals)
+    return float(np.linalg.norm(vals, 2, axis=(1, 2)).max(initial=0.0))
 
 
 @dataclass(frozen=True)

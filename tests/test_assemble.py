@@ -3,13 +3,12 @@ from math import comb, factorial
 import numpy as np
 import pytest
 
-from conftest import cmat, cvec, rng
+from conftest import cmat, cvec, offdiagonal_residual, reference_q_matrix, rng
 from koszul import assemble, corona, exterior
 from koszul.assemble import (
     build_Gi,
     concat_solve,
     norm_bound,
-    offdiagonal_annihilation_check,
     radical_necessary_check,
     solve_full,
 )
@@ -111,12 +110,13 @@ def reference_Gi(F, v_i, i, k):
     m, d = F.shape
     block_len = comb(d, k)
     G = PolyMatrix.zeros(d, 1)
+    eye = PolyMatrix(np.eye(d, dtype=complex)[:, :, None])
     for t, pi in enumerate(enumerate_tuples(m, k)):
         if i not in pi:
             continue
-        rows = [[PolyMatrix.identity(d) if j == i else PolyMatrix.zeros(d, d) for j in pi]]
+        rows = [[eye if j == i else PolyMatrix.zeros(d, d) for j in pi]]
         for s in range(1, k):
-            rows.append([q_matrix(F.coeffs[j - 1], s) for j in pi])
+            rows.append([PolyMatrix(reference_q_matrix(F.coeffs[j - 1], s)) for j in pi])
         block = operator_det(BlockOperatorMatrix.from_rows(rows))
         G = G + block @ v_i.submatrix(slice(t * block_len, (t + 1) * block_len), slice(0, 1))
     return G.scale(float(k))
@@ -344,19 +344,19 @@ def test_offdiagonal_annihilation_orthogonal_rows(small_grid):
     H = PolyMatrix.from_rows([[P(0.01)], [P(0.02)]])
     bundle = solve_full(F, H, small_grid, norm_mode="inequality")
     for i in (1, 2):
-        rep = offdiagonal_annihilation_check(F, bundle.G_parts[i - 1], i, small_grid, k=bundle.k)
-        assert rep.max_residual <= 1e-12
-        assert rep.excluded_points == ()
+        worst, excluded = offdiagonal_residual(F, bundle.G_parts[i - 1], i, small_grid, bundle.k)
+        assert worst <= 1e-12
+        assert excluded == ()
 
 
 def test_offdiagonal_annihilation_excludes_rank_drops(fixtures_by_id, grid):
     fx = fixtures_by_id["f3"]
     bundle = solve_full(fx.F, fx.H, grid)
     assert bundle.success
-    rep = offdiagonal_annihilation_check(fx.F, bundle.G_parts[0], 1, grid, k=bundle.k)
+    worst, excluded = offdiagonal_residual(fx.F, bundle.G_parts[0], 1, grid, bundle.k)
     # the second row vanishes at z = 1/2, which sits on the default grid
-    assert 0.5 + 0j in rep.excluded_points
-    assert rep.max_residual <= 1e-6
+    assert 0.5 + 0j in excluded
+    assert worst <= 1e-6
 
 
 def test_data_driven_norm_chain_on_fixtures(fixtures_by_id, grid):
@@ -425,7 +425,7 @@ def test_radical_check_squared_target(small_grid):
     # F G = H^n with G carrying the entrywise n-th powers, built here by
     # repeated convolution; the second entry of H is zero
     h = P(0.2, 0.1)
-    F = PolyMatrix.identity(2)
+    F = PolyMatrix(np.eye(2, dtype=complex)[:, :, None])
     H = PolyMatrix.from_rows([[h], [0]])
     h_vals = H.eval(small_grid.points)[:, 0, 0]
     for n in (1, 2, 3):

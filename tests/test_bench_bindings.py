@@ -1,0 +1,45 @@
+"""The names the benchmark's tracer reads its metrics from stay defined.
+
+``bench/spans.py`` reads each per-layer metric off a span named
+``module.function`` or ``module.PolyMatrix.method``, and leaves the metric
+out when the program no longer defines that name.  The file is loaded
+read-only: no bytecode is written beside it.
+"""
+
+import importlib
+import importlib.util
+import inspect
+import sys
+
+from conftest import REPO
+
+
+def load_spans():
+    spec = importlib.util.spec_from_file_location("bench_spans", REPO / "bench" / "spans.py")
+    module = importlib.util.module_from_spec(spec)
+    dont_write, sys.dont_write_bytecode = sys.dont_write_bytecode, True
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        sys.dont_write_bytecode = dont_write
+    return module
+
+
+def is_bound(name: str) -> bool:
+    """Whether span ``name`` is a public koszul function or PolyMatrix method."""
+    module_name, *attrs = name.split(".")
+    module = importlib.import_module(f"koszul.{module_name}")
+    if len(attrs) == 2:
+        cls = vars(module).get(attrs[0])
+        return (attrs[0] == "PolyMatrix" and inspect.isclass(cls)
+                and inspect.isfunction(vars(cls).get(attrs[1])))
+    fn = vars(module).get(attrs[0])
+    return (not attrs[0].startswith("_") and inspect.isfunction(fn)
+            and fn.__module__ == module.__name__)
+
+
+def test_every_span_the_benchmark_reads_is_defined():
+    spans = load_spans()
+    names = {name for name, _ in spans.SPAN_METRICS.values()} | set(spans.HOOKS)
+    assert len(names) > 20
+    assert sorted(n for n in names if not is_bound(n)) == []

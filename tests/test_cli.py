@@ -217,6 +217,23 @@ def test_concat_command_and_empty_reduction(tmp_path):
     assert a == pytest.approx(b, abs=1e-15)
 
 
+def test_concat_names_a_fixture_b_grid_that_differs(tmp_path):
+    # the grid comes from fixture_a, so a different one in fixture_b is an
+    # error rather than silently dropped; the same grid or a flag resolves it
+    tree = json.loads((FIXTURE_DIR / "f1b.json").read_text())
+    path = tmp_path / "f1b_grid.json"
+    tree["grid"] = {"radii": [0.3, 0.6], "angles": 16}
+    path.write_text(json.dumps(tree))
+    code, out, err = run_cli(["concat", F1, str(path)])
+    assert (code, out) == (2, "")
+    assert "fixture_b grid {'radii': [0.3, 0.6], 'angles': 16, 'points': 32} differs" in err
+    flags = ["--grid-radii", "0.3,0.6", "--grid-angles", "16", "--norm-mode", "inequality"]
+    assert run_cli(["concat", F1, str(path)] + flags)[0] == 0
+    tree["grid"] = {"radii": [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 0.95], "angles": 64}
+    path.write_text(json.dumps(tree))
+    assert run_cli(["concat", F1, str(path)])[0] == 0
+
+
 def test_alpha_and_bound_commands():
     code, rep, _ = run_json(["alpha", "--t", "0.5"])
     assert code == 0

@@ -1,9 +1,10 @@
+from functools import reduce
 from math import factorial
 
 import numpy as np
 import pytest
 
-from conftest import cmat, cvec, rng
+from conftest import cmat, cvec, reference_q_matrix, rng
 from koszul.assemble import solve_full
 from koszul.combinat import enumerate_tuples
 from koszul.corona import (
@@ -14,7 +15,6 @@ from koszul.corona import (
     scalar_corona_solve,
 )
 from koszul.detk import det_k_gram
-from koszul.exterior import chain_row
 from koszul.poly import DiscGrid, PolyMatrix
 
 
@@ -137,14 +137,17 @@ def test_corona_row_norm_identity_random():
 
 @pytest.mark.parametrize("m,d,k", [(3, 4, 2), (4, 5, 2), (3, 4, 3), (4, 6, 4)])
 def test_corona_row_blocks_are_scaled_chain_rows(m, d, k):
-    # chain_row stays the oracle: each block is k! times the tuple's chain,
-    # for k < m and for k = m, up to the order in which terms are summed
+    # the product of per-entry operators stays the oracle: each block is k!
+    # times the tuple's chain, for k < m and for k = m, up to the order in
+    # which terms are summed
     r = rng(30 + m + d + k)
     F = PolyMatrix(r.standard_normal((m, d, 3)) + 1j * r.standard_normal((m, d, 3)))
     R = corona_row(F, k)
     width = R.cols // len(enumerate_tuples(m, k))
     for t, pi in enumerate(enumerate_tuples(m, k)):
-        want = chain_row(F.coeffs[[j - 1 for j in pi]]).scale(float(factorial(k))).coeffs
+        chain = reduce(PolyMatrix.__matmul__, [PolyMatrix(reference_q_matrix(F.coeffs[j - 1], s))
+                                               for s, j in enumerate(pi)])
+        want = chain.scale(float(factorial(k))).coeffs
         got = R.coeffs[:, t * width:(t + 1) * width, :want.shape[2]]
         assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max(), pi
         assert not R.coeffs[:, t * width:(t + 1) * width, want.shape[2]:].any()

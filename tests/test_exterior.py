@@ -4,7 +4,7 @@ from math import comb
 import numpy as np
 import pytest
 
-from conftest import cmat, cvec, rng
+from conftest import cmat, cvec, reference_q_matrix, rng
 from koszul import combinat, exterior
 from koszul.exterior import (
     chain_row,
@@ -12,42 +12,54 @@ from koszul.exterior import (
     contraction_anticommute_residual,
     exact_compose,
     q_matrix,
-    q_star_matrix,
     range_kernel_composition,
 )
 from koszul.poly import PolyMatrix
 
 
+def raising(a, n):
+    """The degree-raising operator w -> conj(a) ^ w: the adjoint of q_matrix."""
+    return q_matrix(a, n).conj().T
+
+
 def test_raising_from_scalars_is_the_conjugate_column():
     # degree 0 -> 1: the operator matrix is just conj(a) as a column
-    op = q_star_matrix([1.0, 0.0], 0)
+    op = raising([1.0, 0.0], 0)
     np.testing.assert_array_equal(op, [[1.0], [0.0]])
-    op = q_star_matrix([1 + 2j, -3j], 0)
+    op = raising([1 + 2j, -3j], 0)
     np.testing.assert_array_equal(op, [[1 - 2j], [3j]])
 
 
 def test_raising_sign_flip():
     # wedging e2 onto e1 lands on the (1,2) basis vector with a minus sign
-    op = q_star_matrix([0.0, 1.0, 0.0], 1)  # shape C(3,2) x C(3,1)
+    op = raising([0.0, 1.0, 0.0], 1)  # shape C(3,2) x C(3,1)
     col_e1 = op[:, 0]
     np.testing.assert_array_equal(col_e1, [-1.0, 0.0, 0.0])
 
 
 def test_raising_general_column():
     # a = (1,2,3), d=3, n=1: the image of e3 has +conj(1) at (1,3), +conj(2) at (2,3)
-    op = q_star_matrix([1.0, 2.0, 3.0], 1)
+    op = raising([1.0, 2.0, 3.0], 1)
     col_e3 = op[:, 2]
     # basis order of degree 2: (1,2), (1,3), (2,3)
     np.testing.assert_array_equal(col_e3, [0.0, 1.0, 2.0])
 
 
 def test_lowering_is_the_adjoint():
+    # the adjoint sends e_sigma to conj(a) ^ e_sigma, and e_p ^ e_sigma is
+    # the sorted basis vector with one sign flip per entry of sigma below p
     r = rng(5)
     a = cvec(r, 4)
+    basis = range(1, 5)
     for n in range(0, 3):
-        lower = q_matrix(a, n)
-        upper = q_star_matrix(a, n)
-        np.testing.assert_array_equal(lower, upper.conj().T)
+        upper = q_matrix(a, n).conj().T
+        row_index = {t: i for i, t in enumerate(itertools.combinations(basis, n + 1))}
+        want = np.zeros_like(upper)
+        for c, sigma in enumerate(itertools.combinations(basis, n)):
+            for p in set(basis) - set(sigma):
+                flips = sum(e < p for e in sigma)
+                want[row_index[tuple(sorted(sigma + (p,)))], c] += (-1) ** flips * a[p - 1].conj()
+        np.testing.assert_array_equal(upper, want)
 
 
 def test_lowering_degree_zero_row():
@@ -56,34 +68,21 @@ def test_lowering_degree_zero_row():
 
 
 def test_polynomial_entries_carry_no_conjugates():
-    op = q_matrix(PolyMatrix.from_rows([[[0, 1], [1]]]), 0)  # the row (z, 1)
-    assert isinstance(op, PolyMatrix)
-    assert op.coeffs.tolist() == [[[0j, 1 + 0j], [1 + 0j, 0j]]]
+    # the row (i z, 1) lowered from degree 1 to 0, read off against the 1 x 1 unit
+    a = np.array([[0, 1j], [1, 0]])
+    op = exterior.lower(a, np.ones((1, 1, 1), dtype=complex), 0, transpose=True)
+    assert op.tolist() == [[[0j, 1j], [1 + 0j, 0j]]]
 
 
 def test_polynomial_operator_matches_numeric_evaluation():
+    # q_matrix of a row's stacked Taylor coefficients is the polynomial operator
     r = rng(6)
     row = PolyMatrix.from_rows([[cvec(r, 3) for _ in range(4)]])
     for n in (0, 1, 2):
-        sym = q_matrix(row, n)
-        assert q_matrix(row.coeffs[0], n).coeffs.tobytes() == sym.coeffs.tobytes()
+        sym = PolyMatrix(np.moveaxis(q_matrix(row.coeffs[0].T, n), 0, -1))
         for z in (0.3, -0.2 + 0.4j):
             numeric = q_matrix(row.eval(z)[0], n)
             np.testing.assert_allclose(sym.eval(z), numeric, atol=1e-12)
-
-
-def reference_q_matrix(a, n):
-    """The per-entry loop q_matrix ran before its index table: one
-    insertion_sign call and one += per operator entry."""
-    d = len(a)
-    basis = range(1, d + 1)
-    row_index = {t: i for i, t in enumerate(itertools.combinations(basis, n))}
-    mat = np.zeros((len(row_index), comb(d, n + 1)) + a.shape[1:], dtype=complex)
-    for c, tau in enumerate(itertools.combinations(basis, n + 1)):
-        for p in tau:
-            sigma = tuple(e for e in tau if e != p)
-            mat[row_index[sigma], c] += combinat.insertion_sign(p, sigma) * a[p - 1]
-    return mat
 
 
 def test_q_matrix_is_bitwise_the_per_entry_loop():
@@ -97,19 +96,19 @@ def test_q_matrix_is_bitwise_the_per_entry_loop():
         for n in range(d):
             for row in (numeric, signed_zeros):
                 assert q_matrix(row, n).tobytes() == reference_q_matrix(row, n).tobytes()
-            got = q_matrix(PolyMatrix(poly[None]), n)
-            assert got.coeffs.tobytes() == reference_q_matrix(poly, n).tobytes()
+            got = np.moveaxis(q_matrix(poly.T, n), 0, -1)
+            assert got.tobytes() == reference_q_matrix(poly, n).tobytes()
 
 
 @pytest.mark.parametrize("deg_a,deg_x", [(0, 0), (2, 3), (1, 5)])
 def test_lower_is_the_dense_operator_product_on_either_side(deg_a, deg_x):
     # the gather forms no operator but sums the same terms as the product
-    # with q_matrix, in another order; rows and columns beyond one ride along
+    # with the dense operator, in another order; rows and columns beyond one ride along
     r = rng(41 + deg_a + deg_x)
     for d in range(1, 7):
         for n in range(d):
             a = cmat(r, d, deg_a + 1)
-            Q = q_matrix(a, n)
+            Q = PolyMatrix(reference_q_matrix(a, n))
             for transpose, x in (
                 (False, cmat(r, comb(d, n + 1) * 2, deg_x + 1).reshape(-1, 2, deg_x + 1)),
                 (True, cmat(r, 3, comb(d, n) * (deg_x + 1)).reshape(3, -1, deg_x + 1)),
@@ -152,7 +151,7 @@ def test_degree_bounds_raise():
     with pytest.raises(ValueError):
         q_matrix([1.0, 2.0], 2)
     with pytest.raises(ValueError):
-        q_star_matrix([1.0, 2.0], 2)
+        exterior.lower(np.ones((2, 1)), np.ones((1, 1, 1)), 2)
 
 
 def test_clifford_identity_rank_one_case_exact():
@@ -264,15 +263,7 @@ def test_multiplier_norm_domination_on_fixtures(fixtures_by_id, grid):
         for i in range(fx.m):
             row = fx.F.submatrix(slice(i, i + 1), slice(None))
             for n in range(0, fx.d - 1):
-                op = q_matrix(row, n)
-                sup_Q = max(np.linalg.norm(op.eval(z), 2) for z in grid.points[::7])
+                sup_Q = max(np.linalg.norm(q_matrix(row.eval(z)[0], n), 2)
+                            for z in grid.points[::7])
                 assert sup_Q <= sup_F + 1e-12
 
-
-def test_polynomial_chain_matches_pointwise_chain():
-    r = rng(14)
-    F = PolyMatrix.from_rows([[cvec(r, 2) for _ in range(4)] for _ in range(3)])
-    R = chain_row(F.coeffs)
-    for z in (0.5, 0.1 - 0.6j):
-        numeric = chain_row(F.eval(z))
-        np.testing.assert_allclose(R.eval(z), numeric, atol=1e-12)

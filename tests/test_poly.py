@@ -12,7 +12,6 @@ from koszul.poly import (
     DiscGrid,
     PolyMatrix,
     coefficient_match_solve,
-    max_operator_norm,
     slice_norms,
     sup_operator_norm,
     trimmed,
@@ -31,6 +30,11 @@ scalar_strategy = st.lists(complex_coeff, min_size=1, max_size=6).map(
 def P(*cs):
     """One polynomial's Taylor coefficients in ascending degree."""
     return [complex(c) for c in cs]
+
+
+def spectral_sup(stack):
+    """Largest spectral norm over the slices of a (P, rows, cols) stack."""
+    return float(np.linalg.norm(stack, 2, axis=(1, 2)).max())
 
 
 def S(*cs):
@@ -100,7 +104,7 @@ def test_from_rows_takes_numbers_and_coefficient_sequences():
 def test_polymatrix_eval_examples():
     zero = PolyMatrix.zeros(2, 3)
     np.testing.assert_array_equal(zero.eval(0.4 + 0.1j), np.zeros((2, 3)))
-    eye = PolyMatrix.identity(3)
+    eye = PolyMatrix(np.eye(3, dtype=complex)[:, :, None])
     np.testing.assert_array_equal(eye.eval(0.3), np.eye(3))
     np.testing.assert_array_equal(eye.eval([0.3, -0.2j]), np.stack([np.eye(3)] * 2))
 
@@ -336,7 +340,7 @@ def test_sup_norm_of_a_vector_is_its_euclidean_norm(shape):
         vals = PolyMatrix(c).eval(grid.points)
         got = sup_operator_norm(PolyMatrix(c), grid)
         assert got == float(slice_norms(vals).max())
-        ref = max_operator_norm(vals)
+        ref = spectral_sup(vals)
         assert abs(got - ref) <= 4 * np.spacing(ref)
 
 
@@ -348,7 +352,7 @@ def test_sup_norm_of_a_vector_survives_extreme_magnitudes(scale):
     for shape in ((1, 4), (4, 1)):
         c = scale * (r.standard_normal(shape + (2,)) + 1j * r.standard_normal(shape + (2,)))
         got = sup_operator_norm(PolyMatrix(c), grid)
-        ref = max_operator_norm(PolyMatrix(c).eval(grid.points))
+        ref = spectral_sup(PolyMatrix(c).eval(grid.points))
         assert abs(got - ref) <= 4 * np.spacing(ref)
 
 
@@ -379,7 +383,12 @@ def test_sup_norm_of_a_matrix_stays_the_spectral_norm(shape):
     r = np.random.default_rng(sum(shape))
     grid = DiscGrid.default()
     M = PolyMatrix(r.standard_normal(shape + (3,)) + 1j * r.standard_normal(shape + (3,)))
-    assert sup_operator_norm(M, grid) == max_operator_norm(M.eval(grid.points))
+    assert sup_operator_norm(M, grid) == spectral_sup(M.eval(grid.points))
+
+
+def test_sup_norm_of_a_matrix_with_no_entries_is_zero():
+    for shape in ((0, 3), (3, 0), (0, 0)):
+        assert sup_operator_norm(PolyMatrix.zeros(*shape), DiscGrid.default()) == 0.0
 
 
 def test_sup_norm_monotone_in_grid():

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from conftest import FIXTURE_DIR, SOLVE_FIXTURE_IDS, cmat, rng
-from koszul.assemble import offdiagonal_annihilation_check, solve_full
+from koszul.assemble import solve_full
 from koszul.corona import HypothesisReport, check_hypotheses, pointwise_min_norm_solution
 from koszul.detk import (
     det_k,
@@ -203,30 +203,6 @@ def test_check_hypotheses_matches_the_per_point_loop_on_degenerate_input(case):
 def test_check_hypotheses_matches_the_per_point_loop_on_fixtures(fid, grid):
     fx = load_fixture(FIXTURE_DIR / f"{fid}.json")
     assert check_hypotheses(fx.F, fx.H, grid) == hypotheses_ref(fx.F, fx.H, grid)
-
-
-@pytest.mark.parametrize("fid", ["f2", "f3"])
-def test_offdiagonal_check_matches_the_per_point_loop(fid, grid):
-    fx = load_fixture(FIXTURE_DIR / f"{fid}.json")
-    bundle = solve_full(fx.F, fx.H, grid)
-    F_vals = fx.F.eval(grid.points)
-    k = max(rank_ref(Fz) for Fz in F_vals)
-    for i, G_i in enumerate(bundle.G_parts, start=1):
-        best, argmax, excluded = 0.0, None, []
-        for z, Fz, Gz in zip(grid.points, F_vals, G_i.eval(grid.points)):
-            if rank_ref(Fz) < k:
-                excluded.append(z)
-                continue
-            for j in range(fx.F.rows):
-                if j == i - 1:
-                    continue
-                val = abs((Fz[j:j + 1, :] @ Gz)[0, 0])
-                if val > best:
-                    best, argmax = val, z
-        rep = offdiagonal_annihilation_check(fx.F, G_i, i, grid)
-        assert bits(rep.max_residual) == bits(best)
-        assert rep.argmax_point == argmax
-        assert rep.excluded_points == tuple(excluded)
 
 
 def assert_slices_bitwise(stacked, one_case, B):
