@@ -38,7 +38,7 @@ def power(c: np.ndarray, n: int) -> np.ndarray:
 
 
 def normalize(F_raw: PolyMatrix, grid: DiscGrid) -> PolyMatrix:
-    return F_raw.scale(1.0 / sup_operator_norm(F_raw, grid))
+    return PolyMatrix(complex(1.0 / sup_operator_norm(F_raw, grid)) * F_raw.coeffs)
 
 
 def fit_preimage(F: PolyMatrix, u0: PolyMatrix, grid: DiscGrid) -> tuple[PolyMatrix, PolyMatrix]:
@@ -50,7 +50,7 @@ def fit_preimage(F: PolyMatrix, u0: PolyMatrix, grid: DiscGrid) -> tuple[PolyMat
     lam = min((max(a, 0.0) ** 1.5 / b for a, b in zip(dk, h_max) if b >= 1e-14),
               default=np.inf)
     lam = 0.5 * lam
-    u = u0.scale(lam)
+    u = PolyMatrix(complex(lam) * u0.coeffs)
     return u, F @ u
 
 

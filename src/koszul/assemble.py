@@ -223,12 +223,12 @@ def radical_necessary_check(
     if grid is None:
         grid = DiscGrid.default()
     m = F.rows
-    # each entry's power by repeated convolution of its trimmed coefficients
+    F_vals, G_vals, H_vals = F.eval(grid.points), G.eval(grid.points), H.eval(grid.points)
+    # H^n is H for n = 1, else each entry's power by repeated convolution
     one = np.ones(1, dtype=complex)
-    Hn = PolyMatrix.from_rows(
+    Hn_vals = H_vals if n == 1 else PolyMatrix.from_rows(
         [[reduce(np.convolve, [trimmed(h)] * n, one)] for h in H.coeffs[:, 0]]
-    )
-    F_vals, G_vals, Hn_vals = F.eval(grid.points), G.eval(grid.points), Hn.eval(grid.points)
+    ).eval(grid.points)
     pre_resid = float(slice_norms(F_vals @ G_vals - Hn_vals).max())
     sup_Hn = float(slice_norms(Hn_vals).max())
     if pre_resid > RADICAL_PRECONDITION_RTOL * max(sup_Hn, 1.0):
@@ -239,7 +239,7 @@ def radical_necessary_check(
     sup_G = float(slice_norms(G_vals).max())
     C = sup_G ** 2
     dk = det_k_gram(F_vals, 1).tolist()
-    h_max = np.abs(H.eval(grid.points)).max(axis=(1, 2)).tolist()
+    h_max = np.abs(H_vals).max(axis=(1, 2)).tolist()
     margins = [C * a - b ** (2 * n) for a, b in zip(dk, h_max)]
     imin = int(np.argmin(margins))
     return RadicalReport(
@@ -259,7 +259,6 @@ class ConcatResult:
     G1: PolyMatrix
     G2: PolyMatrix
     bundle: SolutionBundle
-    split_residual: float   # coefficient residual of F1 G1 + F2 G2 = FG
 
 
 def concat_solve(
@@ -273,8 +272,8 @@ def concat_solve(
 ) -> ConcatResult:
     """Solve against the column concatenation of two blocks and split G.
 
-    G1 and G2 are row slices of G, so the recombined product F1 G1 + F2 G2
-    matches the unsplit product up to summation reordering.
+    G1 and G2 are row slices of G, so F1 G1 + F2 G2 is [F1 | F2] G and
+    the bundle's residual check of F G = H covers the split as well.
     """
     if F2.rows != F1.rows:
         raise ValueError(f"row count mismatch: {F1.rows} vs {F2.rows}")
@@ -283,6 +282,4 @@ def concat_solve(
     d1 = F1.cols
     G1 = bundle.G.submatrix(slice(0, d1), slice(0, 1))
     G2 = bundle.G.submatrix(slice(d1, big.cols), slice(0, 1))
-    whole = big @ bundle.G
-    split_residual = float(np.abs((F1 @ G1 + F2 @ G2 - whole).coeffs).max(initial=0.0))
-    return ConcatResult(G1=G1, G2=G2, bundle=bundle, split_residual=split_residual)
+    return ConcatResult(G1=G1, G2=G2, bundle=bundle)

@@ -159,7 +159,7 @@ def _cmd_check(args) -> int:
     extra = {"k_detected": hyp.k_detected}
     if fx.m == 1:
         try:
-            amr = alpha_hypothesis_check(fx.F, fx.H, grid)
+            amr = alpha_hypothesis_check(hyp.F_vals, hyp.H_vals, grid)
             extra["alpha_margin"] = check_block(
                 amr.passed, ALPHA_MARGIN_FLOOR,
                 min_margin=amr.min_margin, argmin_point=amr.argmin_point, c=amr.params_c,
@@ -230,9 +230,13 @@ def _cmd_concat(args) -> int:
     fa = load_fixture(args.fixture_a)
     fb = load_fixture(args.fixture_b)
     grid = _resolve_grid(args, fa)
-    if args.grid_radii is None and args.grid_angles is None and fb.grid not in (None, grid):
-        raise ValueError(f"fixture_b grid {_grid_params(fb.grid)} differs from the grid in "
-                         f"use {_grid_params(grid)}; choose one with --grid-radii/--grid-angles")
+    # one grid and fixture_a's target; an all-zero H marks a block with no target
+    if fb.grid is not None and (grid_b := _resolve_grid(args, fb)) != grid:
+        raise ValueError(f"fixture_b grid {_grid_params(grid_b)} differs from "
+                         f"fixture_a grid {_grid_params(grid)}")
+    if fb.H.coeffs.any() and fb.H.coeffs.tolist() != fa.H.coeffs.tolist():
+        raise ValueError(f"fixture_b {fb.fixture_id!r} has a nonzero H that differs from the H "
+                         f"of fixture_a {fa.fixture_id!r}, the target concat solves against")
     res = concat_solve(
         fa.F, fb.F, fa.H, grid,
         degree_cap=args.degree_cap, tol=args.tol, norm_mode=args.norm_mode,
@@ -244,10 +248,6 @@ def _cmd_concat(args) -> int:
             b.success, ASSEMBLY_RTOL,
             max_residual=b.max_residual, relative_residual=rel,
             argmax_point=b.argmax_point, failure=b.failure,
-        ),
-        "split_identity": check_block(
-            res.split_residual <= 1e-13 * max(b.sup_G, 1.0), 1e-13,
-            coefficient_residual=res.split_residual,
         ),
     }
     params = {"fixture_a": fa.fixture_id, "fixture_b": fb.fixture_id,

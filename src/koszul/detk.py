@@ -62,16 +62,16 @@ def elementary_symmetric(values, k: int) -> complex:
     return e[k]
 
 
-def det_k_eigen_oracle(B, k: int):
-    """Oracle: e_k of the eigenvalues of a Hermitian matrix.
+def det_k_eigen_oracle(eigenvalues, k: int):
+    """Oracle for det_k of a Hermitian matrix: e_k of its eigenvalues.
 
-    A (..., m, m) stack takes one eigvalsh call and gives an array, one
-    value per slice; e_k is then summed slice by slice on Python scalars.
+    ``eigenvalues`` is ``np.linalg.eigvalsh`` of the matrix, so a caller
+    that needs the spectrum elsewhere too decomposes once.  An (..., m)
+    stack gives one value per slice, summed on Python scalars.
     """
-    A = _as_square(B)
-    eig = np.linalg.eigvalsh((A + A.conj().swapaxes(-1, -2)) / 2)
+    eig = np.asarray(eigenvalues)
     vals = [float(elementary_symmetric(e, k).real) for e in eig.reshape(-1, eig.shape[-1])]
-    return vals[0] if A.ndim == 2 else np.reshape(vals, eig.shape[:-1])
+    return vals[0] if eig.ndim == 1 else np.reshape(vals, eig.shape[:-1])
 
 
 def det_k_minor_sum_oracle(F_point, k: int):

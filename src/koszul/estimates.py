@@ -15,7 +15,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import PreconditionError
-from .poly import DiscGrid, PolyMatrix
+from .poly import DiscGrid
 
 E_TO_E = math.e ** math.e
 
@@ -74,26 +74,27 @@ class AlphaMarginReport:
 
 
 def alpha_hypothesis_check(
-    F: PolyMatrix,
-    h: PolyMatrix,
+    F_vals: np.ndarray,
+    h_vals: np.ndarray,
     grid: DiscGrid,
     params: AlphaParams | None = None,
 ) -> AlphaMarginReport:
     """Pointwise margins of t * alpha(t) - |h(z)| with t = F(z) F(z)^*.
 
-    Only the scalar-row case is supported (F must be 1 x d, h 1 x 1) and F
-    must be normalized: t above 1 + 1e-9 anywhere raises PreconditionError.
+    ``F_vals`` and ``h_vals`` are a row F and a scalar h on ``grid``, as the
+    (P, 1, d) and (P, 1, 1) stacks that ``check_hypotheses`` keeps; other
+    shapes raise ValueError.  F must be normalized: t above 1 + 1e-9
+    anywhere raises PreconditionError.
     """
     params = params or AlphaParams()
-    if F.rows != 1:
-        raise ValueError(f"scalar-row check needs a 1 x d matrix, got {F.shape}")
-    if h.shape != (1, 1):
-        raise ValueError(f"h must be scalar, got shape {h.shape}")
+    P = len(grid)
+    if F_vals.ndim != 3 or F_vals.shape[:2] != (P, 1) or h_vals.shape != (P, 1, 1):
+        raise ValueError(f"scalar-row check needs ({P}, 1, d) and ({P}, 1, 1) stacks of F "
+                         f"and h, got {F_vals.shape} and {h_vals.shape}")
 
-    F_vals = F.eval(grid.points)
     gram = (F_vals @ F_vals.conj().swapaxes(1, 2))[:, 0, 0].real.tolist()
     margins = []
-    for z, t, hz in zip(grid.points, gram, h.eval(grid.points)[:, 0, 0].tolist()):
+    for z, t, hz in zip(grid.points, gram, h_vals[:, 0, 0].tolist()):
         if t > 1 + 1e-9:
             raise PreconditionError(f"F is not normalized: F(z)F(z)* = {t} at z = {z}")
         t = min(max(t, 0.0), 1.0)

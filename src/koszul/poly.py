@@ -167,10 +167,6 @@ class PolyMatrix:
             out[:, :, p:p + b.shape[2]] += terms[:, :, p]
         return PolyMatrix(out)
 
-    def scale(self, s) -> "PolyMatrix":
-        """Every entry multiplied by the scalar s."""
-        return PolyMatrix(complex(s) * self.coeffs)
-
     def hstack(self, other: "PolyMatrix") -> "PolyMatrix":
         if self.rows != other.rows:
             raise ValueError("row count mismatch in hstack")

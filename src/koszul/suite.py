@@ -161,8 +161,9 @@ def run_identity_suite(seed: int = 0, max_m: int = 4, max_d: int = 6, cases: int
     def eigen_residuals(key, B):
         k = key[1]
         lhs = det_k(B, k).real
-        rhs = det_k_eigen_oracle(B, k)
-        scale = [float(abs(elementary_symmetric(np.abs(e), k))) for e in np.linalg.eigvalsh(B)]
+        eig = np.linalg.eigvalsh(B)
+        rhs = det_k_eigen_oracle(eig, k)
+        scale = [float(abs(elementary_symmetric(np.abs(e), k))) for e in eig]
         return abs(lhs - rhs) / np.maximum(scale, 1e-300)
 
     draws = []

@@ -65,8 +65,9 @@ def test_c2_minor_sum_oracles():
         B = (B + B.conj().T) / 2
         k = int(r.integers(1, m + 1))
         lhs = det_k(B, k).real
-        rhs = det_k_eigen_oracle(B, k)
-        scale = abs(elementary_symmetric(np.abs(np.linalg.eigvalsh(B)), k))
+        eig = np.linalg.eigvalsh(B)
+        rhs = det_k_eigen_oracle(eig, k)
+        scale = abs(elementary_symmetric(np.abs(eig), k))
         worst_eig = max(worst_eig, abs(lhs - rhs) / max(scale, 1e-30))
     worst_cb = 0.0
     for _ in range(200):

@@ -10,6 +10,7 @@ from conftest import FIXTURE_DIR, GOLDEN_DIR
 from koszul import combinat
 from koszul.cli import main
 from koszul.fixtures import load_fixture, load_solution
+from koszul.poly import PolyMatrix
 from koszul.report import report_diff
 from koszul.suite import run_identity_suite
 
@@ -205,7 +206,6 @@ def test_concat_command_and_empty_reduction(tmp_path):
         "concat", F1, str(FIXTURE_DIR / "f1b.json"), "--norm-mode", "inequality",
     ])
     assert code == 0
-    assert rep["checks"]["split_identity"]["passed"]
 
     empty = tmp_path / "empty.json"
     empty.write_text(json.dumps({"id": "empty", "m": 2, "d": 0, "F": [[], []],
@@ -218,8 +218,9 @@ def test_concat_command_and_empty_reduction(tmp_path):
 
 
 def test_concat_names_a_fixture_b_grid_that_differs(tmp_path):
-    # the grid comes from fixture_a, so a different one in fixture_b is an
-    # error rather than silently dropped; the same grid or a flag resolves it
+    # both fixtures' grids are resolved with the same flags and must agree,
+    # so a different one in fixture_b is an error rather than silently
+    # dropped; the same grid, or flags overriding both fields, resolve it
     tree = json.loads((FIXTURE_DIR / "f1b.json").read_text())
     path = tmp_path / "f1b_grid.json"
     tree["grid"] = {"radii": [0.3, 0.6], "angles": 16}
@@ -227,11 +228,68 @@ def test_concat_names_a_fixture_b_grid_that_differs(tmp_path):
     code, out, err = run_cli(["concat", F1, str(path)])
     assert (code, out) == (2, "")
     assert "fixture_b grid {'radii': [0.3, 0.6], 'angles': 16, 'points': 32} differs" in err
+    # one flag overrides that field of both grids; fixture_b's radii still count
+    code, out, err = run_cli(["concat", F1, str(path), "--grid-angles", "16"])
+    assert (code, out) == (2, "")
+    assert ("fixture_b grid {'radii': [0.3, 0.6], 'angles': 16, 'points': 32} differs from "
+            "fixture_a grid {'radii': [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 0.95], "
+            "'angles': 16, 'points': 160}") in err
     flags = ["--grid-radii", "0.3,0.6", "--grid-angles", "16", "--norm-mode", "inequality"]
     assert run_cli(["concat", F1, str(path)] + flags)[0] == 0
     tree["grid"] = {"radii": [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 0.95], "angles": 64}
     path.write_text(json.dumps(tree))
     assert run_cli(["concat", F1, str(path)])[0] == 0
+
+
+def test_concat_names_a_fixture_b_target_that_differs(tmp_path):
+    # concat solves against fixture_a's H; fixture_b may carry the same H or
+    # an all-zero one (a block with no target), but no other
+    tree = json.loads((FIXTURE_DIR / "f1b.json").read_text())
+    path = tmp_path / "f1b_target.json"
+    tree["H"] = [[[[0.01, 0.0]]], [[[0.0, 0.0]]]]
+    path.write_text(json.dumps(tree))
+    code, out, err = run_cli(["concat", F1, str(path)])
+    assert (code, out) == (2, "")
+    assert err == ("error: fixture_b 'f1b' has a nonzero H that differs from the H of "
+                   "fixture_a 'f1', the target concat solves against\n")
+    tree["H"] = json.loads((FIXTURE_DIR / "f1.json").read_text())["H"]
+    path.write_text(json.dumps(tree))
+    code, rep, _ = run_json(["concat", F1, str(path)])
+    _, zero_target, _ = run_json(["concat", F1, str(FIXTURE_DIR / "f1b.json")])
+    assert code == 0
+    assert rep["checks"] == zero_target["checks"]
+
+
+def _counting(monkeypatch, owner, name) -> list:
+    """Count the calls to ``owner.name`` from now on, in a one-item list."""
+    calls = [0]
+    original = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("argv,owner,name,count", [
+    (["check", str(FIXTURE_DIR / "f0.json")], PolyMatrix, "eval", 2),
+    (["radical", F1, "--n", "1", "--g", "G"], PolyMatrix, "eval", 3),
+    (["concat", F1, str(FIXTURE_DIR / "f1b.json")], PolyMatrix, "__matmul__", 2),
+    (["identities", "--seed", "0"], np.linalg, "eigvalsh", 20),
+], ids=["check", "radical", "concat", "identities"])
+def test_each_command_computes_each_value_once(tmp_path, monkeypatch, argv, owner, name, count):
+    # check's gauge reads the hypothesis check's F and H stacks, radical
+    # sweeps H once for n = 1, concat forms only its solve's two products,
+    # and the battery takes one eigendecomposition per (m, k) group
+    if "G" in argv:
+        g = tmp_path / "G_f1.json"
+        assert run_cli(["solve", F1, "--out", str(g)])[0] == 0
+        argv = [str(g) if a == "G" else a for a in argv]
+    calls = _counting(monkeypatch, owner, name)
+    assert run_cli(argv)[0] == 0
+    assert calls[0] == count
 
 
 def test_alpha_and_bound_commands():

@@ -75,12 +75,13 @@ def test_scale_consistency_of_report(small_grid):
     H = PolyMatrix.from_rows([[P(0.001)], [P(0.001, 0.001)]])
     lam = 0.5
     base = check_hypotheses(F, H, small_grid, norm_mode="inequality")
-    scaled = check_hypotheses(F.scale(lam), H, small_grid, norm_mode="inequality")
+    F_scaled = PolyMatrix(complex(lam) * F.coeffs)
+    scaled = check_hypotheses(F_scaled, H, small_grid, norm_mode="inequality")
     assert scaled.norm_estimate == pytest.approx(lam * base.norm_estimate, rel=1e-12)
     # the minor sums underlying the margins follow the |lambda|^(2k) law
     k = base.k_detected
     for z in small_grid.points[:5]:
-        assert det_k_gram(F.scale(lam).eval(z), k) == pytest.approx(
+        assert det_k_gram(F_scaled.eval(z), k) == pytest.approx(
             lam ** (2 * k) * det_k_gram(F.eval(z), k), rel=1e-10
         )
 
@@ -147,7 +148,7 @@ def test_corona_row_blocks_are_scaled_chain_rows(m, d, k):
     for t, pi in enumerate(enumerate_tuples(m, k)):
         chain = reduce(PolyMatrix.__matmul__, [PolyMatrix(reference_q_matrix(F.coeffs[j - 1], s))
                                                for s, j in enumerate(pi)])
-        want = chain.scale(float(factorial(k))).coeffs
+        want = PolyMatrix(complex(factorial(k)) * chain.coeffs).coeffs
         got = R.coeffs[:, t * width:(t + 1) * width, :want.shape[2]]
         assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max(), pi
         assert not R.coeffs[:, t * width:(t + 1) * width, want.shape[2]:].any()

@@ -57,8 +57,9 @@ def test_eigenvalue_oracle_5x5():
     B = random_hermitian(r, 5)
     for k in range(1, 6):
         lhs = det_k(B, k).real
-        rhs = det_k_eigen_oracle(B, k)
-        scale = abs(elementary_symmetric(np.abs(np.linalg.eigvalsh(B)), k))
+        eig = np.linalg.eigvalsh(B)
+        rhs = det_k_eigen_oracle(eig, k)
+        scale = abs(elementary_symmetric(np.abs(eig), k))
         assert abs(lhs - rhs) <= 1e-8 * max(scale, 1e-30)
 
 

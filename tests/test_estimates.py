@@ -23,6 +23,11 @@ def S(*cs):
     return PolyMatrix.from_rows([[P(*cs)]])
 
 
+def gauge_check(F, h, grid):
+    """The gauge check on the grid stacks of F and h."""
+    return alpha_hypothesis_check(F.eval(grid.points), h.eval(grid.points), grid)
+
+
 def test_K_is_strictly_between_361_and_362():
     K = K_constant()
     assert 361.0 < K < 362.0
@@ -94,14 +99,14 @@ def test_alpha_stays_positive_and_non_decreasing_near_the_smallest_t():
 
 def test_alpha_margin_zero_target(small_grid):
     F = PolyMatrix.from_rows([[P(0.5), P(0, 0.25)]])
-    rep = alpha_hypothesis_check(F, S(0), small_grid)
+    rep = gauge_check(F, S(0), small_grid)
     assert rep.min_margin >= 0
     assert rep.passed
 
 
 def test_alpha_margin_constant_saturation(small_grid):
     F = PolyMatrix.from_rows([[P(1)]])
-    rep = alpha_hypothesis_check(F, S(1), small_grid)
+    rep = gauge_check(F, S(1), small_grid)
     assert rep.min_margin == pytest.approx(0.0, abs=1e-12)
     assert rep.passed
 
@@ -109,19 +114,21 @@ def test_alpha_margin_constant_saturation(small_grid):
 def test_alpha_margin_requires_normalized_row(small_grid):
     F = PolyMatrix.from_rows([[P(2)]])
     with pytest.raises(PreconditionError):
-        alpha_hypothesis_check(F, S(0), small_grid)
+        gauge_check(F, S(0), small_grid)
 
 
 def test_alpha_margin_rejects_non_row(small_grid):
     F = PolyMatrix.from_rows([[P(1)], [P(0)]])
-    with pytest.raises(ValueError):
-        alpha_hypothesis_check(F, S(0), small_grid)
+    with pytest.raises(ValueError, match=r"got \(24, 2, 1\) and \(24, 1, 1\)"):
+        gauge_check(F, S(0), small_grid)
+    with pytest.raises(ValueError, match=r"got \(24, 1, 1\) and \(24, 1, 2\)"):
+        gauge_check(F.submatrix(slice(0, 1), slice(0, 1)), S(0).hstack(S(0)), small_grid)
 
 
 def test_alpha_margin_golden_positive_fixture(small_grid):
     # min margin sits at the innermost radius (t = 0.8104); value frozen
     # from a 40-digit evaluation of t * alpha(t) - 0.05 there
     F = PolyMatrix.from_rows([[P(0.9), P(0, 0.1)]])
-    rep = alpha_hypothesis_check(F, S(0.05), small_grid)
+    rep = gauge_check(F, S(0.05), small_grid)
     assert rep.passed
     assert rep.min_margin == pytest.approx(0.09439617997744276, abs=1e-9)
