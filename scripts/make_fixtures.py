@@ -19,7 +19,7 @@ from koszul.corona import check_hypotheses
 from koszul.detk import det_k_gram
 from koszul.fixtures import Fixture, save_fixture
 from koszul.opdet import numeric_rank
-from koszul.poly import DiscGrid, PolyMatrix, sup_operator_norm
+from koszul.poly import DiscGrid, PolyMatrix
 
 OUT = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -38,7 +38,14 @@ def power(c: np.ndarray, n: int) -> np.ndarray:
 
 
 def normalize(F_raw: PolyMatrix, grid: DiscGrid) -> PolyMatrix:
-    return PolyMatrix(complex(1.0 / sup_operator_norm(F_raw, grid)) * F_raw.coeffs)
+    """F_raw over the grid maximum of its per-point SVD spectral norm.
+
+    The committed fixtures were scaled by this norm.  ``sup_operator_norm``
+    takes a single row's Euclidean norm instead, which differs from it in
+    the last bits, so f0 would not be reproduced.
+    """
+    sup = np.linalg.norm(F_raw.eval(grid.points), 2, axis=(1, 2)).max()
+    return PolyMatrix(complex(1.0 / sup) * F_raw.coeffs)
 
 
 def fit_preimage(F: PolyMatrix, u0: PolyMatrix, grid: DiscGrid) -> tuple[PolyMatrix, PolyMatrix]:

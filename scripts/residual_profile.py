@@ -35,8 +35,8 @@ def main():
                 t0 = time.monotonic()
                 b = solve_full(fx.F, fx.H, grid, degree_cap=cap)
                 dt = time.monotonic() - t0
-                rel = b.max_residual / max(b.hypothesis_report.sup_H, 1e-300)
-                print(f"{fid:8s} {gname:8s} {cap:4d} {rel:13.3e} {b.sup_G:10.4f} {dt:6.2f}")
+                print(f"{fid:8s} {gname:8s} {cap:4d} {b.relative_residual:13.3e} "
+                      f"{b.sup_G:10.4f} {dt:6.2f}")
 
 
 if __name__ == "__main__":

@@ -9,5 +9,4 @@ from .detk import det_k, det_k_gram
 from .opdet import BlockOperatorMatrix, operator_det
 from .estimates import AlphaParams, K_constant, alpha
 from .corona import check_hypotheses, scalar_corona_solve
-from .assemble import (build_Gi, concat_solve, norm_bound,
-                       radical_necessary_check, solve_full)
+from .assemble import build_Gi, norm_bound, radical_necessary_check, solve_full

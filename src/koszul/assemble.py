@@ -111,8 +111,13 @@ class SolutionBundle:
     def success(self) -> bool:
         return self.failure is None and not self.failed_rows
 
+    @property
+    def relative_residual(self) -> float:
+        """The largest F G - H residual over the grid sup of |H|."""
+        return self.max_residual / max(self.hypothesis_report.sup_H, 1e-300)
+
     def residual_ok(self, rel: float = ASSEMBLY_RTOL) -> bool:
-        return self.max_residual <= rel * max(self.hypothesis_report.sup_H, 1e-300)
+        return self.relative_residual <= rel
 
 
 def solve_full(
@@ -130,7 +135,9 @@ def solve_full(
     degree cap is 2 * max(deg F, deg h_i) + 4.  Requires the range hypothesis to
     hold on the grid; a failed scalar solve is flagged in the bundle rather
     than raised, and so is an assembled G whose residual fails
-    ``residual_ok``.
+    ``residual_ok``.  A solve that stops before assembly (range hypothesis
+    failed, or rank zero) has no per-point residuals and NaN for every
+    residual, norm and bound.
     """
     if grid is None:
         grid = DiscGrid.default()
@@ -139,12 +146,13 @@ def solve_full(
     k = hyp.k_detected
 
     def aborted(reason: str) -> SolutionBundle:
+        # nothing was solved or measured, so every measured number is NaN
         nan = float("nan")
         return SolutionBundle(
             G=PolyMatrix.zeros(d, 1), G_parts=(), scalar_solutions=(),
-            hypothesis_report=hyp, k=k, residuals=(0.0,) * len(grid),
-            max_residual=0.0, mean_residual=0.0, argmax_point=grid.points[0],
-            sup_G=0.0, sup_v=(), bound_closed_form=nan,
+            hypothesis_report=hyp, k=k, residuals=(),
+            max_residual=nan, mean_residual=nan, argmax_point=complex(nan, nan),
+            sup_G=nan, sup_v=(), bound_closed_form=nan,
             bound_closed_form_loose=nan, bound_data_driven=nan,
             failed_rows=(), failure=reason,
         )
@@ -253,33 +261,3 @@ def radical_necessary_check(
         passed=margins[imin] >= RADICAL_MARGIN_FLOOR,
     )
 
-
-@dataclass(frozen=True)
-class ConcatResult:
-    G1: PolyMatrix
-    G2: PolyMatrix
-    bundle: SolutionBundle
-
-
-def concat_solve(
-    F1: PolyMatrix,
-    F2: PolyMatrix,
-    H: PolyMatrix,
-    grid: DiscGrid | None = None,
-    degree_cap: int | None = None,
-    tol: float | None = None,
-    norm_mode: str = "strict",
-) -> ConcatResult:
-    """Solve against the column concatenation of two blocks and split G.
-
-    G1 and G2 are row slices of G, so F1 G1 + F2 G2 is [F1 | F2] G and
-    the bundle's residual check of F G = H covers the split as well.
-    """
-    if F2.rows != F1.rows:
-        raise ValueError(f"row count mismatch: {F1.rows} vs {F2.rows}")
-    big = F1.hstack(F2)
-    bundle = solve_full(big, H, grid=grid, degree_cap=degree_cap, tol=tol, norm_mode=norm_mode)
-    d1 = F1.cols
-    G1 = bundle.G.submatrix(slice(0, d1), slice(0, 1))
-    G2 = bundle.G.submatrix(slice(d1, big.cols), slice(0, 1))
-    return ConcatResult(G1=G1, G2=G2, bundle=bundle)

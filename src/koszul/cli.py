@@ -14,7 +14,7 @@ import sys
 
 from . import __version__
 from .assemble import (ASSEMBLY_RTOL, RADICAL_MARGIN_FLOOR, RADICAL_PRECONDITION_RTOL,
-                       concat_solve, norm_bound, radical_necessary_check, solve_full)
+                       norm_bound, radical_necessary_check, solve_full)
 from .corona import MINOR_MARGIN_FLOOR, NORM_TOL, RANGE_RTOL, check_hypotheses
 from .errors import PreconditionError
 from .estimates import ALPHA_MARGIN_FLOOR, AlphaParams, K_constant, alpha, alpha_hypothesis_check
@@ -171,29 +171,17 @@ def _cmd_check(args) -> int:
     return _finish("check", params, checks, extra)
 
 
-def _cmd_solve(args) -> int:
-    fx = load_fixture(args.fixture)
-    grid = _resolve_grid(args, fx)
-    bundle = solve_full(
-        fx.F, fx.H, grid,
-        degree_cap=args.degree_cap, tol=args.tol, norm_mode=args.norm_mode,
-    )
-    rel = bundle.max_residual / max(bundle.hypothesis_report.sup_H, 1e-300)
+def _finish_solve(command: str, params: dict, bundle, extra: dict | None = None) -> int:
+    """Print the report of one solve_full bundle and return its exit code."""
     checks = {
         "solve_residual": check_block(
             bundle.success, ASSEMBLY_RTOL,
             max_residual=bundle.max_residual, mean_residual=bundle.mean_residual,
-            relative_residual=rel, argmax_point=bundle.argmax_point,
+            relative_residual=bundle.relative_residual, argmax_point=bundle.argmax_point,
             failed_rows=list(bundle.failed_rows), failure=bundle.failure,
         ),
     }
-    if args.out:
-        save_solution(bundle.G, args.out, meta={"fixture": fx.fixture_id})
-    if args.csv:
-        write_csv(args.csv, grid.points, bundle.residuals)
-    params = {"fixture": fx.fixture_id, "norm_mode": args.norm_mode,
-              "degree_cap": args.degree_cap, "tol": args.tol, "grid": _grid_params(grid)}
-    return _finish("solve", params, checks, {
+    return _finish(command, params, checks, {
         "k_detected": bundle.k,
         "sup_G_estimate": bundle.sup_G,
         "sup_v_estimates": list(bundle.sup_v),
@@ -202,7 +190,24 @@ def _cmd_solve(args) -> int:
             "closed_form_loose": bundle.bound_closed_form_loose,
             "data_driven": bundle.bound_data_driven,
         },
+        **(extra or {}),
     })
+
+
+def _cmd_solve(args) -> int:
+    fx = load_fixture(args.fixture)
+    grid = _resolve_grid(args, fx)
+    bundle = solve_full(
+        fx.F, fx.H, grid,
+        degree_cap=args.degree_cap, tol=args.tol, norm_mode=args.norm_mode,
+    )
+    if args.out:
+        save_solution(bundle.G, args.out, meta={"fixture": fx.fixture_id})
+    if args.csv:
+        write_csv(args.csv, grid.points, bundle.residuals)
+    params = {"fixture": fx.fixture_id, "norm_mode": args.norm_mode,
+              "degree_cap": args.degree_cap, "tol": args.tol, "grid": _grid_params(grid)}
+    return _finish_solve("solve", params, bundle)
 
 
 def _cmd_radical(args) -> int:
@@ -229,6 +234,10 @@ def _cmd_radical(args) -> int:
 def _cmd_concat(args) -> int:
     fa = load_fixture(args.fixture_a)
     fb = load_fixture(args.fixture_b)
+    if fb.m != fa.m:
+        raise ValueError(f"fixture_b {fb.fixture_id!r} has m = {fb.m} rows and fixture_a "
+                         f"{fa.fixture_id!r} has m = {fa.m}; concat appends columns, so the "
+                         f"row counts must agree")
     grid = _resolve_grid(args, fa)
     # one grid and fixture_a's target; an all-zero H marks a block with no target
     if fb.grid is not None and (grid_b := _resolve_grid(args, fb)) != grid:
@@ -237,24 +246,15 @@ def _cmd_concat(args) -> int:
     if fb.H.coeffs.any() and fb.H.coeffs.tolist() != fa.H.coeffs.tolist():
         raise ValueError(f"fixture_b {fb.fixture_id!r} has a nonzero H that differs from the H "
                          f"of fixture_a {fa.fixture_id!r}, the target concat solves against")
-    res = concat_solve(
-        fa.F, fb.F, fa.H, grid,
+    # solve [F1 | F2] G = H: G's first split_cols[0] rows multiply F1, the rest F2
+    bundle = solve_full(
+        fa.F.hstack(fb.F), fa.H, grid,
         degree_cap=args.degree_cap, tol=args.tol, norm_mode=args.norm_mode,
     )
-    b = res.bundle
-    rel = b.max_residual / max(b.hypothesis_report.sup_H, 1e-300)
-    checks = {
-        "solve_residual": check_block(
-            b.success, ASSEMBLY_RTOL,
-            max_residual=b.max_residual, relative_residual=rel,
-            argmax_point=b.argmax_point, failure=b.failure,
-        ),
-    }
     params = {"fixture_a": fa.fixture_id, "fixture_b": fb.fixture_id,
-              "norm_mode": args.norm_mode, "grid": _grid_params(grid)}
-    return _finish("concat", params, checks, {
-        "k_detected": b.k, "sup_G_estimate": b.sup_G, "split_cols": [fa.F.cols, fb.F.cols],
-    })
+              "norm_mode": args.norm_mode, "degree_cap": args.degree_cap, "tol": args.tol,
+              "grid": _grid_params(grid)}
+    return _finish_solve("concat", params, bundle, {"split_cols": [fa.F.cols, fb.F.cols]})
 
 
 def _cmd_alpha(args) -> int:

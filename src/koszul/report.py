@@ -11,23 +11,26 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from datetime import datetime, timezone
 
 from . import __version__
 
 
 def jsonable(x):
-    """Coerce values (incl. complex and numpy scalars) to JSON-friendly types."""
+    """Coerce values (incl. complex and numpy scalars) to JSON-friendly types.
+
+    A non-finite float becomes None, so the emitted JSON is strict.
+    """
     import numpy as np
 
-    if isinstance(x, complex):
-        return [x.real, x.imag]
-    if isinstance(x, (np.complexfloating,)):
-        return [float(x.real), float(x.imag)]
+    if isinstance(x, (complex, np.complexfloating)):
+        return [jsonable(float(x.real)), jsonable(float(x.imag))]
     if isinstance(x, (np.bool_,)):
         return bool(x)
-    if isinstance(x, (np.floating,)):
-        return float(x)
+    if isinstance(x, (float, np.floating)):
+        # JSON has no NaN or infinity: a value that was not measured is null
+        return float(x) if math.isfinite(x) else None
     if isinstance(x, (np.integer,)):
         return int(x)
     if isinstance(x, np.ndarray):

@@ -7,7 +7,6 @@ from conftest import cmat, cvec, offdiagonal_residual, reference_q_matrix, rng
 from koszul import assemble, corona, exterior
 from koszul.assemble import (
     build_Gi,
-    concat_solve,
     norm_bound,
     radical_necessary_check,
     solve_full,
@@ -306,6 +305,12 @@ def test_solve_full_flags_range_failure():
     bundle = solve_full(F, H, grid)
     assert not bundle.success
     assert bundle.failure == "hypothesis-range"
+    # nothing was measured, so no residual or norm is reported as a number
+    assert bundle.residuals == ()
+    measured = (bundle.max_residual, bundle.mean_residual, bundle.relative_residual,
+                bundle.sup_G, bundle.argmax_point.real, bundle.argmax_point.imag,
+                bundle.bound_closed_form, bundle.bound_data_driven)
+    assert all(np.isnan(x) for x in measured)
 
 
 def random_poly_matrix_product(seed, shapes):
@@ -449,12 +454,20 @@ def test_radical_check_squared_target(small_grid):
         radical_necessary_check(F, G, H, 0, small_grid)
 
 
+def concat_parts(F1, F2, H, grid, **kwargs):
+    """The solve of [F1 | F2] G = H, and G split into the rows for F1 and F2."""
+    bundle = solve_full(F1.hstack(F2), H, grid, **kwargs)
+    G1 = bundle.G.submatrix(slice(0, F1.cols), slice(0, 1))
+    G2 = bundle.G.submatrix(slice(F1.cols, None), slice(0, 1))
+    return bundle, G1, G2
+
+
 def test_concat_empty_second_block_reduces_to_solve(fixtures_by_id, grid):
     fx = fixtures_by_id["f0"]
-    res = concat_solve(fx.F, PolyMatrix.zeros(fx.m, 0), fx.H, grid)
+    bundle, _, G2 = concat_parts(fx.F, PolyMatrix.zeros(fx.m, 0), fx.H, grid)
     plain = solve_full(fx.F, fx.H, grid)
-    assert res.bundle.max_residual == pytest.approx(plain.max_residual, abs=1e-15)
-    assert res.G2.rows == 0
+    assert bundle.max_residual == pytest.approx(plain.max_residual, abs=1e-15)
+    assert G2.rows == 0
 
 
 def test_concat_trivial_blocks(small_grid):
@@ -462,28 +475,18 @@ def test_concat_trivial_blocks(small_grid):
     F2 = PolyMatrix.from_rows([[P(0), P(0)]])
     h = P(0.3, -0.2)
     H = PolyMatrix.from_rows([[h]])
-    res = concat_solve(F1, F2, H, small_grid)
-    assert res.bundle.success
-    assert res.G1.coeffs[0, 0].tolist() == h
-    assert not res.G2.coeffs.any()
+    bundle, G1, G2 = concat_parts(F1, F2, H, small_grid)
+    assert bundle.success
+    assert G1.coeffs[0, 0].tolist() == h
+    assert not G2.coeffs.any()
 
 
 def test_concat_two_block_fixture(fixtures_by_id, grid):
     fa, fb = fixtures_by_id["f1"], fixtures_by_id["f1b"]
-    res = concat_solve(fa.F, fb.F, fa.H, grid, norm_mode="inequality")
-    b = res.bundle
+    b, G1, G2 = concat_parts(fa.F, fb.F, fa.H, grid, norm_mode="inequality")
     assert b.success
-    assert b.max_residual <= 1e-6 * b.hypothesis_report.sup_H
+    assert b.relative_residual <= 1e-6
     # recombination reproduces H on the grid
     for z in grid.points[::97]:
-        lhs = fa.F.eval(z) @ res.G1.eval(z) + fb.F.eval(z) @ res.G2.eval(z)
+        lhs = fa.F.eval(z) @ G1.eval(z) + fb.F.eval(z) @ G2.eval(z)
         np.testing.assert_allclose(lhs, fa.H.eval(z), atol=1e-9)
-
-
-def test_concat_row_mismatch():
-    F1 = PolyMatrix.from_rows([[P(1)]])
-    F2 = PolyMatrix.from_rows([[P(1)], [P(0)]])
-    with pytest.raises(ValueError):
-        concat_solve(F1, F2, PolyMatrix.from_rows([[P(1)]]))
-    with pytest.raises(ValueError, match="row count mismatch: 1 vs 2"):
-        concat_solve(F1, PolyMatrix.zeros(2, 0), PolyMatrix.from_rows([[P(1)]]))

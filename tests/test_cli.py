@@ -215,6 +215,59 @@ def test_concat_command_and_empty_reduction(tmp_path):
     a = rep_cat["checks"]["solve_residual"]["stats"]["max_residual"]
     b = rep_solve["checks"]["solve_residual"]["stats"]["max_residual"]
     assert a == pytest.approx(b, abs=1e-15)
+    # concat with an empty second block is solve, and reports what solve reports
+    assert (code, code2) == (0, 0)
+    for key in ("checks", "bounds", "sup_v_estimates", "k_detected"):
+        assert rep_cat[key] == rep_solve[key]
+    assert rep_cat["split_cols"] == [3, 0]
+    assert {k: v for k, v in rep_cat["params"].items() if not k.startswith("fixture_")} == {
+        k: v for k, v in rep_solve["params"].items() if k != "fixture"}
+
+
+def test_concat_names_its_failed_rows_and_solver_options():
+    code, rep, _ = run_json(["concat", F1, str(FIXTURE_DIR / "f1b.json"), "--tol", "1e-300"])
+    assert code == 1 and not rep["passed"]
+    stats = rep["checks"]["solve_residual"]["stats"]
+    assert stats["failed_rows"] == [1, 2]
+    assert stats["failure"] is None
+    assert rep["params"]["tol"] == 1e-300 and rep["params"]["degree_cap"] is None
+
+
+def test_concat_row_mismatch(tmp_path):
+    # concat appends columns, so the two fixtures must have the same row count
+    path = tmp_path / "one_row.json"
+    path.write_text(json.dumps({"id": "one_row", "m": 1, "d": 1, "F": [[[[1.0, 0.0]]]],
+                                "H": [[[[0.0, 0.0]]]]}))
+    code, out, err = run_cli(["concat", F1, str(path)])
+    assert (code, out) == (2, "")
+    assert err == ("error: fixture_b 'one_row' has m = 1 rows and fixture_a 'f1' has m = 2; "
+                   "concat appends columns, so the row counts must agree\n")
+
+
+def test_aborted_solve_prints_strict_json_with_nulls(tmp_path):
+    # F = [z, 0] has rank zero at z = 0, where H = 1 is not in its range,
+    # so the solve stops before assembly and measures nothing
+    path = tmp_path / "range_failure.json"
+    path.write_text(json.dumps({
+        "id": "range_failure", "m": 1, "d": 2,
+        "F": [[[[0.0, 0.0], [1.0, 0.0]], [[0.0, 0.0]]]], "H": [[[[1.0, 0.0]]]],
+        "grid": {"radii": [0.0, 0.4], "angles": 8},
+    }))
+    csv_path = tmp_path / "resid.csv"
+    code, out, _ = run_cli(["solve", str(path), "--csv", str(csv_path)])
+    assert code == 1
+
+    def reject(constant):
+        raise ValueError(f"non-strict JSON constant {constant}")
+
+    rep = json.loads(out, parse_constant=reject)
+    stats = rep["checks"]["solve_residual"]["stats"]
+    assert stats["failure"] == "hypothesis-range"
+    assert [stats[k] for k in ("max_residual", "mean_residual", "relative_residual")] == [None] * 3
+    assert stats["argmax_point"] == [None, None]
+    assert rep["bounds"] == {"closed_form": None, "closed_form_loose": None, "data_driven": None}
+    assert rep["sup_G_estimate"] is None and rep["sup_v_estimates"] == []
+    assert csv_path.read_text().strip().splitlines() == ["re,im,residual"]
 
 
 def test_concat_names_a_fixture_b_grid_that_differs(tmp_path):
