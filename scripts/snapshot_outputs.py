@@ -15,9 +15,10 @@ stdout goes to `<name>.json` with the report timestamp blanked, the
 written G files and residual CSVs sit beside them, and `exit_codes.txt`
 lists each command's exit code.
 
-It then runs `solve_full` on seeds 0-2 of the ladder rungs below, each
-instance built by the benchmark's `ladder_instance`, and writes each bundle
-exactly to `ladder_<m>-<d>-<deg>_seed<s>.txt`: every polynomial matrix as its
+It then runs `solve_full` on the ladder rungs below, seeds 0-2 of each
+and seed 0 of the widest, (6, 12, 1), each instance built by the
+benchmark's `ladder_instance`, and writes each bundle exactly to
+`ladder_<m>-<d>-<deg>_seed<s>.txt`: every polynomial matrix as its
 coefficient shape and `tobytes().hex()`, every float as `float.hex`.  Two
 snapshots taken from two checkouts compare bitwise with one `diff -r`.
 """
@@ -40,9 +41,11 @@ from workloads import ladder_instance  # noqa: E402
 
 FIXTURES = REPO / "fixtures"
 TIMESTAMP = re.compile(r'("timestamp": )"[^"]*"')
-#: (m, d, deg F) of the ladder bundles, and their seeds.
-LADDER_RUNGS = ((2, 3, 2), (3, 4, 2), (4, 5, 2), (4, 6, 2), (5, 6, 1), (3, 5, 1), (5, 8, 1))
-LADDER_SEEDS = (0, 1, 2)
+#: (m, d, deg F) of the ladder bundles, each with its seeds.  The small rungs
+#: screen most circles of their vector sup-norms in; the wide ones skip most.
+LADDER_RUNGS = tuple((rung, (0, 1, 2)) for rung in (
+    (2, 3, 2), (3, 4, 2), (4, 5, 2), (4, 6, 2), (5, 6, 1), (3, 5, 1), (5, 8, 1), (5, 10, 1),
+)) + (((6, 12, 1), (0,)),)
 #: The flags of the f1 runs on a coarse grid, and the grid of the f1 copy.
 GRID_FLAGS = ["--grid-radii", "0.3,0.6,0.9", "--grid-angles", "32"]
 FIXTURE_GRID = {"radii": [0.25, 0.5, 0.75, 0.9], "angles": 48}
@@ -98,8 +101,8 @@ def snapshot(out: pathlib.Path) -> None:
         (out / f"{name}.json").write_text(TIMESTAMP.sub(r'\1""', buf.getvalue()))
         codes.append(f"{name} {code}\n")
     (out / "exit_codes.txt").write_text("".join(codes))
-    for m, d, deg in LADDER_RUNGS:
-        for seed in LADDER_SEEDS:
+    for (m, d, deg), seeds in LADDER_RUNGS:
+        for seed in seeds:
             fx = parse_fixture(ladder_instance(seed, m, d, deg))
             lines = bundle_lines(solve_full(fx.F, fx.H))
             (out / f"ladder_{m}-{d}-{deg}_seed{seed}.txt").write_text("\n".join(lines) + "\n")

@@ -201,7 +201,11 @@ def _cmd_solve(args) -> int:
         fx.F, fx.H, grid,
         degree_cap=args.degree_cap, tol=args.tol, norm_mode=args.norm_mode,
     )
-    if args.out:
+    if args.out and not bundle.G_parts:
+        # a solve that stopped before assembly has no G to write
+        print(f"no G written to {args.out}: the solve stopped at {bundle.failure}, "
+              f"before assembly", file=sys.stderr)
+    elif args.out:
         save_solution(bundle.G, args.out, meta={"fixture": fx.fixture_id})
     if args.csv:
         write_csv(args.csv, grid.points, bundle.residuals)

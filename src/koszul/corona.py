@@ -4,11 +4,12 @@ The three hypotheses checked on a grid: the k-th minor sum of F F^*
 raised to 3/2 dominates every |h_i|; the multiplier norm of F is 1 (or at
 most 1 in inequality mode); and H lies in the pointwise range of F.  F
 and H are evaluated once on the grid, and the minor sums are computed once
-per grid on those stacks.  One SVD call of the (P, m, d) F stack gives the
-detected rank, the norm estimate and, through pseudo-inverses built from
-its factors, the range residuals.  The report keeps both stacks, so a
-solve evaluates F and H once.  Only the scalar margin arithmetic runs
-point by point, on Python floats.
+per grid on those stacks, when the report's minor bound is first read; a
+solve reads none of it, so it never computes them.  One SVD call of the
+(P, m, d) F stack gives the detected rank, the norm estimate and, through
+pseudo-inverses built from its factors, the range residuals.  The report
+keeps both stacks, so a solve evaluates F and H once.  Only the scalar
+margin arithmetic runs point by point, on Python floats.
 The stacked chain row over all k-tuples of row indices depends on F and k
 alone, so a solve builds it once, by :func:`koszul.exterior.lower` steps
 that form no operator, and solves it against each scalar target for
@@ -18,14 +19,15 @@ The scalar solve takes its grid and tolerance from the caller, which for
 read off the H stack the check kept; only the entry points default the
 grid.  Each solve is checked on the grid values of its residual polynomial
 R v - h, so neither R nor v is evaluated for the check, and sup_v, the
-grid sup of a column, is a Euclidean norm per point with no SVD.  A
-solve's verdict is its coefficient report's, read through ``success``.
+grid sup of a column, is a Euclidean norm per point with no SVD, taken
+only on the circles that its screen keeps.  A solve's verdict is its
+coefficient report's, read through ``success``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import reduce
+from functools import cached_property, reduce
 from math import factorial
 
 import numpy as np
@@ -53,25 +55,49 @@ class HypothesisReport:
     """Grid verdicts for the three hypotheses plus the detected rank.
 
     ``F_vals`` and ``H_vals`` are the read-only (P, m, d) and (P, m, 1)
-    stacks the check evaluated, kept so a solve need not evaluate F and H
-    again; they take no part in comparisons or the repr.
+    stacks the check evaluated on ``grid``, kept so a solve need not
+    evaluate F and H again; they take no part in comparisons or the repr.
+    The minor bound is computed from them on first read of any of its
+    four attributes, so a solve, which reads none, never computes it.
     """
 
     k_detected: int
-    minor_margins: tuple[float, ...]
-    min_margin: float
-    argmin_margin_point: complex
     norm_estimate: float
     norm_mode: str
     range_residuals: tuple[float, ...]
     max_range_residual: float
     argmax_range_point: complex
     sup_H: float
-    passed_minor_bound: bool
     passed_norm: bool
     passed_range: bool
     F_vals: np.ndarray = field(compare=False, repr=False)
     H_vals: np.ndarray = field(compare=False, repr=False)
+    grid: DiscGrid = field(compare=False, repr=False)
+
+    @cached_property
+    def minor_margins(self) -> tuple[float, ...]:
+        """(det_k F F^*)^(3/2) - max_i |h_i| at each grid point, k the detected rank."""
+        # margins on Python floats: numpy's vectorised ** can round differently
+        k = self.k_detected
+        dk = det_k_gram(self.F_vals, k).tolist() if k >= 1 else [0.0] * len(self.grid)
+        h_max = np.abs(self.H_vals).max(axis=(1, 2)).tolist()
+        return tuple(max(a, 0.0) ** 1.5 - b for a, b in zip(dk, h_max))
+
+    @cached_property
+    def _argmin_margin(self) -> int:
+        return int(np.argmin(self.minor_margins))
+
+    @property
+    def min_margin(self) -> float:
+        return float(self.minor_margins[self._argmin_margin])
+
+    @property
+    def argmin_margin_point(self) -> complex:
+        return self.grid.points[self._argmin_margin]
+
+    @property
+    def passed_minor_bound(self) -> bool:
+        return self.min_margin >= MINOR_MARGIN_FLOOR
 
     @property
     def all_passed(self) -> bool:
@@ -150,12 +176,6 @@ def check_hypotheses(
     sing, F_pinv = _svd_pinv(F_vals)
     k = int(rank_from_singular_values(sing).max(initial=0))
 
-    # margins on Python floats: numpy's vectorised ** can round differently
-    dk = det_k_gram(F_vals, k).tolist() if k >= 1 else [0.0] * len(grid)
-    h_max = np.abs(H_vals).max(axis=(1, 2)).tolist()
-    margins = [max(a, 0.0) ** 1.5 - b for a, b in zip(dk, h_max)]
-    imin = int(np.argmin(margins))
-
     norm_est = float(sing.max(initial=0.0))
     if norm_mode == "strict":
         passed_norm = abs(norm_est - 1.0) <= NORM_TOL
@@ -168,20 +188,17 @@ def check_hypotheses(
 
     return HypothesisReport(
         k_detected=k,
-        minor_margins=tuple(margins),
-        min_margin=float(margins[imin]),
-        argmin_margin_point=grid.points[imin],
         norm_estimate=float(norm_est),
         norm_mode=norm_mode,
         range_residuals=tuple(range_residuals),
         max_range_residual=float(range_residuals[imax]),
         argmax_range_point=grid.points[imax],
         sup_H=sup_H,
-        passed_minor_bound=margins[imin] >= MINOR_MARGIN_FLOOR,
         passed_norm=passed_norm,
         passed_range=range_residuals[imax] <= RANGE_RTOL * sup_H,
         F_vals=F_vals,
         H_vals=H_vals,
+        grid=grid,
     )
 
 

@@ -15,6 +15,10 @@ this package is a grid maximum and therefore a lower estimate of the
 true sup over the disc.  The pointwise norm of a single row or column is
 its Euclidean norm, so a vector's sup needs no SVD, and a coefficient
 solve is checked on the grid values of its residual polynomial A x - b.
+Both vector maxima are screened circle by circle: a bound from the
+vector's coefficient Gram matrix picks the circles that can hold the
+maximum, and only those are evaluated, so the result is bitwise the
+full sweep's at a fraction of its points.
 """
 
 from __future__ import annotations
@@ -34,17 +38,19 @@ LSTSQ_RCOND = 1e-10
 
 
 def _horner(coeffs, z) -> np.ndarray:
-    """Horner's rule on the real and imaginary parts separately.
+    """Horner's rule on the real and imaginary parts, held as one array.
 
     ``coeffs`` is a (..., n) array of Taylor coefficients in ascending
     degree and ``z`` a 1-D array of P points; the result is the (P, ...)
-    stack of values.  The sweep runs with the points on the last axis and
-    their real and imaginary parts copied to contiguous arrays, so each
-    step is a pass over contiguous values, and every step repeats
-    Python's complex product and sum operation for operation: each value
-    is bitwise the one a scalar Python-complex Horner loop gives; leading
-    zero coefficients leave the accumulator at zero, which the first
-    nonzero coefficient replaces exactly.
+    stack of values.  The accumulator is one (2, ..., P) array of real and
+    imaginary parts with the points on the last axis, and each degree is
+    four passes over it: the swapped parts times (-Im z, Im z), the
+    accumulator times Re z, their sum, and the coefficient.  That is
+    Python's complex product and sum operation for operation (a - b is
+    a + (-b) in IEEE arithmetic, signed zeros included), so each value is
+    bitwise the one a scalar Python-complex Horner loop gives; leading zero
+    coefficients leave the accumulator at zero, which the first nonzero
+    coefficient replaces exactly.
     Points outside the open unit disc are allowed but warned about, since
     every norm statement in this package concerns the disc.
     """
@@ -53,13 +59,20 @@ def _horner(coeffs, z) -> np.ndarray:
         warnings.warn(
             f"evaluating at |z| = {radius:.3f} >= 1, outside the unit disc", stacklevel=3
         )
-    zr, zi = np.ascontiguousarray(z.real), np.ascontiguousarray(z.imag)
-    re = im = 0.0
+    parts = np.array([coeffs.real, coeffs.imag])[..., None]  # (2, ..., n, 1)
+    spread = (2,) + (1,) * (coeffs.ndim - 1) + z.shape
+    zr = np.ascontiguousarray(z.real)
+    zi = np.array([-z.imag, z.imag]).reshape(spread)
+    x = np.zeros(spread[:1] + coeffs.shape[:-1] + z.shape)
+    t = np.empty_like(x)
     for n in range(coeffs.shape[-1] - 1, -1, -1):
-        c = coeffs[..., n, None]
-        re, im = re * zr - im * zi + c.real, re * zi + im * zr + c.imag
+        np.multiply(x[::-1], zi, out=t)
+        x *= zr
+        x += t
+        x += parts[..., n, :]
     out = np.empty(z.shape + coeffs.shape[:-1], dtype=complex)
-    out.real, out.imag = np.moveaxis(re, -1, 0), np.moveaxis(im, -1, 0)
+    points_first = (coeffs.ndim - 1, *range(coeffs.ndim - 1))
+    out.real, out.imag = x[0].transpose(points_first), x[1].transpose(points_first)
     return out
 
 
@@ -255,16 +268,92 @@ def slice_norms(stack: np.ndarray) -> np.ndarray:
     return norms
 
 
+@functools.cache
+def _diagonal_index(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """For the upper triangle a <= b of an (n+1)^2 matrix: b - a, a + b and the flat index."""
+    a, b = np.triu_indices(n + 1)
+    return b - a, a + b, a * (n + 1) + b
+
+
+@functools.cache
+def _radius_powers(radii: tuple[float, ...], n: int) -> np.ndarray:
+    """The read-only (n+1, len(radii)) table r**j, j = 0, ..., n."""
+    powers = np.asarray(radii)[None, :] ** np.arange(n + 1)[:, None]
+    powers.flags.writeable = False
+    return powers
+
+
+def _vector_grid_max(M: PolyMatrix, grid: DiscGrid) -> float:
+    """``slice_norms(M.eval(grid.points)).max()`` for a row or column M, bitwise.
+
+    With C the N x (n+1) coefficients, ||M(r e^{i t})||^2 is a
+    trigonometric polynomial whose k-th coefficient is the k-th diagonal
+    sum of the Gram matrix C^H C weighted by r^{a+b}, so the sum of their
+    moduli, B(r), bounds the squared norm on the whole circle of radius r.
+    Each circle gets an upper bound U(r) on every norm that Horner and
+    :func:`slice_norms` can compute on it; the circle with the largest U
+    is evaluated first, then, in one more sweep, every other circle whose
+    U reaches that circle's maximum.  Every norm is computed point by
+    point, so the maximum is the full sweep's, bit for bit.  A coefficient
+    that is not finite, or one large enough that Horner could overflow,
+    takes the full sweep.
+    """
+    coeffs = M.coeffs
+    C = coeffs.reshape(-1, coeffs.shape[-1])
+    N, n = C.shape[0], C.shape[1] - 1
+    top = np.abs(C.view(float)).max(initial=0.0)
+    e = int(np.frexp(top)[1])
+    if not np.isfinite(top) or e + (4 * n + 4).bit_length() >= 1023:
+        return float(slice_norms(M.eval(grid.points)).max())
+    # in units of 2**e the largest real part is below 1, so the Gram
+    # products neither overflow nor, for the entries that matter, underflow
+    C = np.ldexp(C.view(float), -e).view(complex)
+    gram = C.conj().T @ C
+    diagonals = np.zeros((n + 1, 2 * n + 1), dtype=complex)
+    k, s, upper_triangle = _diagonal_index(n)
+    diagonals[k, s] = gram.ravel()[upper_triangle]  # t_k(r) = sum_a gram[a, a+k] r^(2a+k)
+    powers = _radius_powers(grid.radii, 2 * n)
+    moduli = np.abs(diagonals @ powers)
+    bound_sq = 2 * moduli.sum(axis=0) - moduli[0]  # t_{-k} is conj(t_k)
+    col_sum = np.sqrt(gram.diagonal().real) @ powers[:n + 1]  # sum_k ||C[:, k]|| r^k
+    # Rounding, as multiples of the unit roundoff u = 2**-53 (gamma_j =
+    # j u / (1 - j u)): the Gram, the diagonal sums, the powers and the
+    # moduli err by at most gamma_{2N+3n+12} col_sum^2 in bound_sq; a
+    # computed point lies within a factor 1 + 4u of its circle, which moves
+    # bound_sq by gamma_{8n} col_sum^2 and col_sum by gamma_{4n}; col_sum
+    # itself errs by gamma_{2N+2n+4}; complex Horner is within
+    # gamma_{4n+4} col_sum of the exact value, and slice_norms within
+    # gamma_{2N+2} of the exact norm.  One gamma_K with K = 8N + 32n + 64
+    # covers each of them, their products and the roundings of `upper`.
+    K = 8 * N + 32 * n + 64
+    g = K * 2.0**-53 / (1 - K * 2.0**-53)
+    upper = (1 + g) * (np.sqrt(bound_sq + g * col_sum**2) + g * col_sum)
+    # underflow errs absolutely: by 2**-1074 (8N + 8)(n+1)^2 in bound_sq,
+    # and in Horner by 2**-1074 sqrt(2N)(n+1) before scaling; two more
+    # 2**-1074 cover a subnormal norm and the scaled maximum's rounding
+    upper += (8 * N + 8) ** 0.5 * (n + 1) * 2.0**-537
+    upper += np.ldexp(int((2 * N) ** 0.5 * (n + 1)) + 3, -1074 - min(e, 0))
+    circles = grid.points.reshape(len(grid.radii), grid.angles)
+    first = int(np.argmax(upper))
+    best = slice_norms(_horner(coeffs, circles[first])).max()
+    more = upper >= np.ldexp(best, -e)
+    more[first] = False
+    if more.any():
+        best = max(best, slice_norms(_horner(coeffs, circles[more].reshape(-1))).max())
+    return float(best)
+
+
 def sup_operator_norm(M: PolyMatrix, grid: DiscGrid) -> float:
     """Grid maximum of the pointwise spectral norm of M(z), 0.0 if M has no entries.
 
     A lower estimate of the true multiplier norm; adding grid points can
     only increase it.  The spectral norm of a single row or column is its
-    Euclidean norm, so a vector needs no SVD.
+    Euclidean norm, so a vector needs no SVD, and its maximum is screened
+    circle by circle (:func:`_vector_grid_max`).
     """
-    vals = M.eval(grid.points)
     if 1 in M.shape:
-        return float(slice_norms(vals).max())
+        return _vector_grid_max(M, grid)
+    vals = M.eval(grid.points)
     return float(np.linalg.norm(vals, 2, axis=(1, 2)).max(initial=0.0))
 
 
@@ -310,7 +399,7 @@ def coefficient_match_solve(
     rhs[:, :b.max_degree + 1] = b.coeffs[:, 0]
     sol, _, rank, _ = np.linalg.lstsq(M, rhs.reshape(-1), rcond=LSTSQ_RCOND)
     x = PolyMatrix(sol.reshape(A.cols, 1, width))
-    resid = float(slice_norms((A @ x - b).eval(grid.points)).max())
+    resid = _vector_grid_max(A @ x - b, grid)
     report = CoefficientSolveReport(
         residual=resid, tol=tol, success=resid <= tol,
         system_shape=M.shape, lstsq_rank=int(rank),

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import cmat, cvec, offdiagonal_residual, reference_q_matrix, rng
-from koszul import assemble, corona, exterior
+from koszul import assemble, corona, exterior, poly
 from koszul.assemble import (
     build_Gi,
     norm_bound,
@@ -206,32 +206,51 @@ def _ladder_462():
     return F, F @ random_poly_matrix(r, 6, 1, 1)
 
 
-def test_solve_full_evaluates_on_the_grid_12_times(monkeypatch):
-    # F and H once, in the hypothesis check; per row, the residual
-    # polynomial R v - h and v for sup_v; then G for the residual and for
-    # sup_G.  The residual and each row's tolerance read the check's stacks.
+def test_solve_full_sweeps_the_grid_3_times_and_screens_9_maxima(monkeypatch):
+    # F and H once, in the hypothesis check, and G once, for the residual,
+    # over the whole grid; the grid maxima of each row's residual polynomial
+    # R v - h, of each v (sup_v) and of G (sup_G) are screened circle by
+    # circle.  The residual and each row's tolerance read the check's stacks.
     F, H = _ladder_462()
-    evals, sups = [], []
-    eval_ = PolyMatrix.eval
+    evals, screened, sups = [], [], []
+    eval_, screen = PolyMatrix.eval, poly._vector_grid_max
 
     def counted_eval(self, z):
         evals.append(self.shape)
         return eval_(self, z)
+
+    def counted_screen(M, grid):
+        screened.append(M.shape)
+        return screen(M, grid)
 
     def counted_sup(M, grid):
         sups.append(M.shape)
         return sup_operator_norm(M, grid)
 
     monkeypatch.setattr(PolyMatrix, "eval", counted_eval)
+    monkeypatch.setattr(poly, "_vector_grid_max", counted_screen)
     monkeypatch.setattr(corona, "sup_operator_norm", counted_sup)
     monkeypatch.setattr(assemble, "sup_operator_norm", counted_sup)
     bundle = solve_full(F, H)
     assert bundle.success and bundle.k == 4
-    assert len(evals) == 12 and len(sups) == 5
-    assert evals.count((4, 6)) == 1 and evals.count((4, 1)) == 1
-    # R (1 x 15) is never evaluated, and each v_i (15 x 1) once, for sup_v
-    assert (1, 15) not in evals and evals.count((15, 1)) == 4
-    assert evals.count((1, 1)) == 4 and evals.count((6, 1)) == 2
+    assert evals == [(4, 6), (4, 1), (6, 1)] and len(sups) == 5
+    # R (1 x 15) is never evaluated, and each v_i (15 x 1) is screened once, for sup_v
+    assert (1, 15) not in evals + screened and screened.count((15, 1)) == 4
+    assert screened.count((1, 1)) == 4 and screened.count((6, 1)) == 1
+    assert len(screened) == 9
+
+
+def test_solve_full_computes_no_minor_bound(monkeypatch):
+    # a solve reads none of the minor bound's attributes, so its report
+    # computes the margins only when they are first read, once
+    F, H = _ladder_462()
+    calls = []
+    det_k_gram = corona.det_k_gram
+    monkeypatch.setattr(corona, "det_k_gram", lambda *a: calls.append(a) or det_k_gram(*a))
+    hyp = solve_full(F, H).hypothesis_report
+    assert calls == []
+    assert hyp.min_margin == min(hyp.minor_margins) and hyp.argmin_margin_point in hyp.grid.points
+    assert len(calls) == 1
 
 
 def test_one_svd_per_hypothesis_check_and_per_solve(monkeypatch):

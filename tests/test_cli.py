@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from conftest import FIXTURE_DIR, GOLDEN_DIR
-from koszul import combinat
+from koszul import combinat, corona
 from koszul.cli import main
 from koszul.fixtures import load_fixture, load_solution
 from koszul.poly import PolyMatrix
@@ -270,6 +270,23 @@ def test_aborted_solve_prints_strict_json_with_nulls(tmp_path):
     assert csv_path.read_text().strip().splitlines() == ["re,im,residual"]
 
 
+@pytest.mark.parametrize("F,H,failure", [
+    ([[[[0.0, 0.0], [1.0, 0.0]], [[0.0, 0.0]]]], [[[[1.0, 0.0]]]], "hypothesis-range"),
+    ([[[[0.0, 0.0]], [[0.0, 0.0]]]], [[[[0.0, 0.0]]]], "rank-zero"),
+], ids=["F=[z,0],H=[1]", "F=[0,0],H=[0]"])
+def test_aborted_solve_writes_no_G(tmp_path, F, H, failure):
+    # a solve that stops before assembly has no G; an all-zero G.json would
+    # pass for a solution with `radical --g`, so none is written
+    path = tmp_path / "aborted.json"
+    path.write_text(json.dumps({"id": "aborted", "m": 1, "d": 2, "F": F, "H": H,
+                                "grid": {"radii": [0.0, 0.4], "angles": 8}}))
+    out_path = tmp_path / "G.json"
+    code, out, err = run_cli(["solve", str(path), "--out", str(out_path)])
+    assert code == 1 and not out_path.exists()
+    assert json.loads(out)["checks"]["solve_residual"]["stats"]["failure"] == failure
+    assert err == f"no G written to {out_path}: the solve stopped at {failure}, before assembly\n"
+
+
 def test_concat_names_a_fixture_b_grid_that_differs(tmp_path):
     # both fixtures' grids are resolved with the same flags and must agree,
     # so a different one in fixture_b is an error rather than silently
@@ -328,12 +345,14 @@ def _counting(monkeypatch, owner, name) -> list:
 
 @pytest.mark.parametrize("argv,owner,name,count", [
     (["check", str(FIXTURE_DIR / "f0.json")], PolyMatrix, "eval", 2),
+    (["check", str(FIXTURE_DIR / "f0.json")], corona, "det_k_gram", 1),
     (["radical", F1, "--n", "1", "--g", "G"], PolyMatrix, "eval", 3),
     (["concat", F1, str(FIXTURE_DIR / "f1b.json")], PolyMatrix, "__matmul__", 2),
     (["identities", "--seed", "0"], np.linalg, "eigvalsh", 20),
-], ids=["check", "radical", "concat", "identities"])
+], ids=["check", "check-minor-bound", "radical", "concat", "identities"])
 def test_each_command_computes_each_value_once(tmp_path, monkeypatch, argv, owner, name, count):
-    # check's gauge reads the hypothesis check's F and H stacks, radical
+    # check's gauge reads the hypothesis check's F and H stacks, its minor
+    # bound is computed once although the report reads it three times, radical
     # sweeps H once for n = 1, concat forms only its solve's two products,
     # and the battery takes one eigendecomposition per (m, k) group
     if "G" in argv:

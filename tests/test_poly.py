@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from koszul import poly
 from koszul.poly import (
     DiscGrid,
     PolyMatrix,
@@ -352,6 +353,121 @@ def test_sup_norm_of_a_vector_survives_extreme_magnitudes(scale):
         got = sup_operator_norm(PolyMatrix(c), grid)
         ref = spectral_sup(PolyMatrix(c).eval(grid.points))
         assert abs(got - ref) <= 4 * np.spacing(ref)
+
+
+def full_sweep_max(M, grid):
+    """The grid maximum of a vector's norm from every grid point."""
+    with np.errstate(invalid="ignore", over="ignore"):
+        return float(slice_norms(M.eval(grid.points)).max())
+
+
+def assert_screen_is_the_full_sweep(M, grid):
+    with np.errstate(invalid="ignore", over="ignore"):
+        got = sup_operator_norm(M, grid)
+    assert got.hex() == full_sweep_max(M, grid).hex()
+
+
+#: The default grid; radius 0 among unsorted radii; and two circles one ulp
+#: apart, whose maxima a screen without its rounding margin can mistake.
+SCREEN_GRIDS = (
+    DiscGrid.default(),
+    DiscGrid((0.9, 0.0, 0.3, 0.95, 0.6), 7),
+    DiscGrid((0.5, math.nextafter(0.5, 1.0)), 16),
+)
+
+
+def _vector(c, column):
+    """A row or column vector from an (N, degree + 1) coefficient array."""
+    return PolyMatrix(c[:, None] if column else c[None])
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 12), st.integers(0, 14),
+       st.sampled_from([1.0, 1.0, 1e200, 1e-200, 1e300, 1e-300]), st.booleans(),
+       st.sampled_from(range(len(SCREEN_GRIDS))))
+def test_screened_vector_maximum_is_the_full_sweep(seed, N, n, scale, column, g):
+    # each entry's coefficients decay or grow at a random rate, and some vanish
+    r = np.random.default_rng(seed)
+    c = (r.standard_normal((N, n + 1)) + 1j * r.standard_normal((N, n + 1)))
+    c *= r.uniform(0.3, 3.0, size=(N, 1)) ** np.arange(n + 1)
+    c[r.random(c.shape) < 0.2] = 0
+    assert_screen_is_the_full_sweep(_vector(scale * c, column), SCREEN_GRIDS[g])
+
+
+@pytest.mark.parametrize("column", [False, True])
+@pytest.mark.parametrize("n", [0, 1, 5, 24])
+def test_screened_maximum_of_a_monomial(n, column):
+    # c z^n has the same norm at every point of a circle, so its bound is
+    # tight there; every point of the outer circle ties for the maximum
+    r = np.random.default_rng(n)
+    for grid in SCREEN_GRIDS:
+        for _ in range(20):
+            c = np.zeros((3, n + 1), dtype=complex)
+            c[:, n] = r.standard_normal(3) + 1j * r.standard_normal(3)
+            assert_screen_is_the_full_sweep(_vector(c, column), grid)
+
+
+def test_screen_evaluates_only_the_outer_circle_of_a_monomial(monkeypatch):
+    M = PolyMatrix(np.array([[[0, 0, 0, 1 + 2j]], [[0, 0, 0, -0.5]]]))
+    full = full_sweep_max(M, DiscGrid.default())
+    calls = []
+    horner = poly._horner
+    monkeypatch.setattr(poly, "_horner", lambda c, z: calls.append(len(z)) or horner(c, z))
+    assert sup_operator_norm(M, DiscGrid.default()) == full
+    assert calls == [64]
+
+
+def test_screened_maximum_under_heavy_cancellation():
+    # (1 - z)^24 has coefficients up to 2.7e6 and values down to 4e-32 near
+    # z = 0.95; the rows add tiny residual-like noise on top of it
+    binomial = np.array([(-1) ** k * math.comb(24, k) for k in range(25)], dtype=complex)
+    r = np.random.default_rng(3)
+    for grid in SCREEN_GRIDS:
+        for noise in (0.0, 1e-14, 1e-9):
+            c = binomial + noise * (r.standard_normal((4, 25)) + 1j * r.standard_normal((4, 25)))
+            assert_screen_is_the_full_sweep(_vector(c, True), grid)
+            assert_screen_is_the_full_sweep(_vector(c - binomial, False), grid)
+
+
+def test_screened_maximum_one_ulp_from_the_centre():
+    # v = c (1 - k 2^-44 z^8) on 8 angles is c (1 - k 2^-52) on the circle
+    # of radius 0.5, which the screen evaluates first; the centre, v(0) = c,
+    # is larger by an ulp or two, which only the rounding margin on the
+    # centre's bound ||c|| keeps in the sweep
+    grid = DiscGrid((0.5, 0.0), 8)
+    r = np.random.default_rng(1)
+    for _ in range(300):
+        N, k = int(r.integers(20, 300)), int(r.integers(1, 4))
+        c = np.zeros((N, 9), dtype=complex)
+        c[:, 0] = r.standard_normal(N) + 1j * r.standard_normal(N)
+        c[:, 8] = -c[:, 0] * k * 2.0**-44
+        assert_screen_is_the_full_sweep(_vector(c, True), grid)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0, -np.inf), complex(np.nan, 1)])
+def test_screen_takes_the_full_sweep_on_a_non_finite_coefficient(bad):
+    for grid in SCREEN_GRIDS:
+        c = np.ones((3, 4), dtype=complex)
+        c[1, 2] = bad
+        for column in (False, True):
+            assert_screen_is_the_full_sweep(_vector(c, column), grid)
+
+
+def test_screened_maximum_of_the_zero_vector_is_zero():
+    for grid in SCREEN_GRIDS:
+        for column in (False, True):
+            M = _vector(np.zeros((5, 1), dtype=complex), column)
+            assert sup_operator_norm(M, grid).hex() == (0.0).hex() == full_sweep_max(M, grid).hex()
+
+
+def test_screened_maximum_can_sit_on_the_innermost_circle():
+    # on 64 angles z^64 = r^64, so 1 - z^64 is 1 - r^64 at every grid point:
+    # largest on the innermost circle, though its bound 1 + r^64 is largest
+    # on the outermost one
+    M = PolyMatrix.from_rows([[P(1, *[0] * 63, -1)]])
+    grid = DiscGrid.default()
+    assert sup_operator_norm(M, grid) == 1.0 == full_sweep_max(M, grid)
+    assert full_sweep_max(M, DiscGrid((0.95,), 64)) < 1.0
 
 
 @pytest.mark.parametrize("scale", [1.0, 1e100, 1e-100, 3e200, 1e300, 1e-200])
