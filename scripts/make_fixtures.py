@@ -15,7 +15,7 @@ import numpy as np
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 
-from koszul.corona import check_hypotheses
+from koszul.corona import check_hypotheses, minor_bound_check
 from koszul.detk import det_k_gram
 from koszul.fixtures import Fixture, save_fixture
 from koszul.opdet import numeric_rank
@@ -133,11 +133,13 @@ def main():
         if fx.fixture_id == "f1b":
             print(f"{fx.fixture_id}: concat partner, no hypothesis target")
             continue
-        hyp = check_hypotheses(fx.F, fx.H, fx.grid)
+        grid = fx.grid or DiscGrid.default()
+        hyp = check_hypotheses(fx.F, fx.H, grid)
+        minor = minor_bound_check(hyp.F_vals, hyp.H_vals, hyp.k_detected, grid)
         print(
-            f"{fx.fixture_id}: k={hyp.k_detected} min_margin={hyp.min_margin:.3e} "
+            f"{fx.fixture_id}: k={hyp.k_detected} min_margin={minor.min_margin:.3e} "
             f"norm={hyp.norm_estimate:.12f} range_resid={hyp.max_range_residual:.2e} "
-            f"all_passed={hyp.all_passed}"
+            f"all_passed={minor.passed and hyp.passed_norm and hyp.passed_range}"
         )
 
 

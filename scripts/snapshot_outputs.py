@@ -10,7 +10,8 @@ wrote for f1; the second fails its precondition and exits 1), `alpha --t
 the default one are covered too: `check` and `solve --csv` of f1 with
 `--grid-radii 0.3,0.6,0.9 --grid-angles 32`, and `check` of
 `f1_grid.json`, a copy of f1 with its own `grid` block that the script
-writes into OUTDIR first.  Each command's
+writes into OUTDIR first.  `check` of f1 runs once more with `--norm-mode
+inequality`, the one command that takes a norm mode.  Each command's
 stdout goes to `<name>.json` with the report timestamp blanked, the
 written G files and residual CSVs sit beside them, and `exit_codes.txt`
 lists each command's exit code.
@@ -70,6 +71,7 @@ def commands(out: pathlib.Path):
     tree = json.loads(pathlib.Path(fx["f1"]).read_text())
     (out / "f1_grid.json").write_text(json.dumps({**tree, "grid": FIXTURE_GRID}, indent=2))
     yield "check_f1_fixture_grid", ["check", str(out / "f1_grid.json")]
+    yield "check_f1_inequality", ["check", fx["f1"], "--norm-mode", "inequality"]
 
 
 def _exact(M) -> str:

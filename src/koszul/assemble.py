@@ -12,7 +12,10 @@ block one :func:`koszul.exterior.lower` step at a time, which forms no
 operator.  G is the sum of the G_i; its cross terms f_j G_i (j != i)
 vanish at full rank, by the battery's ``rank_vanishing`` identity, so only
 F G = H is measured.  A solve evaluates F and H once, in the hypothesis
-check, and reads row tolerances and the final residual off its stacks.
+check, and reads from it only the rank, the range verdict, the grid sup
+of |H| and the two stacks, off which it reads row tolerances and the final
+residual; it takes no norm mode and computes no minor bound.  The radical
+check reports its pointwise margins as one :class:`koszul.poly.MarginReport`.
 """
 
 from __future__ import annotations
@@ -20,6 +23,8 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from functools import reduce
 from math import comb, factorial
+
+import math
 
 import numpy as np
 
@@ -36,7 +41,7 @@ from .detk import det_k_gram
 from .errors import PreconditionError
 from .estimates import K_constant
 from .exterior import lower
-from .poly import DiscGrid, PolyMatrix, slice_norms, sup_operator_norm, trimmed
+from .poly import DiscGrid, MarginReport, PolyMatrix, slice_norms, sup_operator_norm, trimmed
 
 ASSEMBLY_RTOL = 1e-6  # largest F G - H residual, relative to the grid sup of |H|
 RADICAL_PRECONDITION_RTOL = 1e-6  # largest F G - H^n residual, relative to max(sup |H^n|, 1)
@@ -80,10 +85,19 @@ def build_Gi(F: PolyMatrix, v_i: PolyMatrix, i: int, k: int) -> PolyMatrix:
 
 
 def norm_bound(m: int, k: int) -> float:
-    """The closed-form multiplier-norm bound m * C(m-1, k-1) * K."""
+    """The closed-form multiplier-norm bound m * C(m-1, k-1) * K.
+
+    A bound beyond the largest float raises ValueError.
+    """
     if k < 1 or k > m:
         raise ValueError(f"need 1 <= k <= m, got k={k}, m={m}")
-    return m * comb(m - 1, k - 1) * K_constant()
+    try:
+        bound = float(m * comb(m - 1, k - 1)) * K_constant()
+    except OverflowError:
+        bound = math.inf
+    if math.isinf(bound):
+        raise ValueError(f"the bound m * C(m-1, k-1) * K overflows a float at m={m}, k={k}")
+    return bound
 
 
 @dataclass(frozen=True)
@@ -126,7 +140,6 @@ def solve_full(
     grid: DiscGrid | None = None,
     degree_cap: int | None = None,
     tol: float | None = None,
-    norm_mode: str = "strict",
 ) -> SolutionBundle:
     """Run the scalar division for every row, assemble G, and measure it.
 
@@ -141,7 +154,7 @@ def solve_full(
     """
     if grid is None:
         grid = DiscGrid.default()
-    hyp = check_hypotheses(F, H, grid, norm_mode=norm_mode)
+    hyp = check_hypotheses(F, H, grid)
     m, d = F.shape
     k = hyp.k_detected
 
@@ -207,11 +220,8 @@ class RadicalReport:
     power: int
     constant: float            # (grid sup of |G|)^2, the implemented constant
     constant_exponent_2m: float  # (grid sup of |G|)^(2m), recorded for comparison
-    margins: tuple[float, ...]
-    min_margin: float
-    argmin_point: complex
     precondition_residual: float
-    passed: bool
+    margin: MarginReport       # C * det_1(F F^*) - max_i |h_i|^(2n) at each grid point
 
 
 def radical_necessary_check(
@@ -248,16 +258,12 @@ def radical_necessary_check(
     C = sup_G ** 2
     dk = det_k_gram(F_vals, 1).tolist()
     h_max = np.abs(H_vals).max(axis=(1, 2)).tolist()
-    margins = [C * a - b ** (2 * n) for a, b in zip(dk, h_max)]
-    imin = int(np.argmin(margins))
     return RadicalReport(
         power=n,
         constant=C,
         constant_exponent_2m=sup_G ** (2 * m),
-        margins=tuple(margins),
-        min_margin=float(margins[imin]),
-        argmin_point=grid.points[imin],
         precondition_residual=pre_resid,
-        passed=margins[imin] >= RADICAL_MARGIN_FLOOR,
+        margin=MarginReport.on(grid, [C * a - b ** (2 * n) for a, b in zip(dk, h_max)],
+                               RADICAL_MARGIN_FLOOR),
     )
 

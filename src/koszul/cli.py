@@ -2,7 +2,8 @@
 
 Subcommands: identities, check, solve, radical, concat, alpha, bound.
 Reports are printed to stdout as canonical JSON (sorted keys, indent 2).
-Exit codes: 0 all checks passed, 1 a check failed, 2 invalid input.
+Exit codes: 0 all checks passed, 1 a check failed, 2 invalid input or a path
+that cannot be read or written.  Only ``check`` takes a norm mode.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import sys
 from . import __version__
 from .assemble import (ASSEMBLY_RTOL, RADICAL_MARGIN_FLOOR, RADICAL_PRECONDITION_RTOL,
                        norm_bound, radical_necessary_check, solve_full)
-from .corona import MINOR_MARGIN_FLOOR, NORM_TOL, RANGE_RTOL, check_hypotheses
+from .corona import MINOR_MARGIN_FLOOR, NORM_TOL, RANGE_RTOL, check_hypotheses, minor_bound_check
 from .errors import PreconditionError
 from .estimates import ALPHA_MARGIN_FLOOR, AlphaParams, K_constant, alpha, alpha_hypothesis_check
 from .fixtures import load_fixture, load_solution, save_solution
@@ -77,7 +78,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("fixture")
     p.add_argument("--out", default=None, help="write the solution G as JSON")
     p.add_argument("--csv", default=None, help="write per-point residuals as CSV")
-    p.add_argument("--norm-mode", choices=("strict", "inequality"), default="strict")
     _grid_options(p)
     _solver_options(p)
 
@@ -90,7 +90,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("concat", help="solve against the concatenation of two fixtures")
     p.add_argument("fixture_a")
     p.add_argument("fixture_b")
-    p.add_argument("--norm-mode", choices=("strict", "inequality"), default="strict")
     _grid_options(p)
     _solver_options(p)
 
@@ -131,12 +130,19 @@ def _cmd_identities(args) -> int:
                    checks)
 
 
-def _hypothesis_checks(hyp) -> dict:
-    return {
-        "minor_bound": check_block(
-            hyp.passed_minor_bound, MINOR_MARGIN_FLOOR,
-            min_margin=hyp.min_margin, argmin_point=hyp.argmin_margin_point,
-        ),
+def _margin_block(rep, floor: float, **stats) -> dict:
+    """The check block of one margin report: its verdict, smallest margin and point."""
+    return check_block(rep.passed, floor, min_margin=rep.min_margin,
+                       argmin_point=rep.argmin_point, **stats)
+
+
+def _cmd_check(args) -> int:
+    fx = load_fixture(args.fixture)
+    grid = _resolve_grid(args, fx)
+    hyp = check_hypotheses(fx.F, fx.H, grid, norm_mode=args.norm_mode)
+    minor = minor_bound_check(hyp.F_vals, hyp.H_vals, hyp.k_detected, grid)
+    checks = {
+        "minor_bound": _margin_block(minor, MINOR_MARGIN_FLOOR),
         "multiplier_norm": check_block(
             hyp.passed_norm, NORM_TOL,
             estimate=hyp.norm_estimate, mode=hyp.norm_mode,
@@ -147,23 +153,13 @@ def _hypothesis_checks(hyp) -> dict:
             argmax_point=hyp.argmax_range_point, sup_H=hyp.sup_H,
         ),
     }
-
-
-def _cmd_check(args) -> int:
-    fx = load_fixture(args.fixture)
-    grid = _resolve_grid(args, fx)
-    hyp = check_hypotheses(fx.F, fx.H, grid, norm_mode=args.norm_mode)
-    checks = _hypothesis_checks(hyp)
     # the iterated-log gauge margin is reported for single-row instances
     # but is a strictly sharper bound, so it never gates the exit code
     extra = {"k_detected": hyp.k_detected}
     if fx.m == 1:
         try:
             amr = alpha_hypothesis_check(hyp.F_vals, hyp.H_vals, grid)
-            extra["alpha_margin"] = check_block(
-                amr.passed, ALPHA_MARGIN_FLOOR,
-                min_margin=amr.min_margin, argmin_point=amr.argmin_point, c=amr.params_c,
-            )
+            extra["alpha_margin"] = _margin_block(amr, ALPHA_MARGIN_FLOOR, c=AlphaParams().c)
         except PreconditionError as exc:
             extra["alpha_margin_skipped"] = str(exc)
     params = {"fixture": fx.fixture_id, "norm_mode": args.norm_mode,
@@ -197,10 +193,7 @@ def _finish_solve(command: str, params: dict, bundle, extra: dict | None = None)
 def _cmd_solve(args) -> int:
     fx = load_fixture(args.fixture)
     grid = _resolve_grid(args, fx)
-    bundle = solve_full(
-        fx.F, fx.H, grid,
-        degree_cap=args.degree_cap, tol=args.tol, norm_mode=args.norm_mode,
-    )
+    bundle = solve_full(fx.F, fx.H, grid, degree_cap=args.degree_cap, tol=args.tol)
     if args.out and not bundle.G_parts:
         # a solve that stopped before assembly has no G to write
         print(f"no G written to {args.out}: the solve stopped at {bundle.failure}, "
@@ -209,8 +202,8 @@ def _cmd_solve(args) -> int:
         save_solution(bundle.G, args.out, meta={"fixture": fx.fixture_id})
     if args.csv:
         write_csv(args.csv, grid.points, bundle.residuals)
-    params = {"fixture": fx.fixture_id, "norm_mode": args.norm_mode,
-              "degree_cap": args.degree_cap, "tol": args.tol, "grid": _grid_params(grid)}
+    params = {"fixture": fx.fixture_id, "degree_cap": args.degree_cap, "tol": args.tol,
+              "grid": _grid_params(grid)}
     return _finish_solve("solve", params, bundle)
 
 
@@ -225,9 +218,8 @@ def _cmd_radical(args) -> int:
         precondition = check_block(False, RADICAL_PRECONDITION_RTOL, message=str(exc))
         return _finish("radical", params, {"precondition": precondition})
     checks = {
-        "radical_margin": check_block(
-            rr.passed, RADICAL_MARGIN_FLOOR,
-            min_margin=rr.min_margin, argmin_point=rr.argmin_point,
+        "radical_margin": _margin_block(
+            rr.margin, RADICAL_MARGIN_FLOOR,
             constant=rr.constant, constant_exponent_2m=rr.constant_exponent_2m,
             precondition_residual=rr.precondition_residual,
         ),
@@ -251,13 +243,10 @@ def _cmd_concat(args) -> int:
         raise ValueError(f"fixture_b {fb.fixture_id!r} has a nonzero H that differs from the H "
                          f"of fixture_a {fa.fixture_id!r}, the target concat solves against")
     # solve [F1 | F2] G = H: G's first split_cols[0] rows multiply F1, the rest F2
-    bundle = solve_full(
-        fa.F.hstack(fb.F), fa.H, grid,
-        degree_cap=args.degree_cap, tol=args.tol, norm_mode=args.norm_mode,
-    )
+    bundle = solve_full(fa.F.hstack(fb.F), fa.H, grid,
+                        degree_cap=args.degree_cap, tol=args.tol)
     params = {"fixture_a": fa.fixture_id, "fixture_b": fb.fixture_id,
-              "norm_mode": args.norm_mode, "degree_cap": args.degree_cap, "tol": args.tol,
-              "grid": _grid_params(grid)}
+              "degree_cap": args.degree_cap, "tol": args.tol, "grid": _grid_params(grid)}
     return _finish_solve("concat", params, bundle, {"split_cols": [fa.F.cols, fb.F.cols]})
 
 
@@ -292,7 +281,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return _DISPATCH[args.command](args)
-    except (ValueError, FileNotFoundError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID_INPUT
 

@@ -3,13 +3,14 @@
 The three hypotheses checked on a grid: the k-th minor sum of F F^*
 raised to 3/2 dominates every |h_i|; the multiplier norm of F is 1 (or at
 most 1 in inequality mode); and H lies in the pointwise range of F.  F
-and H are evaluated once on the grid, and the minor sums are computed once
-per grid on those stacks, when the report's minor bound is first read; a
-solve reads none of it, so it never computes them.  One SVD call of the
-(P, m, d) F stack gives the detected rank, the norm estimate and, through
+and H are evaluated once on the grid, and one SVD call of the (P, m, d) F
+stack gives the detected rank, the norm estimate and, through
 pseudo-inverses built from its factors, the range residuals.  The report
-keeps both stacks, so a solve evaluates F and H once.  Only the scalar
-margin arithmetic runs point by point, on Python floats.
+keeps both stacks, so a solve evaluates F and H once.  The minor bound is
+a function of those stacks and the rank, :func:`minor_bound_check`, which
+``check`` calls and a solve does not; it computes the minor sums once per
+grid and runs only the scalar margin arithmetic point by point, on Python
+floats.
 The stacked chain row over all k-tuples of row indices depends on F and k
 alone, so a solve builds it once, by :func:`koszul.exterior.lower` steps
 that form no operator, and solves it against each scalar target for
@@ -27,7 +28,7 @@ coefficient report's, read through ``success``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property, reduce
+from functools import reduce
 from math import factorial
 
 import numpy as np
@@ -39,6 +40,7 @@ from .opdet import rank_from_singular_values
 from .poly import (
     CoefficientSolveReport,
     DiscGrid,
+    MarginReport,
     PolyMatrix,
     coefficient_match_solve,
     slice_norms,
@@ -52,13 +54,12 @@ RANGE_RTOL = 1e-8  # largest range residual, relative to the grid sup of |H|
 
 @dataclass(frozen=True)
 class HypothesisReport:
-    """Grid verdicts for the three hypotheses plus the detected rank.
+    """Grid verdicts for the norm and range hypotheses plus the detected rank.
 
     ``F_vals`` and ``H_vals`` are the read-only (P, m, d) and (P, m, 1)
-    stacks the check evaluated on ``grid``, kept so a solve need not
-    evaluate F and H again; they take no part in comparisons or the repr.
-    The minor bound is computed from them on first read of any of its
-    four attributes, so a solve, which reads none, never computes it.
+    stacks the check evaluated on its grid, kept so a solve need not
+    evaluate F and H again and :func:`minor_bound_check` can read them;
+    they take no part in comparisons or the repr.
     """
 
     k_detected: int
@@ -72,36 +73,21 @@ class HypothesisReport:
     passed_range: bool
     F_vals: np.ndarray = field(compare=False, repr=False)
     H_vals: np.ndarray = field(compare=False, repr=False)
-    grid: DiscGrid = field(compare=False, repr=False)
 
-    @cached_property
-    def minor_margins(self) -> tuple[float, ...]:
-        """(det_k F F^*)^(3/2) - max_i |h_i| at each grid point, k the detected rank."""
-        # margins on Python floats: numpy's vectorised ** can round differently
-        k = self.k_detected
-        dk = det_k_gram(self.F_vals, k).tolist() if k >= 1 else [0.0] * len(self.grid)
-        h_max = np.abs(self.H_vals).max(axis=(1, 2)).tolist()
-        return tuple(max(a, 0.0) ** 1.5 - b for a, b in zip(dk, h_max))
 
-    @cached_property
-    def _argmin_margin(self) -> int:
-        return int(np.argmin(self.minor_margins))
+def minor_bound_check(F_vals: np.ndarray, H_vals: np.ndarray, k: int,
+                      grid: DiscGrid) -> MarginReport:
+    """Margins (det_k F F^*)^(3/2) - max_i |h_i| of the minor bound on ``grid``.
 
-    @property
-    def min_margin(self) -> float:
-        return float(self.minor_margins[self._argmin_margin])
-
-    @property
-    def argmin_margin_point(self) -> complex:
-        return self.grid.points[self._argmin_margin]
-
-    @property
-    def passed_minor_bound(self) -> bool:
-        return self.min_margin >= MINOR_MARGIN_FLOOR
-
-    @property
-    def all_passed(self) -> bool:
-        return self.passed_minor_bound and self.passed_norm and self.passed_range
+    ``F_vals`` and ``H_vals`` are the (P, m, d) and (P, m, 1) stacks that
+    :func:`check_hypotheses` keeps and ``k`` its detected rank; at rank
+    zero every minor sum is 0.
+    """
+    # margins on Python floats: numpy's vectorised ** can round differently
+    dk = det_k_gram(F_vals, k).tolist() if k >= 1 else [0.0] * len(grid)
+    h_max = np.abs(H_vals).max(axis=(1, 2)).tolist()
+    return MarginReport.on(grid, [max(a, 0.0) ** 1.5 - b for a, b in zip(dk, h_max)],
+                           MINOR_MARGIN_FLOOR)
 
 
 def _svd_pinv(F: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -198,7 +184,6 @@ def check_hypotheses(
         passed_range=range_residuals[imax] <= RANGE_RTOL * sup_H,
         F_vals=F_vals,
         H_vals=H_vals,
-        grid=grid,
     )
 
 

@@ -4,18 +4,19 @@ K is the closed-form constant 1 + 4*sqrt(e) + 8*sqrt(2)*e + 72*e^(3/2),
 strictly between 361 and 362.  The gauge alpha(t) is the triple-log
 expression normalized so that alpha(1) = 1 and alpha(0) = 0; it needs a
 base constant c > e^e so every log in sight stays positive on (0, 1].
+The gauge hypothesis on a single-row F is checked on a grid as one
+:class:`koszul.poly.MarginReport`, at the default base c.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
 from .errors import PreconditionError
-from .poly import DiscGrid
+from .poly import DiscGrid, MarginReport
 
 E_TO_E = math.e ** math.e
 
@@ -40,7 +41,8 @@ def _alpha_unnormalized(t: float, c: float) -> float:
 class AlphaParams:
     """Gauge parameters: a finite base c > e^e is the only field.
 
-    The normalizer A0 is derived from c, so that alpha(1) = 1 always holds.
+    The normalizer A0 is derived from c at construction, so that alpha(1) = 1
+    always holds.
     """
 
     c: float = 16.0
@@ -48,10 +50,7 @@ class AlphaParams:
     def __post_init__(self):
         if not (math.isfinite(self.c) and self.c > E_TO_E):
             raise ValueError(f"need a finite c > e^e = {E_TO_E:.6f}, got {self.c}")
-
-    @cached_property
-    def A0(self) -> float:
-        return 1.0 / _alpha_unnormalized(1.0, self.c)
+        object.__setattr__(self, "A0", 1.0 / _alpha_unnormalized(1.0, self.c))
 
 
 def alpha(t: float, params: AlphaParams | None = None) -> float:
@@ -64,29 +63,16 @@ def alpha(t: float, params: AlphaParams | None = None) -> float:
     return params.A0 * _alpha_unnormalized(t, params.c)
 
 
-@dataclass(frozen=True)
-class AlphaMarginReport:
-    margins: tuple[float, ...]
-    min_margin: float
-    argmin_point: complex
-    params_c: float
-    passed: bool
-
-
-def alpha_hypothesis_check(
-    F_vals: np.ndarray,
-    h_vals: np.ndarray,
-    grid: DiscGrid,
-    params: AlphaParams | None = None,
-) -> AlphaMarginReport:
-    """Pointwise margins of t * alpha(t) - |h(z)| with t = F(z) F(z)^*.
+def alpha_hypothesis_check(F_vals: np.ndarray, h_vals: np.ndarray,
+                           grid: DiscGrid) -> MarginReport:
+    """Pointwise margins of t * alpha(t) - |h(z)| with t = F(z) F(z)^*, at the default c.
 
     ``F_vals`` and ``h_vals`` are a row F and a scalar h on ``grid``, as the
     (P, 1, d) and (P, 1, 1) stacks that ``check_hypotheses`` keeps; other
     shapes raise ValueError.  F must be normalized: t above 1 + 1e-9
     anywhere raises PreconditionError.
     """
-    params = params or AlphaParams()
+    params = AlphaParams()
     P = len(grid)
     if F_vals.ndim != 3 or F_vals.shape[:2] != (P, 1) or h_vals.shape != (P, 1, 1):
         raise ValueError(f"scalar-row check needs ({P}, 1, d) and ({P}, 1, 1) stacks of F "
@@ -100,11 +86,4 @@ def alpha_hypothesis_check(
         t = min(max(t, 0.0), 1.0)
         # Python's abs: the vectorised np.abs rounds some moduli differently
         margins.append(t * alpha(t, params) - abs(hz))
-    imin = int(np.argmin(margins))
-    return AlphaMarginReport(
-        margins=tuple(margins),
-        min_margin=float(margins[imin]),
-        argmin_point=grid.points[imin],
-        params_c=params.c,
-        passed=margins[imin] >= ALPHA_MARGIN_FLOOR,
-    )
+    return MarginReport.on(grid, margins, ALPHA_MARGIN_FLOOR)

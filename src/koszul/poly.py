@@ -10,7 +10,9 @@ Matrices are evaluated on finite grids inside the disc, by one Horner
 sweep with the points on the last axis over a grid's ``points`` array.
 A :class:`DiscGrid` is its radii and angle count; it checks them and
 builds its points once, at construction, so no grid in use is empty and
-every sweep reads the same read-only array.  Every supremum reported by
+every sweep reads the same read-only array.  A pointwise check on a grid
+reports a :class:`MarginReport`: its margins, the smallest and where it
+sits, and the verdict against a floor.  Every supremum reported by
 this package is a grid maximum and therefore a lower estimate of the
 true sup over the disc.  The pointwise norm of a single row or column is
 its Euclidean norm, so a vector's sup needs no SVD, and a coefficient
@@ -245,6 +247,27 @@ class DiscGrid:
 
     def __len__(self):
         return len(self.points)
+
+
+@dataclass(frozen=True)
+class MarginReport:
+    """A pointwise margin on a grid: its values, smallest value and point, and verdict."""
+
+    margins: tuple[float, ...]
+    min_margin: float
+    argmin_point: complex
+    passed: bool
+
+    @classmethod
+    def on(cls, grid: DiscGrid, margins, floor: float) -> "MarginReport":
+        """The report of one margin per point of ``grid``, in its order.
+
+        The smallest margin is the first of any tied minima, and the check
+        passes if it is at least ``floor``.
+        """
+        i = int(np.argmin(margins))
+        least = float(margins[i])
+        return cls(tuple(margins), least, grid.points[i], least >= floor)
 
 
 def slice_norms(stack: np.ndarray) -> np.ndarray:

@@ -211,7 +211,7 @@ def test_c8_radical_margins_on_solved_fixtures():
         fx = load_fixture(FIXTURE_DIR / f"{fid}.json")
         bundle = solve_full(fx.F, fx.H, grid)
         rep = radical_necessary_check(fx.F, bundle.G, fx.H, 1, grid)
-        worst = min(worst, rep.min_margin)
+        worst = min(worst, rep.margin.min_margin)
     verdict(8, f"radical margins on all solved fixtures: min {worst:.2e} >= -1e-10",
             worst >= -1e-10)
 

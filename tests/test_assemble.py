@@ -241,15 +241,17 @@ def test_solve_full_sweeps_the_grid_3_times_and_screens_9_maxima(monkeypatch):
 
 
 def test_solve_full_computes_no_minor_bound(monkeypatch):
-    # a solve reads none of the minor bound's attributes, so its report
-    # computes the margins only when they are first read, once
+    # a solve reads no minor bound, so it computes none; the bound is one
+    # function of the stacks the solve's check kept
     F, H = _ladder_462()
     calls = []
     det_k_gram = corona.det_k_gram
     monkeypatch.setattr(corona, "det_k_gram", lambda *a: calls.append(a) or det_k_gram(*a))
     hyp = solve_full(F, H).hypothesis_report
     assert calls == []
-    assert hyp.min_margin == min(hyp.minor_margins) and hyp.argmin_margin_point in hyp.grid.points
+    grid = DiscGrid.default()
+    minor = corona.minor_bound_check(hyp.F_vals, hyp.H_vals, hyp.k_detected, grid)
+    assert minor.min_margin == min(minor.margins) and minor.argmin_point in grid.points
     assert len(calls) == 1
 
 
@@ -310,7 +312,7 @@ def test_solve_full_diagonal_constant_fixture(small_grid):
     s = 1 / np.sqrt(2)
     F = PolyMatrix.from_rows([[P(s), P(0)], [P(0), P(s)]])
     H = PolyMatrix.from_rows([[P(0.01)], [P(0, 0.02)]])
-    bundle = solve_full(F, H, small_grid, norm_mode="inequality")
+    bundle = solve_full(F, H, small_grid)
     assert bundle.success
     assert bundle.max_residual <= 1e-12
     for z in small_grid.points[:4]:
@@ -353,7 +355,7 @@ def test_solve_full_flags_an_assembled_G_that_misses_H(shapes, small_grid):
     # solutions do not cancel the cross terms, so F G != H = F u
     F = random_poly_matrix_product(3, shapes)
     H = F @ random_poly_matrix_product(4, [(F.cols, 1, 1)])
-    bundle = solve_full(F, H, small_grid, norm_mode="inequality")
+    bundle = solve_full(F, H, small_grid)
     assert bundle.hypothesis_report.passed_range
     assert bundle.k == 2 and bundle.failed_rows == ()
     assert bundle.max_residual > 1e-2 * bundle.hypothesis_report.sup_H
@@ -366,7 +368,7 @@ def test_offdiagonal_annihilation_orthogonal_rows(small_grid):
     s = 1 / np.sqrt(2)
     F = PolyMatrix.from_rows([[P(s), P(0)], [P(0), P(s)]])
     H = PolyMatrix.from_rows([[P(0.01)], [P(0.02)]])
-    bundle = solve_full(F, H, small_grid, norm_mode="inequality")
+    bundle = solve_full(F, H, small_grid)
     for i in (1, 2):
         worst, excluded = offdiagonal_residual(F, bundle.G_parts[i - 1], i, small_grid, bundle.k)
         assert worst <= 1e-12
@@ -412,16 +414,16 @@ def test_radical_check_trivial(small_grid):
     G = PolyMatrix.from_rows([[h]])
     H = PolyMatrix.from_rows([[h]])
     rep = radical_necessary_check(F, G, H, 1, small_grid)
-    assert rep.passed
-    assert rep.min_margin >= -1e-10
+    assert rep.margin.passed
+    assert rep.margin.min_margin >= -1e-10
 
 
 def test_radical_check_on_solved_fixture(fixtures_by_id, grid):
     fx = fixtures_by_id["f1"]
     bundle = solve_full(fx.F, fx.H, grid)
     rep = radical_necessary_check(fx.F, bundle.G, fx.H, 1, grid)
-    assert rep.passed
-    assert rep.min_margin >= -1e-10
+    assert rep.margin.passed
+    assert rep.margin.min_margin >= -1e-10
     assert rep.constant == pytest.approx(bundle.sup_G ** 2)
     assert rep.constant_exponent_2m == pytest.approx(bundle.sup_G ** (2 * fx.m))
 
@@ -435,7 +437,7 @@ def test_radical_check_scaling(small_grid):
     scaled = radical_necessary_check(F, PolyMatrix(complex(2.0) * G.coeffs),
                                      PolyMatrix(complex(2.0) * H.coeffs), 1, small_grid)
     assert scaled.constant == pytest.approx(4 * base.constant, rel=1e-12)
-    assert scaled.passed
+    assert scaled.margin.passed
 
 
 def test_radical_check_precondition(small_grid):
@@ -461,11 +463,11 @@ def test_radical_check_squared_target(small_grid):
         rep = radical_necessary_check(F, G, H, n, small_grid)
         assert rep.power == n
         assert rep.precondition_residual == 0.0
-        assert rep.passed
+        assert rep.margin.passed
         # det_1(F F^*) = 2 everywhere
         C = max(abs(hn_z) for hn_z in G.eval(small_grid.points)[:, 0, 0])
         want = [2 * C ** 2 - abs(hz) ** (2 * n) for hz in h_vals]
-        np.testing.assert_allclose(rep.margins, want, rtol=1e-12)
+        np.testing.assert_allclose(rep.margin.margins, want, rtol=1e-12)
         # a wrong power breaks the precondition
         with pytest.raises(PreconditionError):
             radical_necessary_check(F, G, H, n + 1, small_grid)
@@ -473,9 +475,9 @@ def test_radical_check_squared_target(small_grid):
         radical_necessary_check(F, G, H, 0, small_grid)
 
 
-def concat_parts(F1, F2, H, grid, **kwargs):
+def concat_parts(F1, F2, H, grid):
     """The solve of [F1 | F2] G = H, and G split into the rows for F1 and F2."""
-    bundle = solve_full(F1.hstack(F2), H, grid, **kwargs)
+    bundle = solve_full(F1.hstack(F2), H, grid)
     G1 = bundle.G.submatrix(slice(0, F1.cols), slice(0, 1))
     G2 = bundle.G.submatrix(slice(F1.cols, None), slice(0, 1))
     return bundle, G1, G2
@@ -502,7 +504,7 @@ def test_concat_trivial_blocks(small_grid):
 
 def test_concat_two_block_fixture(fixtures_by_id, grid):
     fa, fb = fixtures_by_id["f1"], fixtures_by_id["f1b"]
-    b, G1, G2 = concat_parts(fa.F, fb.F, fa.H, grid, norm_mode="inequality")
+    b, G1, G2 = concat_parts(fa.F, fb.F, fa.H, grid)
     assert b.success
     assert b.relative_residual <= 1e-6
     # recombination reproduces H on the grid

@@ -203,7 +203,7 @@ def test_radical_names_a_G_of_the_wrong_shape(tmp_path):
 
 def test_concat_command_and_empty_reduction(tmp_path):
     code, rep, _ = run_json([
-        "concat", F1, str(FIXTURE_DIR / "f1b.json"), "--norm-mode", "inequality",
+        "concat", F1, str(FIXTURE_DIR / "f1b.json"),
     ])
     assert code == 0
 
@@ -304,7 +304,7 @@ def test_concat_names_a_fixture_b_grid_that_differs(tmp_path):
     assert ("fixture_b grid {'radii': [0.3, 0.6], 'angles': 16, 'points': 32} differs from "
             "fixture_a grid {'radii': [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 0.95], "
             "'angles': 16, 'points': 160}") in err
-    flags = ["--grid-radii", "0.3,0.6", "--grid-angles", "16", "--norm-mode", "inequality"]
+    flags = ["--grid-radii", "0.3,0.6", "--grid-angles", "16"]
     assert run_cli(["concat", F1, str(path)] + flags)[0] == 0
     tree["grid"] = {"radii": [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 0.95], "angles": 64}
     path.write_text(json.dumps(tree))
@@ -351,8 +351,8 @@ def _counting(monkeypatch, owner, name) -> list:
     (["identities", "--seed", "0"], np.linalg, "eigvalsh", 20),
 ], ids=["check", "check-minor-bound", "radical", "concat", "identities"])
 def test_each_command_computes_each_value_once(tmp_path, monkeypatch, argv, owner, name, count):
-    # check's gauge reads the hypothesis check's F and H stacks, its minor
-    # bound is computed once although the report reads it three times, radical
+    # check's gauge and minor bound read the hypothesis check's F and H
+    # stacks, the minor sums are computed once, radical
     # sweeps H once for n = 1, concat forms only its solve's two products,
     # and the battery takes one eigendecomposition per (m, k) group
     if "G" in argv:
@@ -362,6 +362,28 @@ def test_each_command_computes_each_value_once(tmp_path, monkeypatch, argv, owne
     calls = _counting(monkeypatch, owner, name)
     assert run_cli(argv)[0] == 0
     assert calls[0] == count
+
+
+@pytest.mark.parametrize("argv", [
+    ["check", str(GOLDEN_DIR)],
+    ["solve", F1, "--out", "DIR"],
+    ["solve", F1, "--csv", "DIR"],
+    ["radical", F1, "--n", "1", "--g", "DIR"],
+], ids=["check fixture", "solve --out", "solve --csv", "radical --g"])
+def test_a_path_that_is_a_directory_exits_2(tmp_path, argv):
+    argv = [str(tmp_path) if a == "DIR" else a for a in argv]
+    path = next(a for a in argv if a in (str(tmp_path), str(GOLDEN_DIR)))
+    code, out, err = run_cli(argv)
+    assert (code, out) == (2, "")
+    assert err == f"error: [Errno 21] Is a directory: '{path}'\n"
+
+
+@pytest.mark.parametrize("m,k", [(2000, 1000), (1012, 499)])
+def test_bound_names_an_overflow(m, k):
+    # the first count overflows converting to float, the second product to inf
+    code, out, err = run_cli(["bound", "--m", str(m), "--k", str(k)])
+    assert (code, out) == (2, "")
+    assert err == f"error: the bound m * C(m-1, k-1) * K overflows a float at m={m}, k={k}\n"
 
 
 def test_alpha_and_bound_commands():
@@ -387,6 +409,9 @@ _IGNORED_FLAGS = {
     *(base + [flag, _IGNORED_FLAGS[flag]]
       for base in (["check", F1], ["radical", F1, "--n", "1", "--g", "G.json"])
       for flag in ("--tol", "--degree-cap")),
+    # a solve reads no norm verdict, so only check takes a norm mode
+    ["solve", F1, "--norm-mode", "inequality"],
+    ["concat", F1, str(FIXTURE_DIR / "f1b.json"), "--norm-mode", "inequality"],
 ], ids=lambda argv: f"{argv[0]} {argv[-2]}")
 def test_flags_a_command_does_not_use_exit_2(argv):
     code, out, err = run_cli(argv)

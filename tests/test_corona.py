@@ -11,6 +11,7 @@ from koszul.corona import (
     check_hypotheses,
     corona_row,
     default_tolerance,
+    minor_bound_check,
     pointwise_min_norm_solution,
     scalar_corona_solve,
 )
@@ -32,11 +33,11 @@ def test_trivial_constant_instance_passes(small_grid):
     F = PolyMatrix.from_rows([[P(1), P(0)]])
     H = PolyMatrix.from_rows([[P(1)]])
     hyp = check_hypotheses(F, H, small_grid)
+    minor = minor_bound_check(hyp.F_vals, hyp.H_vals, hyp.k_detected, small_grid)
     assert hyp.k_detected == 1
-    assert hyp.min_margin >= -1e-12
+    assert minor.min_margin >= -1e-12
     assert hyp.norm_estimate == pytest.approx(1.0)
-    assert hyp.passed_norm and hyp.passed_minor_bound and hyp.passed_range
-    assert hyp.all_passed
+    assert hyp.passed_norm and minor.passed and hyp.passed_range
 
 
 def test_range_failure_reported_at_the_degenerate_point():

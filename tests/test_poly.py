@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from koszul import poly
 from koszul.poly import (
     DiscGrid,
+    MarginReport,
     PolyMatrix,
     coefficient_match_solve,
     slice_norms,
@@ -316,6 +317,17 @@ def test_grid_is_its_radii_and_angles():
         g.points[0] = 0
     with pytest.raises(dataclasses.FrozenInstanceError):
         g.angles = 4
+
+
+def test_margin_report_takes_the_first_tied_minimum_and_passes_at_the_floor():
+    g = DiscGrid([0.5], 4)
+    rep = MarginReport.on(g, [0.25, -0.5, 1.0, -0.5], -0.5)
+    assert rep == MarginReport((0.25, -0.5, 1.0, -0.5), -0.5, g.points[1], True)
+    assert type(rep.min_margin) is float and type(rep.passed) is bool
+    assert not MarginReport.on(g, [0.25, -0.5, 1.0, -0.5], -0.25).passed
+    # a NaN margin is the minimum, and fails every floor
+    rep = MarginReport.on(g, [0.0, float("nan"), -1.0, 0.0], -2.0)
+    assert rep.argmin_point == g.points[1] and not rep.passed
 
 
 def test_sup_norm_examples():

@@ -15,7 +15,12 @@ import pytest
 
 from conftest import FIXTURE_DIR, SOLVE_FIXTURE_IDS, cmat, rng
 from koszul.assemble import solve_full
-from koszul.corona import HypothesisReport, check_hypotheses, pointwise_min_norm_solution
+from koszul.corona import (
+    HypothesisReport,
+    check_hypotheses,
+    minor_bound_check,
+    pointwise_min_norm_solution,
+)
 from koszul.detk import (
     det_k,
     det_k_eigen_oracle,
@@ -146,8 +151,8 @@ def hypotheses_ref(F, H, grid):
     Rank and norm read each point's singular values from the SVD that its
     pseudo-inverse takes, np.linalg.svd(Fz.conj(), full_matrices=False);
     the compute_uv=False values can differ from those in the last bit.
-    Returns the report and, apart, the minor bound's four attributes,
-    which the report computes on first read and leaves out of ``==``.
+    Returns the report and, apart, the four fields of the minor bound's
+    margin report, which minor_bound_check computes from the report's stacks.
     """
     F_vals, H_vals = F.eval(grid.points), H.eval(grid.points)
     sing = [np.linalg.svd(Fz.conj(), full_matrices=False)[1] for Fz in F_vals]
@@ -168,7 +173,7 @@ def hypotheses_ref(F, H, grid):
         argmax_range_point=grid.points[imax], sup_H=sup_H,
         passed_norm=abs(norm_est - 1.0) <= 1e-6,
         passed_range=residuals[imax] <= 1e-8 * sup_H,
-        F_vals=F_vals, H_vals=H_vals, grid=grid,
+        F_vals=F_vals, H_vals=H_vals,
     )
     minor = (tuple(margins), float(margins[imin]), grid.points[imin], margins[imin] >= -1e-12)
     return report, minor
@@ -178,10 +183,11 @@ def assert_matches_per_point_loop(F, H, grid):
     got = check_hypotheses(F, H, grid)
     ref, (margins, min_margin, argmin_point, passed) = hypotheses_ref(F, H, grid)
     assert got == ref
-    assert bits(got.minor_margins) == bits(margins)
-    assert bits(got.min_margin) == bits(min_margin)
-    assert bits(got.argmin_margin_point) == bits(argmin_point)
-    assert got.passed_minor_bound is passed
+    minor = minor_bound_check(got.F_vals, got.H_vals, got.k_detected, grid)
+    assert bits(minor.margins) == bits(margins)
+    assert bits(minor.min_margin) == bits(min_margin)
+    assert bits(minor.argmin_point) == bits(argmin_point)
+    assert minor.passed is passed
 
 
 def P(*cs):
