@@ -22,9 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import reduce
-from math import comb, factorial
-
-import math
+from math import comb, factorial, inf
 
 import numpy as np
 
@@ -94,8 +92,8 @@ def norm_bound(m: int, k: int) -> float:
     try:
         bound = float(m * comb(m - 1, k - 1)) * K_constant()
     except OverflowError:
-        bound = math.inf
-    if math.isinf(bound):
+        bound = inf
+    if bound == inf:
         raise ValueError(f"the bound m * C(m-1, k-1) * K overflows a float at m={m}, k={k}")
     return bound
 

@@ -202,9 +202,7 @@ def test_radical_names_a_G_of_the_wrong_shape(tmp_path):
 
 
 def test_concat_command_and_empty_reduction(tmp_path):
-    code, rep, _ = run_json([
-        "concat", F1, str(FIXTURE_DIR / "f1b.json"),
-    ])
+    code, rep, _ = run_json(["concat", F1, str(FIXTURE_DIR / "f1b.json")])
     assert code == 0
 
     empty = tmp_path / "empty.json"
@@ -352,9 +350,9 @@ def _counting(monkeypatch, owner, name) -> list:
 ], ids=["check", "check-minor-bound", "radical", "concat", "identities"])
 def test_each_command_computes_each_value_once(tmp_path, monkeypatch, argv, owner, name, count):
     # check's gauge and minor bound read the hypothesis check's F and H
-    # stacks, the minor sums are computed once, radical
-    # sweeps H once for n = 1, concat forms only its solve's two products,
-    # and the battery takes one eigendecomposition per (m, k) group
+    # stacks, so its minor sums are computed once, radical sweeps H once for
+    # n = 1, concat forms only its solve's two products, and the battery
+    # takes one eigendecomposition per (m, k) group
     if "G" in argv:
         g = tmp_path / "G_f1.json"
         assert run_cli(["solve", F1, "--out", str(g)])[0] == 0
@@ -365,17 +363,15 @@ def test_each_command_computes_each_value_once(tmp_path, monkeypatch, argv, owne
 
 
 @pytest.mark.parametrize("argv", [
-    ["check", str(GOLDEN_DIR)],
+    ["check", "DIR"],
     ["solve", F1, "--out", "DIR"],
     ["solve", F1, "--csv", "DIR"],
     ["radical", F1, "--n", "1", "--g", "DIR"],
 ], ids=["check fixture", "solve --out", "solve --csv", "radical --g"])
 def test_a_path_that_is_a_directory_exits_2(tmp_path, argv):
-    argv = [str(tmp_path) if a == "DIR" else a for a in argv]
-    path = next(a for a in argv if a in (str(tmp_path), str(GOLDEN_DIR)))
-    code, out, err = run_cli(argv)
+    code, out, err = run_cli([str(tmp_path) if a == "DIR" else a for a in argv])
     assert (code, out) == (2, "")
-    assert err == f"error: [Errno 21] Is a directory: '{path}'\n"
+    assert err == f"error: [Errno 21] Is a directory: '{tmp_path}'\n"
 
 
 @pytest.mark.parametrize("m,k", [(2000, 1000), (1012, 499)])

@@ -11,15 +11,14 @@ solve does not handle yet, so those properties are expected to fail.
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, Phase, given, settings
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from koszul.assemble import ASSEMBLY_RTOL, solve_full
 from koszul.poly import DiscGrid, PolyMatrix
 
 GRID = DiscGrid.default()
-SETTINGS = settings(max_examples=12, deadline=None,
-                    suppress_health_check=[HealthCheck.too_slow])
+SETTINGS = settings(max_examples=12, deadline=None)
 # an expected failure needs one failing example, not a shrunk one
 XFAIL_SETTINGS = settings(SETTINGS, max_examples=4, phases=[Phase.generate])
 # Hypothesis's pytest plugin imports libcst to suggest a patch for each
