@@ -52,8 +52,8 @@ def _lowering_table(d: int, n: int):
     row_index = {t: i for i, t in enumerate(itertools.combinations(basis, n))}
     entries = []
     for c, tau in enumerate(itertools.combinations(basis, n + 1)):
-        for p in tau:
-            sigma = tuple(e for e in tau if e != p)
+        for i, p in enumerate(tau):
+            sigma = tau[:i] + tau[i + 1:]
             entries.append((row_index[sigma], c, sign_of(p, sigma), p - 1))
     row, col, sign, p = (np.array(column) for column in zip(*entries))
     for arr in (row, col, sign, p):

@@ -1,10 +1,11 @@
 """Fixture and solution files.
 
-A fixture is a JSON tree: dimensions m and d, polynomial arrays F (m x d)
-and H (m x 1), an optional known preimage u_known, and optional grid
-parameters.  Complex numbers are [re, im] pairs; polynomials are coefficient
-lists in ascending degree.  Emission goes through json's shortest-repr
-floats, so a parse/emit round trip reproduces every coefficient bit.
+A fixture is a JSON object: m, d, polynomial arrays F (m x d) and H (m x 1),
+an optional known preimage u_known and optional grid parameters; a solution
+is one whose array G holds the d entries of a d x 1 matrix.  Complex numbers
+are [re, im] pairs; polynomials are coefficient lists in ascending degree.
+Emission goes through json's shortest-repr floats, so a parse/emit round
+trip reproduces every coefficient bit.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -21,6 +23,13 @@ from .poly import DEFAULT_DEGREE_CAP, DiscGrid, PolyMatrix, trimmed
 def _is_number(x) -> bool:
     """A JSON number: int or float, but not bool (a subclass of int)."""
     return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
+def _object(obj, where) -> dict:
+    if not isinstance(obj, dict):
+        got = json.dumps(obj, default=repr)
+        raise ValueError(f"{where}: expected a JSON object, got {got:.40}")
+    return obj
 
 
 def _integer_field(obj: dict, name: str, where: str | None = None) -> int:
@@ -37,7 +46,8 @@ def _poly_to_json(c: np.ndarray) -> list:
     return [[z.real, z.imag] for z in trimmed(c).tolist()]
 
 
-def _poly_from_json(obj, degree_cap: int, where: str) -> np.ndarray:
+def _poly_from_json(obj, degree_cap: int | None, where: str) -> list:
+    """One entry's coefficients, without trailing zeros (-0.0 too) as in trimmed."""
     if not isinstance(obj, list) or not obj:
         raise ValueError(f"{where}: polynomial must be a non-empty list of [re, im] pairs")
     coeffs = []
@@ -50,28 +60,36 @@ def _poly_from_json(obj, degree_cap: int, where: str) -> np.ndarray:
         if not (math.isfinite(re) and math.isfinite(im)):
             raise ValueError(f"{where}: coefficient {pair!r} is not finite")
         coeffs.append(complex(re, im))
-    c = trimmed(coeffs)
-    if len(c) - 1 > degree_cap:
-        raise ValueError(f"{where}: degree {len(c) - 1} exceeds cap {degree_cap}")
-    return c
+    while len(coeffs) > 1 and coeffs[-1] == 0:
+        coeffs.pop()
+    if degree_cap is not None and len(coeffs) - 1 > degree_cap:
+        raise ValueError(f"{where}: degree {len(coeffs) - 1} exceeds cap {degree_cap}")
+    return coeffs
 
 
 def _matrix_to_json(M: PolyMatrix) -> list:
     return [[_poly_to_json(c) for c in row] for row in M.coeffs]
 
 
+def _poly_matrix(entries: list, cols: int) -> PolyMatrix:
+    """The matrix whose (i, j) entry has the coefficient list entries[i][j]."""
+    n = max((len(c) for row in entries for c in row), default=1)
+    coeffs = np.zeros((len(entries), cols, n), dtype=complex)
+    for i, j in np.ndindex(coeffs.shape[:2]):
+        coeffs[i, j, :len(entries[i][j])] = entries[i][j]
+    return PolyMatrix(coeffs)
+
+
 def _matrix_from_json(obj, rows: int, cols: int, degree_cap: int, name: str) -> PolyMatrix:
     if not isinstance(obj, list) or len(obj) != rows:
         raise ValueError(f"{name}: expected {rows} rows")
-    out = []
+    entries = []
     for i, row in enumerate(obj):
         if not isinstance(row, list) or len(row) != cols:
             raise ValueError(f"{name}: row {i} must have {cols} entries")
-        out.append([_poly_from_json(e, degree_cap, f"{name}[{i}][{j}]")
-                    for j, e in enumerate(row)])
-    if not out:
-        return PolyMatrix.zeros(rows, cols)
-    return PolyMatrix.from_rows(out)
+        entries.append([_poly_from_json(e, degree_cap, f"{name}[{i}][{j}]")
+                        for j, e in enumerate(row)])
+    return _poly_matrix(entries, cols)
 
 
 @dataclass(frozen=True)
@@ -102,7 +120,7 @@ class Fixture:
 
 
 def parse_fixture(obj: dict) -> Fixture:
-    m = _integer_field(obj, "m")
+    m = _integer_field(_object(obj, "fixture"), "m")
     d = _integer_field(obj, "d")
     if m <= 0 or d < 0:
         raise ValueError(f"need m >= 1 and d >= 0, got m={m}, d={d}")
@@ -116,9 +134,7 @@ def parse_fixture(obj: dict) -> Fixture:
         u_known = _matrix_from_json(obj["u_known"], d, 1, degree_cap, "u_known")
     grid = None
     if obj.get("grid") is not None:
-        gs = obj["grid"]
-        if not isinstance(gs, dict):
-            raise ValueError(f"grid must be an object, got {gs!r}")
+        gs = _object(obj["grid"], "grid")
         angles = _integer_field(gs, "angles", "grid.angles")
         radii = gs.get("radii")
         if not isinstance(radii, list):
@@ -136,50 +152,49 @@ def parse_fixture(obj: dict) -> Fixture:
     )
 
 
+def _json_text(obj: dict) -> str:
+    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+
+
+def _read_json(path) -> dict:
+    with open(path) as fh:
+        try:
+            return _object(json.load(fh), path)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{path}: not valid JSON: {exc}")
+
+
 def emit_fixture(fx: Fixture) -> str:
-    return json.dumps(fx.to_json_dict(), indent=2, sort_keys=True) + "\n"
+    return _json_text(fx.to_json_dict())
 
 
 def load_fixture(path) -> Fixture:
-    with open(path) as fh:
-        try:
-            obj = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"{path}: not valid JSON: {exc}")
-    return parse_fixture(obj)
+    return parse_fixture(_read_json(path))
 
 
 def save_fixture(fx: Fixture, path) -> None:
-    with open(path, "w") as fh:
-        fh.write(emit_fixture(fx))
+    Path(path).write_text(emit_fixture(fx))
 
 
 def emit_solution(G: PolyMatrix, meta: dict | None = None) -> str:
     obj = {"d": G.rows, "G": [_poly_to_json(c) for c in G.coeffs[:, 0]]}
     if meta:
         obj["meta"] = meta
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    return _json_text(obj)
 
 
 def parse_solution(obj: dict) -> PolyMatrix:
-    if "G" not in obj or not isinstance(obj["G"], list):
+    G = _object(obj, "solution").get("G")
+    if not isinstance(G, list):
         raise ValueError("solution file needs a G array")
-    polys = [[_poly_from_json(p, degree_cap=10 ** 6, where=f"G[{i}]")]
-             for i, p in enumerate(obj["G"])]
-    if not polys:
-        return PolyMatrix.zeros(0, 1)
-    return PolyMatrix.from_rows(polys)
+    if "d" in obj and (type(obj["d"]) is not int or obj["d"] != len(G)):
+        raise ValueError(f"solution d must be {len(G)}, its number of G entries, got {obj['d']!r}")
+    return _poly_matrix([[_poly_from_json(p, None, f"G[{i}]")] for i, p in enumerate(G)], 1)
 
 
 def load_solution(path) -> PolyMatrix:
-    with open(path) as fh:
-        try:
-            obj = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"{path}: not valid JSON: {exc}")
-    return parse_solution(obj)
+    return parse_solution(_read_json(path))
 
 
 def save_solution(G: PolyMatrix, path, meta: dict | None = None) -> None:
-    with open(path, "w") as fh:
-        fh.write(emit_solution(G, meta))
+    Path(path).write_text(emit_solution(G, meta))

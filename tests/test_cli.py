@@ -374,6 +374,25 @@ def test_a_path_that_is_a_directory_exits_2(tmp_path, argv):
     assert err == f"error: [Errno 21] Is a directory: '{tmp_path}'\n"
 
 
+@pytest.mark.parametrize("argv", [
+    ["check", "BAD"],
+    ["solve", "BAD"],
+    ["concat", "BAD", F1],
+    ["concat", F1, "BAD"],
+    ["radical", F1, "--n", "1", "--g", "BAD"],
+], ids=["check", "solve", "concat fixture_a", "concat fixture_b", "radical --g"])
+@pytest.mark.parametrize("content", ["42", "null", "STRING", "[1, 2]"],
+                         ids=["number", "null", "string", "array"])
+def test_a_file_that_is_not_a_json_object_exits_2(tmp_path, argv, content):
+    if content == "STRING":
+        content = '"G"' if argv[0] == "radical" else '"mdx"'
+    bad = tmp_path / "bad.json"
+    bad.write_text(content)
+    code, out, err = run_cli([str(bad) if a == "BAD" else a for a in argv])
+    assert (code, out) == (2, "")
+    assert err == f"error: {bad}: expected a JSON object, got {content}\n"
+
+
 @pytest.mark.parametrize("m,k", [(2000, 1000), (1012, 499)])
 def test_bound_names_an_overflow(m, k):
     # the first count overflows converting to float, the second product to inf

@@ -104,6 +104,25 @@ def test_parse_rejects_malformed_trees():
                            "F": [[[[1.0, 0.0]]]], "H": [[[[0.0, 0.0]]]]})
 
 
+@pytest.mark.parametrize("tree", [42, None, "mdx", [1, 2]],
+                         ids=["number", "null", "string", "array"])
+def test_parse_rejects_a_tree_that_is_not_an_object(tree):
+    with pytest.raises(ValueError, match="^fixture: expected a JSON object"):
+        parse_fixture(tree)
+    with pytest.raises(ValueError, match="^solution: expected a JSON object"):
+        parse_solution(tree)
+
+
+def test_parse_solution_checks_d_against_the_G_entries():
+    for d in (5, True, 1.0, "1"):
+        with pytest.raises(ValueError,
+                           match=rf"^solution d must be 1, its number of G entries, got {d!r}$"):
+            parse_solution({"G": [[[1.0, 0.0]]], "d": d})
+    G = parse_solution({"G": [[[1.0, 0.0]], [[0.0, 0.5]]], "d": 2})
+    assert G.coeffs.tolist() == [[[1 + 0j]], [[0.5j]]]
+    assert parse_solution({"G": [], "d": 0}).coeffs.shape == (0, 1, 1)
+
+
 def test_parse_enforces_degree_cap():
     poly_deg3 = [[0.0, 0.0], [0.0, 0.0], [0.0, 0.0], [1.0, 0.0]]
     with pytest.raises(ValueError):
