@@ -46,8 +46,7 @@ def _poly_to_json(c: np.ndarray) -> list:
     return [[z.real, z.imag] for z in trimmed(c).tolist()]
 
 
-def _poly_from_json(obj, degree_cap: int | None, where: str) -> list:
-    """One entry's coefficients, without trailing zeros (-0.0 too) as in trimmed."""
+def _poly_from_json(obj, degree_cap: int | None, where: str) -> np.ndarray:
     if not isinstance(obj, list) or not obj:
         raise ValueError(f"{where}: polynomial must be a non-empty list of [re, im] pairs")
     coeffs = []
@@ -60,36 +59,28 @@ def _poly_from_json(obj, degree_cap: int | None, where: str) -> list:
         if not (math.isfinite(re) and math.isfinite(im)):
             raise ValueError(f"{where}: coefficient {pair!r} is not finite")
         coeffs.append(complex(re, im))
-    while len(coeffs) > 1 and coeffs[-1] == 0:
-        coeffs.pop()
-    if degree_cap is not None and len(coeffs) - 1 > degree_cap:
-        raise ValueError(f"{where}: degree {len(coeffs) - 1} exceeds cap {degree_cap}")
-    return coeffs
+    c = trimmed(coeffs)
+    if degree_cap is not None and len(c) - 1 > degree_cap:
+        raise ValueError(f"{where}: degree {len(c) - 1} exceeds cap {degree_cap}")
+    return c
 
 
 def _matrix_to_json(M: PolyMatrix) -> list:
     return [[_poly_to_json(c) for c in row] for row in M.coeffs]
 
 
-def _poly_matrix(entries: list, cols: int) -> PolyMatrix:
-    """The matrix whose (i, j) entry has the coefficient list entries[i][j]."""
-    n = max((len(c) for row in entries for c in row), default=1)
-    coeffs = np.zeros((len(entries), cols, n), dtype=complex)
-    for i, j in np.ndindex(coeffs.shape[:2]):
-        coeffs[i, j, :len(entries[i][j])] = entries[i][j]
-    return PolyMatrix(coeffs)
-
-
 def _matrix_from_json(obj, rows: int, cols: int, degree_cap: int, name: str) -> PolyMatrix:
     if not isinstance(obj, list) or len(obj) != rows:
         raise ValueError(f"{name}: expected {rows} rows")
-    entries = []
+    out = []
     for i, row in enumerate(obj):
         if not isinstance(row, list) or len(row) != cols:
             raise ValueError(f"{name}: row {i} must have {cols} entries")
-        entries.append([_poly_from_json(e, degree_cap, f"{name}[{i}][{j}]")
-                        for j, e in enumerate(row)])
-    return _poly_matrix(entries, cols)
+        out.append([_poly_from_json(e, degree_cap, f"{name}[{i}][{j}]")
+                    for j, e in enumerate(row)])
+    if not out:
+        return PolyMatrix.zeros(rows, cols)
+    return PolyMatrix.from_rows(out)
 
 
 @dataclass(frozen=True)
@@ -156,12 +147,17 @@ def _json_text(obj: dict) -> str:
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
-def _read_json(path) -> dict:
+def _read_json(path, parse):
+    """parse applied to the JSON object in the file at path; every error names the path."""
     with open(path) as fh:
         try:
-            return _object(json.load(fh), path)
+            obj = _object(json.load(fh), path)
         except json.JSONDecodeError as exc:
             raise ValueError(f"{path}: not valid JSON: {exc}")
+    try:
+        return parse(obj)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}")
 
 
 def emit_fixture(fx: Fixture) -> str:
@@ -169,7 +165,7 @@ def emit_fixture(fx: Fixture) -> str:
 
 
 def load_fixture(path) -> Fixture:
-    return parse_fixture(_read_json(path))
+    return _read_json(path, parse_fixture)
 
 
 def save_fixture(fx: Fixture, path) -> None:
@@ -189,11 +185,13 @@ def parse_solution(obj: dict) -> PolyMatrix:
         raise ValueError("solution file needs a G array")
     if "d" in obj and (type(obj["d"]) is not int or obj["d"] != len(G)):
         raise ValueError(f"solution d must be {len(G)}, its number of G entries, got {obj['d']!r}")
-    return _poly_matrix([[_poly_from_json(p, None, f"G[{i}]")] for i, p in enumerate(G)], 1)
+    if not G:
+        return PolyMatrix.zeros(0, 1)
+    return PolyMatrix.from_rows([[_poly_from_json(p, None, f"G[{i}]")] for i, p in enumerate(G)])
 
 
 def load_solution(path) -> PolyMatrix:
-    return parse_solution(_read_json(path))
+    return _read_json(path, parse_solution)
 
 
 def save_solution(G: PolyMatrix, path, meta: dict | None = None) -> None:

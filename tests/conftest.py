@@ -1,5 +1,7 @@
+import importlib.util
 import itertools
 import pathlib
+import sys
 from math import comb
 
 import numpy as np
@@ -31,6 +33,19 @@ def small_grid():
 def fixtures_by_id():
     return {fid: load_fixture(FIXTURE_DIR / f"{fid}.json")
             for fid in SOLVE_FIXTURE_IDS + ("f1b",)}
+
+
+def load_module(name, path):
+    """The Python file at path, imported once as module name without writing bytecode."""
+    if name not in sys.modules:
+        spec = importlib.util.spec_from_file_location(name, path)
+        module = sys.modules[name] = importlib.util.module_from_spec(spec)
+        dont_write, sys.dont_write_bytecode = sys.dont_write_bytecode, True
+        try:
+            spec.loader.exec_module(module)
+        finally:
+            sys.dont_write_bytecode = dont_write
+    return sys.modules[name]
 
 
 def rng(seed=0):

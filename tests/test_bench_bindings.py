@@ -7,22 +7,9 @@ read-only: no bytecode is written beside it.
 """
 
 import importlib
-import importlib.util
 import inspect
-import sys
 
-from conftest import REPO
-
-
-def load_spans():
-    spec = importlib.util.spec_from_file_location("bench_spans", REPO / "bench" / "spans.py")
-    module = importlib.util.module_from_spec(spec)
-    dont_write, sys.dont_write_bytecode = sys.dont_write_bytecode, True
-    try:
-        spec.loader.exec_module(module)
-    finally:
-        sys.dont_write_bytecode = dont_write
-    return module
+from conftest import REPO, load_module
 
 
 def is_bound(name: str) -> bool:
@@ -39,7 +26,7 @@ def is_bound(name: str) -> bool:
 
 
 def test_every_span_the_benchmark_reads_is_defined():
-    spans = load_spans()
+    spans = load_module("bench_spans", REPO / "bench" / "spans.py")
     names = {name for name, _ in spans.SPAN_METRICS.values()} | set(spans.HOOKS)
     assert len(names) > 20
     assert sorted(n for n in names if not is_bound(n)) == []

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import math
 import re
 
 import numpy as np
@@ -393,6 +394,21 @@ def test_a_file_that_is_not_a_json_object_exits_2(tmp_path, argv, content):
     assert err == f"error: {bad}: expected a JSON object, got {content}\n"
 
 
+def test_an_error_inside_a_file_names_the_file(tmp_path):
+    tree = json.loads(open(F1).read())
+    tree["F"][0][0][0] = [math.nan, 0.0]
+    bad_fixture, bad_g = tmp_path / "nan.json", tmp_path / "G.json"
+    bad_fixture.write_text(json.dumps(tree))
+    bad_g.write_text('{"G": [[[1.0, 0.0]]], "d": 5}')
+    for argv, path, message in [
+        (["concat", F1, str(bad_fixture)], bad_fixture,
+         "F[0][0]: coefficient [nan, 0.0] is not finite"),
+        (["radical", F1, "--n", "1", "--g", str(bad_g)], bad_g,
+         "solution d must be 1, its number of G entries, got 5"),
+    ]:
+        assert run_cli(argv) == (2, "", f"error: {path}: {message}\n"), argv[0]
+
+
 @pytest.mark.parametrize("m,k", [(2000, 1000), (1012, 499)])
 def test_bound_names_an_overflow(m, k):
     # the first count overflows converting to float, the second product to inf
@@ -483,7 +499,7 @@ def test_a_fixture_grid_with_no_points_exits_2(tmp_path, grid, message):
     path.write_text(json.dumps(tree))
     for argv in (["check", str(path)], ["solve", str(path)],
                  ["radical", str(path), "--n", "1", "--g", str(G)]):
-        assert run_cli(argv) == (2, "", f"error: {message}\n"), argv[0]
+        assert run_cli(argv) == (2, "", f"error: {path}: {message}\n"), argv[0]
 
 
 def test_grid_flags_with_no_points_exit_2():

@@ -17,30 +17,14 @@ x = Mᵀ (M Mᵀ)⁻¹ rhs.  Solving those normal equations directly is wrong
 where M is rank-deficient, as f3's systems are (rank 11 of 12).
 """
 
-import importlib.util
-import sys
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from conftest import REPO
+from conftest import REPO, load_module
 from koszul.assemble import solve_full
 from koszul.fixtures import parse_fixture
-
-
-def load_workloads():
-    """The benchmark's workloads module, loaded without writing bytecode."""
-    name = "bench_workloads"
-    if name not in sys.modules:
-        spec = importlib.util.spec_from_file_location(name, REPO / "bench" / "workloads.py")
-        module = sys.modules[name] = importlib.util.module_from_spec(spec)
-        dont_write, sys.dont_write_bytecode = sys.dont_write_bytecode, True
-        try:
-            spec.loader.exec_module(module)
-        finally:
-            sys.dont_write_bytecode = dont_write
-    return sys.modules[name]
 
 
 def echelon(rows: list) -> tuple[list, list]:
@@ -115,7 +99,8 @@ def test_lstsq_matches_the_exact_min_norm_solution(monkeypatch, fixtures_by_id, 
     if isinstance(case, str):
         fx = fixtures_by_id[case]
     else:
-        fx = parse_fixture(load_workloads().ladder_instance(0, *case))
+        fx = parse_fixture(load_module("bench_workloads", REPO / "bench" / "workloads.py")
+                           .ladder_instance(0, *case))
     M, rhs, x, rank = first_row_system(monkeypatch, fx.F, fx.H)
     exact_rank, exact_x = exact_min_norm(M, rhs)
     assert exact_rank == rank

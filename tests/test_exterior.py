@@ -88,7 +88,7 @@ def test_polynomial_operator_matches_numeric_evaluation():
 def test_q_matrix_is_bitwise_the_per_entry_loop():
     r = rng(40)
     zeros = [-0.0, complex(-0.0, -0.0), complex(0.0, -0.0), complex(-0.0, 0.0)]
-    for d in range(1, 8):
+    for d in range(1, 9):
         numeric = cvec(r, d)
         signed_zeros = np.array([zeros[j % 4] if j % 2 else numeric[j] for j in range(d)])
         poly = cmat(r, d, 3)
@@ -119,28 +119,6 @@ def test_lower_is_the_dense_operator_product_on_either_side(deg_a, deg_x):
                 assert not got[..., want.shape[2]:].any()
                 got = got[..., :want.shape[2]]
                 assert np.abs(got - want).max() <= 1e-14 * max(np.abs(want).max(), 1.0), (d, n)
-
-
-def test_lowering_table_equals_its_per_entry_build(monkeypatch):
-    # sigma built as the tuple of tau's other entries, one sign call per entry
-    monkeypatch.setattr(exterior, "_LOWERING_TABLES", {})
-    original, calls = combinat.insertion_sign, []
-    monkeypatch.setattr(combinat, "insertion_sign",
-                        lambda j, sigma: calls.append(j) or original(j, sigma))
-    for d in range(1, 9):
-        basis = range(1, d + 1)
-        for n in range(d):
-            row_index = {t: i for i, t in enumerate(itertools.combinations(basis, n))}
-            entries = [(row_index[sigma], c, original(p, sigma), p - 1)
-                       for c, tau in enumerate(itertools.combinations(basis, n + 1))
-                       for p in tau for sigma in [tuple(e for e in tau if e != p)]]
-            calls.clear()
-            table = exterior._lowering_table(d, n)
-            assert len(calls) == len(entries)
-            for got, want in zip(table, zip(*entries)):
-                assert got.dtype == np.array(want).dtype
-                assert got.tobytes() == np.array(want).tobytes()
-            assert table[4] == (comb(d, n), comb(d, n + 1))
 
 
 def test_lowering_table_follows_a_replaced_sign_function(monkeypatch):

@@ -5,27 +5,17 @@ each of its builders is emitted in memory and compared with the file
 under ``fixtures/``; nothing is written.
 """
 
-import importlib.util
 import json
-import sys
 
 import pytest
 
-from conftest import FIXTURE_DIR, REPO
+from conftest import FIXTURE_DIR, REPO, load_module
 from koszul.fixtures import emit_fixture
 from koszul.report import report_diff
 
 
 def load_make_fixtures():
-    path = REPO / "scripts" / "make_fixtures.py"
-    spec = importlib.util.spec_from_file_location("make_fixtures", path)
-    module = importlib.util.module_from_spec(spec)
-    dont_write, sys.dont_write_bytecode = sys.dont_write_bytecode, True
-    try:
-        spec.loader.exec_module(module)
-    finally:
-        sys.dont_write_bytecode = dont_write
-    return module
+    return load_module("make_fixtures", REPO / "scripts" / "make_fixtures.py")
 
 
 @pytest.mark.parametrize("fid", ["f0", "f1", "f3", "f1b"])
