@@ -15,7 +15,7 @@ import numpy as np
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 
-from koszul.corona import check_hypotheses, minor_bound_check
+from koszul.corona import check_hypotheses, minor_bound_check, norm_check
 from koszul.detk import det_k_gram
 from koszul.fixtures import Fixture, save_fixture
 from koszul.opdet import numeric_rank
@@ -139,7 +139,7 @@ def main():
         print(
             f"{fx.fixture_id}: k={hyp.k_detected} min_margin={minor.min_margin:.3e} "
             f"norm={hyp.norm_estimate:.12f} range_resid={hyp.max_range_residual:.2e} "
-            f"all_passed={minor.passed and hyp.passed_norm and hyp.passed_range}"
+            f"all_passed={minor.passed and norm_check(hyp.norm_estimate) and hyp.passed_range}"
         )
 
 

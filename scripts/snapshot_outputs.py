@@ -6,7 +6,9 @@ Usage: scripts/snapshot_outputs.py OUTDIR
 Runs, in process, `check` and `solve --out --csv` on f0-f3, `concat f1
 f1b`, `radical f1` with `--n 1` and `--n 2` (against the G that `solve`
 wrote for f1; the second fails its precondition and exits 1), `alpha --t
-0.5`, `bound --m 3 --k 2` and `identities --seed 0`.  Two grids other than
+0.5`, `bound --m 3 --k 2`, `identities --seed 0` and `identities --seed 1
+--max-m 6 --max-d 8`, whose eigen check sums up to 70 principal minors, so
+a change in their order of addition shows.  Two grids other than
 the default one are covered too: `check` and `solve --csv` of f1 with
 `--grid-radii 0.3,0.6,0.9 --grid-angles 32`, and `check` of
 `f1_grid.json`, a copy of f1 with its own `grid` block that the script
@@ -65,6 +67,7 @@ def commands(out: pathlib.Path):
     yield "alpha_t0.5", ["alpha", "--t", "0.5"]
     yield "bound_m3_k2", ["bound", "--m", "3", "--k", "2"]
     yield "identities_seed0", ["identities", "--seed", "0"]
+    yield "identities_seed1_m6_d8", ["identities", "--seed", "1", "--max-m", "6", "--max-d", "8"]
     yield "check_f1_grid32", ["check", fx["f1"], *GRID_FLAGS]
     yield "solve_f1_grid32", ["solve", fx["f1"], *GRID_FLAGS,
                               "--csv", str(out / "residuals_f1_grid32.csv")]

@@ -16,12 +16,13 @@ import sys
 from . import __version__
 from .assemble import (ASSEMBLY_RTOL, RADICAL_MARGIN_FLOOR, RADICAL_PRECONDITION_RTOL,
                        norm_bound, radical_necessary_check, solve_full)
-from .corona import MINOR_MARGIN_FLOOR, NORM_TOL, RANGE_RTOL, check_hypotheses, minor_bound_check
+from .corona import (MINOR_MARGIN_FLOOR, NORM_TOL, RANGE_RTOL, check_hypotheses, minor_bound_check,
+                     norm_check)
 from .errors import PreconditionError
 from .estimates import ALPHA_MARGIN_FLOOR, AlphaParams, K_constant, alpha, alpha_hypothesis_check
 from .fixtures import load_fixture, load_solution, save_solution
 from .poly import DiscGrid
-from .report import check_block, dumps_report, make_report, write_csv
+from .report import check_block, dumps_json, make_report, write_csv
 from .suite import run_identity_suite
 
 EXIT_PASS = 0
@@ -120,7 +121,7 @@ def _grid_params(grid: DiscGrid) -> dict:
 def _finish(command: str, params: dict, checks: dict, extra: dict | None = None) -> int:
     """Print the command's report and return its exit code."""
     rep = make_report(command, params, checks, extra)
-    sys.stdout.write(dumps_report(rep))
+    sys.stdout.write(dumps_json(rep))
     return EXIT_PASS if rep["passed"] else EXIT_CHECK_FAILED
 
 
@@ -139,13 +140,13 @@ def _margin_block(rep, floor: float, **stats) -> dict:
 def _cmd_check(args) -> int:
     fx = load_fixture(args.fixture)
     grid = _resolve_grid(args, fx)
-    hyp = check_hypotheses(fx.F, fx.H, grid, norm_mode=args.norm_mode)
+    hyp = check_hypotheses(fx.F, fx.H, grid)
     minor = minor_bound_check(hyp.F_vals, hyp.H_vals, hyp.k_detected, grid)
     checks = {
         "minor_bound": _margin_block(minor, MINOR_MARGIN_FLOOR),
         "multiplier_norm": check_block(
-            hyp.passed_norm, NORM_TOL,
-            estimate=hyp.norm_estimate, mode=hyp.norm_mode,
+            norm_check(hyp.norm_estimate, args.norm_mode), NORM_TOL,
+            estimate=hyp.norm_estimate, mode=args.norm_mode,
         ),
         "range_membership": check_block(
             hyp.passed_range, RANGE_RTOL,

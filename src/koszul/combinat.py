@@ -1,4 +1,4 @@
-"""Increasing index tuples, principal compressions, and wedge insertion signs.
+"""Increasing index tuples and wedge insertion signs.
 
 Everything downstream (exterior bases, stacked coefficient vectors,
 principal-minor sums) iterates increasing tuples in the lexicographic
@@ -12,8 +12,6 @@ entries minus one.
 from __future__ import annotations
 
 import itertools
-
-import numpy as np
 
 
 def enumerate_tuples(m: int, k: int) -> list[tuple[int, ...]]:
@@ -38,13 +36,3 @@ def insertion_sign(j: int, sigma) -> int:
         return 0
     smaller = sum(1 for s in sigma if s < j)
     return -1 if smaller % 2 else 1
-
-
-def compress(B: np.ndarray, pi) -> np.ndarray:
-    """Principal submatrix of B at the rows/columns listed in pi.
-
-    B may be a (..., m, m) stack; every slice is compressed alike.
-    """
-    idx = [j - 1 for j in pi]
-    B = np.asarray(B)
-    return B[(Ellipsis, *np.ix_(idx, idx))]

@@ -7,10 +7,11 @@ and H are evaluated once on the grid, and one SVD call of the (P, m, d) F
 stack gives the detected rank, the norm estimate and, through
 pseudo-inverses built from its factors, the range residuals.  The report
 keeps both stacks, so a solve evaluates F and H once.  The minor bound is
-a function of those stacks and the rank, :func:`minor_bound_check`, which
-``check`` calls and a solve does not; it computes the minor sums once per
-grid and runs only the scalar margin arithmetic point by point, on Python
-floats.
+a function of those stacks and the rank, :func:`minor_bound_check`, and
+the norm verdict one of the estimate and the mode, :func:`norm_check`;
+``check`` calls both and a solve neither.  The minor bound computes the
+minor sums once per grid and runs only the scalar margin arithmetic point
+by point, on Python floats.
 The stacked chain row over all k-tuples of row indices depends on F and k
 alone, so a solve builds it once, by :func:`koszul.exterior.lower` steps
 that form no operator, and solves it against each scalar target for
@@ -54,7 +55,7 @@ RANGE_RTOL = 1e-8  # largest range residual, relative to the grid sup of |H|
 
 @dataclass(frozen=True)
 class HypothesisReport:
-    """Grid verdicts for the norm and range hypotheses plus the detected rank.
+    """The norm estimate, the range verdict and the detected rank on a grid.
 
     ``F_vals`` and ``H_vals`` are the read-only (P, m, d) and (P, m, 1)
     stacks the check evaluated on its grid, kept so a solve need not
@@ -64,12 +65,10 @@ class HypothesisReport:
 
     k_detected: int
     norm_estimate: float
-    norm_mode: str
     range_residuals: tuple[float, ...]
     max_range_residual: float
     argmax_range_point: complex
     sup_H: float
-    passed_norm: bool
     passed_range: bool
     F_vals: np.ndarray = field(compare=False, repr=False)
     H_vals: np.ndarray = field(compare=False, repr=False)
@@ -88,6 +87,16 @@ def minor_bound_check(F_vals: np.ndarray, H_vals: np.ndarray, k: int,
     h_max = np.abs(H_vals).max(axis=(1, 2)).tolist()
     return MarginReport.on(grid, [max(a, 0.0) ** 1.5 - b for a, b in zip(dk, h_max)],
                            MINOR_MARGIN_FLOOR)
+
+
+def norm_check(norm_estimate: float, mode: str = "strict") -> bool:
+    """The norm verdict: the estimate lies within NORM_TOL of 1 (``strict``)
+    or at most NORM_TOL above 1 (``inequality``)."""
+    if mode == "strict":
+        return abs(norm_estimate - 1.0) <= NORM_TOL
+    if mode == "inequality":
+        return norm_estimate <= 1.0 + NORM_TOL
+    raise ValueError(f"unknown norm mode {mode!r}")
 
 
 def _svd_pinv(F: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -144,12 +153,9 @@ def check_hypotheses(
     F: PolyMatrix,
     H: PolyMatrix,
     grid: DiscGrid | None = None,
-    norm_mode: str = "strict",
 ) -> HypothesisReport:
     if H.rows != F.rows or H.cols != 1:
         raise ValueError(f"H must be {F.rows} x 1, got {H.shape}")
-    if norm_mode not in ("strict", "inequality"):
-        raise ValueError(f"unknown norm mode {norm_mode!r}")
     if grid is None:
         grid = DiscGrid.default()
 
@@ -163,11 +169,6 @@ def check_hypotheses(
     k = int(rank_from_singular_values(sing).max(initial=0))
 
     norm_est = float(sing.max(initial=0.0))
-    if norm_mode == "strict":
-        passed_norm = abs(norm_est - 1.0) <= NORM_TOL
-    else:
-        passed_norm = norm_est <= 1.0 + NORM_TOL
-
     range_residuals = _min_norm_solution(F_vals, F_pinv, H_vals[..., 0])[1].tolist()
     imax = int(np.argmax(range_residuals))
     sup_H = float(slice_norms(H_vals).max())
@@ -175,12 +176,10 @@ def check_hypotheses(
     return HypothesisReport(
         k_detected=k,
         norm_estimate=float(norm_est),
-        norm_mode=norm_mode,
         range_residuals=tuple(range_residuals),
         max_range_residual=float(range_residuals[imax]),
         argmax_range_point=grid.points[imax],
         sup_H=sup_H,
-        passed_norm=passed_norm,
         passed_range=range_residuals[imax] <= RANGE_RTOL * sup_H,
         F_vals=F_vals,
         H_vals=H_vals,

@@ -1,19 +1,19 @@
 """Sums of principal minors (the generalized determinant det_k).
 
 det_k(B) adds the determinants of all k x k principal submatrices of B,
-iterated in the canonical lexicographic tuple order.  Minors are computed
-by LU factorization; on a (..., m, m) stack, such as a matrix evaluated
-on a whole grid, each k-tuple takes one determinant call over the stack,
-and the per-slice sums are bitwise those of one matrix at a time.  The
-eigenvalue and Cauchy-Binet routes live here too but only as independent
-oracles, never as the primary path.
+iterated in the canonical lexicographic tuple order.  On a (..., m, m)
+stack, such as a matrix evaluated on a whole grid, one index gather takes
+every principal submatrix and one LU determinant call covers them all;
+the minors are added tuple by tuple, so each slice's sum is bitwise that
+of its matrix alone.  The eigenvalue and Cauchy-Binet routes live here
+too but only as independent oracles, never as the primary path.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .combinat import compress, enumerate_tuples
+from .combinat import enumerate_tuples
 
 
 def _as_square(B) -> np.ndarray:
@@ -33,9 +33,11 @@ def det_k(B, k: int):
     m = A.shape[-1]
     if k < 1 or k > m:
         raise ValueError(f"need 1 <= k <= {m}, got k={k}")
+    idx = np.array(enumerate_tuples(m, k)) - 1
+    minors = np.linalg.det(A[..., idx[:, :, None], idx[:, None, :]])
     total = np.zeros(A.shape[:-2], dtype=complex)
-    for pi in enumerate_tuples(m, k):
-        total += np.linalg.det(compress(A, pi))
+    for t in range(len(idx)):  # not np.sum, whose pairwise order rounds differently
+        total += minors[..., t]
     return complex(total) if A.ndim == 2 else total
 
 
@@ -49,17 +51,21 @@ def det_k_gram(F_point, k: int):
     return float(val.real) if F.ndim == 2 else val.real
 
 
-def elementary_symmetric(values, k: int) -> complex:
-    """e_k of a list of numbers by the stable recurrence."""
-    values = list(values)
-    if k < 0 or k > len(values):
-        raise ValueError(f"need 0 <= k <= {len(values)}, got k={k}")
-    e = [0j] * (k + 1)
-    e[0] = 1 + 0j
-    for lam in values:
-        for j in range(min(k, len(e) - 1), 0, -1):
-            e[j] = e[j] + lam * e[j - 1]
-    return e[k]
+def elementary_symmetric(values, k: int):
+    """e_k of real numbers by the stable recurrence.
+
+    One list gives a float; a (..., n) stack gives one e_k per slice, each
+    bitwise the recurrence on that slice alone.
+    """
+    lam = np.asarray(values, dtype=float)
+    n = lam.shape[-1]
+    if k < 0 or k > n:
+        raise ValueError(f"need 0 <= k <= {n}, got k={k}")
+    e = [np.ones(lam.shape[:-1])] + [np.zeros(lam.shape[:-1])] * k
+    for i in range(n):
+        for j in range(k, 0, -1):
+            e[j] = e[j] + lam[..., i] * e[j - 1]
+    return float(e[k]) if lam.ndim == 1 else e[k]
 
 
 def det_k_eigen_oracle(eigenvalues, k: int):
@@ -67,11 +73,9 @@ def det_k_eigen_oracle(eigenvalues, k: int):
 
     ``eigenvalues`` is ``np.linalg.eigvalsh`` of the matrix, so a caller
     that needs the spectrum elsewhere too decomposes once.  An (..., m)
-    stack gives one value per slice, summed on Python scalars.
+    stack gives one value per slice.
     """
-    eig = np.asarray(eigenvalues)
-    vals = [float(elementary_symmetric(e, k).real) for e in eig.reshape(-1, eig.shape[-1])]
-    return vals[0] if eig.ndim == 1 else np.reshape(vals, eig.shape[:-1])
+    return elementary_symmetric(eigenvalues, k)
 
 
 def det_k_minor_sum_oracle(F_point, k: int):
@@ -79,7 +83,8 @@ def det_k_minor_sum_oracle(F_point, k: int):
 
     Every minor of every slice of a (..., m, d) stack comes from one det
     call; each slice then sums abs(minor) ** 2 in canonical tuple order
-    (row tuple, then column tuple), giving one value per slice.
+    (row tuple, then column tuple) on Python floats, since scalar ``**``
+    (libm pow) rounds some squares unlike numpy's; one value per slice.
     """
     F = np.atleast_2d(np.asarray(F_point, dtype=complex))
     m, d = F.shape[-2:]

@@ -18,6 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .poly import DEFAULT_DEGREE_CAP, DiscGrid, PolyMatrix, trimmed
+from .report import dumps_json
 
 
 def _is_number(x) -> bool:
@@ -143,10 +144,6 @@ def parse_fixture(obj: dict) -> Fixture:
     )
 
 
-def _json_text(obj: dict) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
-
-
 def _read_json(path, parse):
     """parse applied to the JSON object in the file at path; every error names the path."""
     with open(path) as fh:
@@ -161,7 +158,7 @@ def _read_json(path, parse):
 
 
 def emit_fixture(fx: Fixture) -> str:
-    return _json_text(fx.to_json_dict())
+    return dumps_json(fx.to_json_dict())
 
 
 def load_fixture(path) -> Fixture:
@@ -176,7 +173,7 @@ def emit_solution(G: PolyMatrix, meta: dict | None = None) -> str:
     obj = {"d": G.rows, "G": [_poly_to_json(c) for c in G.coeffs[:, 0]]}
     if meta:
         obj["meta"] = meta
-    return _json_text(obj)
+    return dumps_json(obj)
 
 
 def parse_solution(obj: dict) -> PolyMatrix:

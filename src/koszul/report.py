@@ -60,8 +60,9 @@ def make_report(command: str, params: dict, checks: dict, extra: dict | None = N
     return rep
 
 
-def dumps_report(rep: dict) -> str:
-    return json.dumps(rep, indent=2, sort_keys=True) + "\n"
+def dumps_json(obj: dict) -> str:
+    """Canonical JSON text (sorted keys, indent 2, final newline) of any tree."""
+    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
 def write_csv(path, points, residuals) -> None:

@@ -163,7 +163,7 @@ def run_identity_suite(seed: int = 0, max_m: int = 4, max_d: int = 6, cases: int
         lhs = det_k(B, k).real
         eig = np.linalg.eigvalsh(B)
         rhs = det_k_eigen_oracle(eig, k)
-        scale = [float(abs(elementary_symmetric(np.abs(e), k))) for e in eig]
+        scale = np.abs(elementary_symmetric(np.abs(eig), k))
         return abs(lhs - rhs) / np.maximum(scale, 1e-300)
 
     draws = []

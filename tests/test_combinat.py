@@ -1,12 +1,11 @@
 import itertools
 from math import comb
 
-import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from koszul.combinat import compress, enumerate_tuples, insertion_sign
+from koszul.combinat import enumerate_tuples, insertion_sign
 
 
 def test_enumerate_3_2_explicit():
@@ -62,9 +61,3 @@ def test_insertion_sign_is_unimodular_or_zero(m, data):
             assert s == 0
         else:
             assert s * s == 1
-
-
-def test_compress_is_principal_submatrix():
-    B = np.arange(9).reshape(3, 3) + 1.0
-    sub = compress(B, (1, 3))
-    np.testing.assert_array_equal(sub, [[B[0, 0], B[0, 2]], [B[2, 0], B[2, 2]]])

@@ -12,6 +12,7 @@ from koszul.corona import (
     corona_row,
     default_tolerance,
     minor_bound_check,
+    norm_check,
     pointwise_min_norm_solution,
     scalar_corona_solve,
 )
@@ -37,7 +38,7 @@ def test_trivial_constant_instance_passes(small_grid):
     assert hyp.k_detected == 1
     assert minor.min_margin >= -1e-12
     assert hyp.norm_estimate == pytest.approx(1.0)
-    assert hyp.passed_norm and minor.passed and hyp.passed_range
+    assert norm_check(hyp.norm_estimate) and minor.passed and hyp.passed_range
 
 
 def test_range_failure_reported_at_the_degenerate_point():
@@ -60,12 +61,12 @@ def test_shape_mismatch_rejected(small_grid):
 def test_norm_modes(small_grid):
     F = PolyMatrix.from_rows([[P(0.5), P(0)]])
     H = PolyMatrix.from_rows([[P(0.01)]])
-    strict = check_hypotheses(F, H, small_grid, norm_mode="strict")
-    loose = check_hypotheses(F, H, small_grid, norm_mode="inequality")
-    assert not strict.passed_norm
-    assert loose.passed_norm
+    estimate = check_hypotheses(F, H, small_grid).norm_estimate
+    assert not norm_check(estimate, "strict")
+    assert norm_check(estimate, "inequality")
+    assert norm_check(1.0 + 1e-6, "strict") and not norm_check(1.0 + 2e-6, "inequality")
     with pytest.raises(ValueError):
-        check_hypotheses(F, H, small_grid, norm_mode="bogus")
+        norm_check(estimate, "bogus")
 
 
 def test_scale_consistency_of_report(small_grid):
@@ -75,9 +76,9 @@ def test_scale_consistency_of_report(small_grid):
     )
     H = PolyMatrix.from_rows([[P(0.001)], [P(0.001, 0.001)]])
     lam = 0.5
-    base = check_hypotheses(F, H, small_grid, norm_mode="inequality")
+    base = check_hypotheses(F, H, small_grid)
     F_scaled = PolyMatrix(complex(lam) * F.coeffs)
-    scaled = check_hypotheses(F_scaled, H, small_grid, norm_mode="inequality")
+    scaled = check_hypotheses(F_scaled, H, small_grid)
     assert scaled.norm_estimate == pytest.approx(lam * base.norm_estimate, rel=1e-12)
     # the minor sums underlying the margins follow the |lambda|^(2k) law
     k = base.k_detected

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import cmat, rng
+from koszul.combinat import enumerate_tuples
 from koszul.detk import (
     det_k,
     det_k_eigen_oracle,
@@ -112,3 +113,59 @@ def test_unitary_invariance():
         assert det_k(U @ B @ U.conj().T, k).real == pytest.approx(
             det_k(B, k).real, rel=1e-8, abs=1e-10
         )
+
+
+def det_k_per_tuple_ref(A, k):
+    """det_k of a (B, m, m) stack by one np.ix_ gather and det call per k-tuple."""
+    total = np.zeros(A.shape[:-2], dtype=complex)
+    for pi in enumerate_tuples(A.shape[-1], k):
+        idx = [j - 1 for j in pi]
+        total += np.linalg.det(A[(Ellipsis, *np.ix_(idx, idx))])
+    return total
+
+
+def elementary_symmetric_ref(values, k):
+    """e_k of one list by the recurrence on Python complex numbers."""
+    e = [0j] * (k + 1)
+    e[0] = 1 + 0j
+    for lam in values:
+        for j in range(k, 0, -1):
+            e[j] = e[j] + lam * e[j - 1]
+    return e[k]
+
+
+@pytest.mark.parametrize("m", range(1, 9))
+def test_det_k_is_bitwise_the_per_tuple_sum(m):
+    r = rng(100 + m)
+    A = cmat(r, 6 * m, m).reshape(6, m, m)
+    A[0] = 0
+    A[1] = np.outer(A[1, :, 0], A[1, 0])  # rank one
+    A[2] = A[2] @ np.diag([1.0] * (m - 1) + [0.0])  # a zero column
+    A[3] = A[3] + A[3].conj().T  # Hermitian, as det_k_gram passes it
+    for k in range(1, m + 1):
+        got = det_k(A, k)
+        assert got.dtype == complex and got.tobytes() == det_k_per_tuple_ref(A, k).tobytes()
+        for b in range(len(A)):
+            one = det_k(A[b], k)
+            assert type(one) is complex and np.array(one).tobytes() == got[b].tobytes()
+
+
+def test_elementary_symmetric_on_a_stack_is_bitwise_the_complex_recurrence():
+    r = rng(200)
+    for n in range(1, 8):
+        values = r.standard_normal((9, n)) * 10.0 ** r.integers(-3, 4, (9, n))
+        values[0] = 0.0
+        values[1, ::2] = -0.0
+        values[2, 0] = -0.0
+        values[3] = np.abs(values[3])
+        ints = r.integers(-5, 6, (4, n))
+        for stack in (values, ints):
+            for k in range(n + 1):
+                got = elementary_symmetric(stack, k)
+                assert got.shape == stack.shape[:1]
+                for b, row in enumerate(stack.tolist()):
+                    want = elementary_symmetric_ref(row, k)
+                    assert np.isfinite(want)
+                    assert float(got[b]).hex() == want.real.hex()
+                    one = elementary_symmetric(row, k)
+                    assert type(one) is float and one.hex() == want.real.hex()
