@@ -67,7 +67,7 @@ def build_f0():
     F = normalize(F_raw, grid)
     u0 = PolyMatrix.from_rows([[p(0.3, 0.2j)], [p(-0.25 + 0.1j)]])
     u, H = fit_preimage(F, u0, grid)
-    return Fixture("f0", 1, 2, 8, F, H, u_known=u)
+    return Fixture("f0", 8, F, H, u_known=u)
 
 
 def build_f1():
@@ -79,7 +79,7 @@ def build_f1():
     F = normalize(F_raw, grid)
     u0 = PolyMatrix.from_rows([[p(0.5, 0.25j)], [p(-0.4 + 0.1j)], [p(0, 0.3)]])
     u, H = fit_preimage(F, u0, grid)
-    return Fixture("f1", 2, 3, 8, F, H, u_known=u)
+    return Fixture("f1", 8, F, H, u_known=u)
 
 
 def build_f2():
@@ -94,7 +94,7 @@ def build_f2():
         [[p(0.3, 0.1j)], [p(-0.2, 0, 0.1)], [p(0.15j)], [p(0.1, -0.1)]]
     )
     u, H = fit_preimage(F, u0, grid)
-    return Fixture("f2", 3, 4, 8, F, H, u_known=u)
+    return Fixture("f2", 8, F, H, u_known=u)
 
 
 def build_f3():
@@ -113,13 +113,13 @@ def build_f3():
         [np.convolve(power(zmh, 2), p(-0.3))],
     ])
     u, H = fit_preimage(F, u0, grid)
-    return Fixture("f3", 2, 3, 8, F, H, u_known=u)
+    return Fixture("f3", 8, F, H, u_known=u)
 
 
 def build_f1b():
     # concatenation partner for f1: same row count, two extra columns
     return Fixture(
-        "f1b", 2, 2, 8,
+        "f1b", 8,
         PolyMatrix.from_rows([[p(0, 0.25), p(0.3)], [p(0.2), p(0, 0, -1 / 6)]]),
         PolyMatrix.from_rows([[p(0)], [p(0)]]),
     )

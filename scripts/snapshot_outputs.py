@@ -13,7 +13,11 @@ the default one are covered too: `check` and `solve --csv` of f1 with
 `--grid-radii 0.3,0.6,0.9 --grid-angles 32`, and `check` of
 `f1_grid.json`, a copy of f1 with its own `grid` block that the script
 writes into OUTDIR first.  `check` of f1 runs once more with `--norm-mode
-inequality`, the one command that takes a norm mode.  Each command's
+inequality`, the one command that takes a norm mode.  `check` and `solve`
+also run on `f_overflow.json`, written into OUTDIR too: one row, d = 1,
+F = 1e308 + 1e308 z and H = 1, whose grid values overflow to inf, so the
+NaN path through the SVD, the pseudo-inverse's rank cut and the rank count
+is compared too (both exit 1).  Each command's
 stdout goes to `<name>.json` with the report timestamp blanked, the
 written G files and residual CSVs sit beside them, and `exit_codes.txt`
 lists each command's exit code.
@@ -52,6 +56,9 @@ LADDER_RUNGS = tuple((rung, (0, 1, 2)) for rung in (
 #: The flags of the f1 runs on a coarse grid, and the grid of the f1 copy.
 GRID_FLAGS = ["--grid-radii", "0.3,0.6,0.9", "--grid-angles", "32"]
 FIXTURE_GRID = {"radii": [0.25, 0.5, 0.75, 0.9], "angles": 48}
+#: One row, d = 1, F = 1e308 + 1e308 z and H = 1: F's grid values overflow to inf.
+FIXTURE_OVERFLOW = {"id": "f_overflow", "m": 1, "d": 1,
+                    "F": [[[[1e308, 0.0], [1e308, 0.0]]]], "H": [[[[1.0, 0.0]]]]}
 
 
 def commands(out: pathlib.Path):
@@ -75,6 +82,9 @@ def commands(out: pathlib.Path):
     (out / "f1_grid.json").write_text(json.dumps({**tree, "grid": FIXTURE_GRID}, indent=2))
     yield "check_f1_fixture_grid", ["check", str(out / "f1_grid.json")]
     yield "check_f1_inequality", ["check", fx["f1"], "--norm-mode", "inequality"]
+    (out / "f_overflow.json").write_text(json.dumps(FIXTURE_OVERFLOW, indent=2))
+    yield "check_f_overflow", ["check", str(out / "f_overflow.json")]
+    yield "solve_f_overflow", ["solve", str(out / "f_overflow.json")]
 
 
 def _exact(M) -> str:

@@ -157,7 +157,7 @@ def _cmd_check(args) -> int:
     # the iterated-log gauge margin is reported for single-row instances
     # but is a strictly sharper bound, so it never gates the exit code
     extra = {"k_detected": hyp.k_detected}
-    if fx.m == 1:
+    if fx.F.rows == 1:
         try:
             amr = alpha_hypothesis_check(hyp.F_vals, hyp.H_vals, grid)
             extra["alpha_margin"] = _margin_block(amr, ALPHA_MARGIN_FLOOR, c=AlphaParams().c)
@@ -231,9 +231,9 @@ def _cmd_radical(args) -> int:
 def _cmd_concat(args) -> int:
     fa = load_fixture(args.fixture_a)
     fb = load_fixture(args.fixture_b)
-    if fb.m != fa.m:
-        raise ValueError(f"fixture_b {fb.fixture_id!r} has m = {fb.m} rows and fixture_a "
-                         f"{fa.fixture_id!r} has m = {fa.m}; concat appends columns, so the "
+    if fb.F.rows != fa.F.rows:
+        raise ValueError(f"fixture_b {fb.fixture_id!r} has m = {fb.F.rows} rows and fixture_a "
+                         f"{fa.fixture_id!r} has m = {fa.F.rows}; concat appends columns, so the "
                          f"row counts must agree")
     grid = _resolve_grid(args, fa)
     # one grid and fixture_a's target; an all-zero H marks a block with no target

@@ -5,7 +5,8 @@ raised to 3/2 dominates every |h_i|; the multiplier norm of F is 1 (or at
 most 1 in inequality mode); and H lies in the pointwise range of F.  F
 and H are evaluated once on the grid, and one SVD call of the (P, m, d) F
 stack gives the detected rank, the norm estimate and, through
-pseudo-inverses built from its factors, the range residuals.  The report
+pseudo-inverses built from its factors and cut at the same rank rule, the
+range residuals.  The report
 keeps both stacks, so a solve evaluates F and H once.  The minor bound is
 a function of those stacks and the rank, :func:`minor_bound_check`, and
 the norm verdict one of the estimate and the mode, :func:`norm_check`;
@@ -37,7 +38,7 @@ import numpy as np
 from .combinat import enumerate_tuples
 from .detk import det_k_gram
 from .exterior import lower
-from .opdet import rank_from_singular_values
+from .opdet import rank_mask
 from .poly import (
     CoefficientSolveReport,
     DiscGrid,
@@ -65,7 +66,6 @@ class HypothesisReport:
 
     k_detected: int
     norm_estimate: float
-    range_residuals: tuple[float, ...]
     max_range_residual: float
     argmax_range_point: complex
     sup_H: float
@@ -99,21 +99,20 @@ def norm_check(norm_estimate: float, mode: str = "strict") -> bool:
     raise ValueError(f"unknown norm mode {mode!r}")
 
 
-def _svd_pinv(F: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Singular values and pseudo-inverses of a (P, m, d) stack from one SVD.
+def _svd_pinv(F: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Singular values, rank masks and pseudo-inverses of a (P, m, d) stack.
 
-    The pseudo-inverse repeats numpy's pinv step for step with rcond 1e-10:
-    the SVD of F.conj(), singular values at or below 1e-10 times the
-    largest dropped and the rest inverted, then vt^T @ (s_inv * u^T).  So
-    each (d, m) slice is bitwise pinv(F[p], rcond=1e-10), empty ones
-    included, and the singular values are F's.
+    The pseudo-inverse repeats numpy's pinv step for step, cut at the rank
+    rule: the SVD of F.conj(), the singular values outside
+    :func:`koszul.opdet.rank_mask` dropped and the rest inverted, then
+    vt^T @ (s_inv * u^T).  So each (d, m) slice of finite values is bitwise
+    pinv(F[p], rcond=RANK_RTOL), empty ones included, the singular values
+    are F's, and each mask counts its slice's numeric rank.
     """
     u, s, vt = np.linalg.svd(F.conj(), full_matrices=False)
-    if 0 in F.shape[-2:]:
-        return s, np.empty(F.shape[:-2] + F.shape[:-3:-1], dtype=complex)
-    large = s > 1e-10 * s.max(axis=-1, keepdims=True)
+    large = rank_mask(s)
     s_inv = np.divide(1, s, where=large, out=np.zeros_like(s))
-    return s, np.swapaxes(vt, -1, -2) @ (s_inv[..., None] * np.swapaxes(u, -1, -2))
+    return s, large, np.swapaxes(vt, -1, -2) @ (s_inv[..., None] * np.swapaxes(u, -1, -2))
 
 
 def _min_norm_solution(F, F_pinv, H):
@@ -135,7 +134,7 @@ def pointwise_min_norm_solution(F_point, H_point):
     if not stacked:
         F = F[None]
     H = np.asarray(H_point, dtype=complex).reshape(F.shape[:-1])
-    u, resid = _min_norm_solution(F, _svd_pinv(F)[1], H)
+    u, resid = _min_norm_solution(F, _svd_pinv(F)[2], H)
     return (u, resid) if stacked else (u[0], float(resid[0]))
 
 
@@ -165,22 +164,22 @@ def check_hypotheses(
 
     # one SVD per grid: the rank rule, the operator-norm estimate (the
     # largest singular value) and the range residuals all read it
-    sing, F_pinv = _svd_pinv(F_vals)
-    k = int(rank_from_singular_values(sing).max(initial=0))
+    sing, large, F_pinv = _svd_pinv(F_vals)
+    k = int(np.count_nonzero(large, axis=-1).max(initial=0))
 
     norm_est = float(sing.max(initial=0.0))
-    range_residuals = _min_norm_solution(F_vals, F_pinv, H_vals[..., 0])[1].tolist()
+    range_residuals = _min_norm_solution(F_vals, F_pinv, H_vals[..., 0])[1]
     imax = int(np.argmax(range_residuals))
+    max_range_residual = float(range_residuals[imax])
     sup_H = float(slice_norms(H_vals).max())
 
     return HypothesisReport(
         k_detected=k,
-        norm_estimate=float(norm_est),
-        range_residuals=tuple(range_residuals),
-        max_range_residual=float(range_residuals[imax]),
+        norm_estimate=norm_est,
+        max_range_residual=max_range_residual,
         argmax_range_point=grid.points[imax],
         sup_H=sup_H,
-        passed_range=range_residuals[imax] <= RANGE_RTOL * sup_H,
+        passed_range=max_range_residual <= RANGE_RTOL * sup_H,
         F_vals=F_vals,
         H_vals=H_vals,
     )

@@ -5,7 +5,8 @@ iterated in the canonical lexicographic tuple order.  On a (..., m, m)
 stack, such as a matrix evaluated on a whole grid, one index gather takes
 every principal submatrix and one LU determinant call covers them all;
 the minors are added tuple by tuple, so each slice's sum is bitwise that
-of its matrix alone.  The eigenvalue and Cauchy-Binet routes live here
+of its matrix alone.  The eigenvalue route, :func:`elementary_symmetric`
+of a Hermitian matrix's eigenvalues, and the Cauchy-Binet route live here
 too but only as independent oracles, never as the primary path.
 """
 
@@ -54,8 +55,11 @@ def det_k_gram(F_point, k: int):
 def elementary_symmetric(values, k: int):
     """e_k of real numbers by the stable recurrence.
 
-    One list gives a float; a (..., n) stack gives one e_k per slice, each
-    bitwise the recurrence on that slice alone.
+    This is det_k's eigenvalue oracle: e_k of ``np.linalg.eigvalsh`` of a
+    Hermitian matrix is the matrix's det_k, and a caller that needs the
+    spectrum elsewhere too decomposes once.  One list gives a float; a
+    (..., n) stack gives one e_k per slice, each bitwise the recurrence on
+    that slice alone.
     """
     lam = np.asarray(values, dtype=float)
     n = lam.shape[-1]
@@ -66,16 +70,6 @@ def elementary_symmetric(values, k: int):
         for j in range(k, 0, -1):
             e[j] = e[j] + lam[..., i] * e[j - 1]
     return float(e[k]) if lam.ndim == 1 else e[k]
-
-
-def det_k_eigen_oracle(eigenvalues, k: int):
-    """Oracle for det_k of a Hermitian matrix: e_k of its eigenvalues.
-
-    ``eigenvalues`` is ``np.linalg.eigvalsh`` of the matrix, so a caller
-    that needs the spectrum elsewhere too decomposes once.  An (..., m)
-    stack gives one value per slice.
-    """
-    return elementary_symmetric(eigenvalues, k)
 
 
 def det_k_minor_sum_oracle(F_point, k: int):

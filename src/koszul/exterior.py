@@ -4,30 +4,28 @@ For a row vector a, the adjoint operator sends w to conj(a) ^ w and raises
 the degree by one; its adjoint lowers the degree and has entries that are
 signed copies of the row entries themselves (no conjugates), so a row of
 polynomials yields an operator with polynomial entries.  Where each entry
-goes, and with which sign, depends only on d and the degree: an index table
-built once per (d, n) and kept.  The solve applies a polynomial row's
-operator only through :func:`lower`, a signed gather, convolution and
-scatter over that table that forms no operator.  :func:`q_matrix` scatters
-numeric rows into dense operators for the identities and the test oracles,
-and the raising operator is its conjugate transpose.  The identities take
-one row or a (B, d) stack of rows, whose operators come from the same
-scatter in one step, and each slice's result is bitwise that of its row
-alone.  All signs come from :func:`koszul.combinat.insertion_sign`, and
-replacing it rebuilds each table.
+goes, and with which sign, depends only on d, the degree and the sign
+convention: an index table built once per (d, n, insertion_sign) and
+kept.  The solve applies a polynomial row's operator only through
+:func:`lower`, a signed gather, convolution and scatter over that table
+that forms no operator.  :func:`q_matrix` scatters numeric rows into dense
+operators for the identities and the test oracles, and the raising
+operator is its conjugate transpose.  The identities take one row or a
+(B, d) stack of rows, whose operators come from the same scatter in one
+step, and each slice's result is bitwise that of its row alone.  All signs
+come from :func:`koszul.combinat.insertion_sign`; a replaced function gets
+tables of its own, and restoring it brings its kept tables back.
 """
 
 from __future__ import annotations
 
 import itertools
+from functools import cache
 from math import comb
 
 import numpy as np
 
 from . import combinat
-
-
-#: (d, n) -> (the insertion_sign it was built from, its lowering table)
-_LOWERING_TABLES: dict = {}
 
 
 def _lowering_table(d: int, n: int):
@@ -36,17 +34,18 @@ def _lowering_table(d: int, n: int):
     Returns ``(row, col, sign, p, shape)``: entry e of the operator sits at
     (row[e], col[e]) and is sign[e] times the row's entry at offset p[e].
     Column tau holds, in the row of each tau without p, the sign of
-    inserting p back.  One table is kept per (d, n); it is rebuilt, and
-    replaces the kept one, whenever ``combinat.insertion_sign`` is no longer
-    the function it was built from, so a replaced sign convention reaches
-    every operator.
+    inserting p back.  The signs come from ``combinat.insertion_sign`` as
+    it is bound at the call, so a replaced sign convention reaches every
+    operator.
     """
     if n + 1 > d:
         raise ValueError(f"need n+1 <= d, got n={n}, d={d}")
-    sign_of = combinat.insertion_sign
-    kept = _LOWERING_TABLES.get((d, n))
-    if kept is not None and kept[0] is sign_of:
-        return kept[1]
+    return _signed_lowering_table(d, n, combinat.insertion_sign)
+
+
+@cache
+def _signed_lowering_table(d: int, n: int, sign_of):
+    """:func:`_lowering_table` with the signs of ``sign_of``, kept per key."""
     # plain tuples in the canonical order of enumerate_tuples
     basis = range(1, d + 1)
     row_index = {t: i for i, t in enumerate(itertools.combinations(basis, n))}
@@ -58,9 +57,7 @@ def _lowering_table(d: int, n: int):
     row, col, sign, p = (np.array(column) for column in zip(*entries))
     for arr in (row, col, sign, p):
         arr.flags.writeable = False
-    table = (row, col, sign, p, (len(row_index), comb(d, n + 1)))
-    _LOWERING_TABLES[d, n] = (sign_of, table)
-    return table
+    return row, col, sign, p, (len(row_index), comb(d, n + 1))
 
 
 def _lowering(a: np.ndarray, n: int) -> np.ndarray:

@@ -87,8 +87,6 @@ def _matrix_from_json(obj, rows: int, cols: int, degree_cap: int, name: str) -> 
 @dataclass(frozen=True)
 class Fixture:
     fixture_id: str
-    m: int
-    d: int
     degree_cap: int
     F: PolyMatrix
     H: PolyMatrix
@@ -98,8 +96,8 @@ class Fixture:
     def to_json_dict(self) -> dict:
         out = {
             "id": self.fixture_id,
-            "m": self.m,
-            "d": self.d,
+            "m": self.F.rows,
+            "d": self.F.cols,
             "degree_cap": self.degree_cap,
             "F": _matrix_to_json(self.F),
             "H": _matrix_to_json(self.H),
@@ -140,16 +138,16 @@ def parse_fixture(obj: dict) -> Fixture:
             raise ValueError(f"bad grid parameters: {exc}")
     return Fixture(
         fixture_id=str(obj.get("id", "unnamed")),
-        m=m, d=d, degree_cap=degree_cap, F=F, H=H, u_known=u_known, grid=grid,
+        degree_cap=degree_cap, F=F, H=H, u_known=u_known, grid=grid,
     )
 
 
 def _read_json(path, parse):
     """parse applied to the JSON object in the file at path; every error names the path."""
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         try:
             obj = _object(json.load(fh), path)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise ValueError(f"{path}: not valid JSON: {exc}")
     try:
         return parse(obj)

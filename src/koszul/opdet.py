@@ -2,16 +2,16 @@
 
 The determinant of a grid of operators is the permutation-signed sum of
 products taken strictly in row order; blocks need not commute, so the
-order is part of the definition.  Block (j, k) maps the space with
-signature index j+1 into the space with index j: every block in row j
-shares its source and target, and each column just selects which operator
-sits in that slot.  The block-determinant identities take one case or a
-stack of cases, whose blocks carry a leading case axis.
+order is part of the definition.  A grid is nothing but its rows of
+blocks: every block in row j shares its source and target, the source of
+row j is the target of row j+1, and each column just selects which
+operator sits in that slot.  The block-determinant identities take one
+case or a stack of cases, whose blocks carry a leading case axis.
 
 The numeric rank rule used by the grid checks lives here too, as one
-function of the singular values: :func:`numeric_rank` applies it to a
-(..., rows, cols) stack after one SVD call, and the hypothesis check
-applies it to the singular values it has already computed.
+mask of the singular values, :func:`rank_mask`: :func:`numeric_rank`
+counts it for a (..., rows, cols) stack after one SVD call, and the
+hypothesis check counts the mask that its pseudo-inverses invert.
 """
 
 from __future__ import annotations
@@ -32,42 +32,31 @@ RANK_RTOL = 1e-10
 
 @dataclass(frozen=True)
 class BlockOperatorMatrix:
-    """An n x n grid of operator blocks with a common dimension signature.
+    """An n x n grid of operator blocks, given as its rows.
 
-    ``signature`` lists the n+1 space dimensions; block (j, k) must have
-    shape (signature[j], signature[j+1]), which makes every row-ordered
-    product of one block per row composable.  Blocks may also be stacks
-    (..., signature[j], signature[j+1]) with common leading axes: only the
-    last two dims are validated, and the products run slice by slice.
+    Every block in row j has the shape of row j's first block, whose
+    column count is the row count of row j+1's blocks, so every
+    row-ordered product of one block per row composes.  Blocks may also be
+    stacks (..., rows, cols) with common leading axes: only the last two
+    dims are validated, and the products run slice by slice.
     """
 
     blocks: tuple[tuple[object, ...], ...]
-    signature: tuple[int, ...]
 
-    def __post_init__(self):
-        n = len(self.blocks)
-        if len(self.signature) != n + 1:
-            raise ValueError(
-                f"signature needs {n + 1} dimensions for an {n}x{n} grid, "
-                f"got {len(self.signature)}"
-            )
-        for j, row in enumerate(self.blocks):
+    def __init__(self, rows):
+        blocks = tuple(tuple(r) for r in rows)
+        n = len(blocks)
+        for j, row in enumerate(blocks):
             if len(row) != n:
                 raise ValueError(f"row {j} has {len(row)} blocks, expected {n}")
-            want = (self.signature[j], self.signature[j + 1])
+            want = row[0].shape[-2:]
+            if j and want[0] != blocks[j - 1][0].shape[-1]:
+                raise ValueError(f"row {j} blocks have {want[0]} rows, but row {j - 1} "
+                                 f"blocks have {blocks[j - 1][0].shape[-1]} columns")
             for k, b in enumerate(row):
                 if b.shape[-2:] != want:
-                    raise ValueError(
-                        f"block ({j},{k}) has shape {b.shape}, expected {want}"
-                    )
-
-    @classmethod
-    def from_rows(cls, rows) -> "BlockOperatorMatrix":
-        rows = tuple(tuple(r) for r in rows)
-        signature = [rows[0][0].shape[-2]]
-        for row in rows:
-            signature.append(row[0].shape[-1])
-        return cls(rows, tuple(signature))
+                    raise ValueError(f"block ({j},{k}) has shape {b.shape}, expected {want}")
+        object.__setattr__(self, "blocks", blocks)
 
     @property
     def n(self) -> int:
@@ -87,8 +76,8 @@ def permutation_sign(perm) -> int:
 def operator_det(B: BlockOperatorMatrix):
     """Signed sum over permutations of row-ordered block products.
 
-    Returns an operator of shape (signature[0], signature[-1]).  Factorial
-    expansion; intended for n <= 6.
+    Returns an operator with the rows of the first row's blocks and the
+    columns of the last row's.  Factorial expansion; intended for n <= 6.
     """
     n = B.n
     acc = None
@@ -101,24 +90,22 @@ def operator_det(B: BlockOperatorMatrix):
     return acc
 
 
-def rank_from_singular_values(s: np.ndarray) -> np.ndarray:
-    """The numeric rank rule: count of singular values above RANK_RTOL
-    times the largest, for each (..., n) slice of descending values."""
-    return np.count_nonzero(s > RANK_RTOL * s[..., :1], axis=-1)
+def rank_mask(s: np.ndarray) -> np.ndarray:
+    """The numeric rank rule: which singular values lie above RANK_RTOL
+    times the first, the largest, of each (..., n) slice of descending
+    values.  The rank is the count of the mask."""
+    return s > RANK_RTOL * s[..., :1]
 
 
 def numeric_rank(A: np.ndarray):
-    """Numeric rank by :func:`rank_from_singular_values`.
+    """Numeric rank by :func:`rank_mask`.
 
     A (..., rows, cols) stack gets one SVD call and an integer array of
     ranks, one per slice; a single matrix gets an int.  A zero matrix has
     rank 0.
     """
     A = np.atleast_2d(np.asarray(A))
-    if A.shape[-2] == 0 or A.shape[-1] == 0:
-        ranks = np.zeros(A.shape[:-2], dtype=int)
-    else:
-        ranks = rank_from_singular_values(np.linalg.svd(A, compute_uv=False))
+    ranks = np.count_nonzero(rank_mask(np.linalg.svd(A, compute_uv=False)), axis=-1)
     return int(ranks) if A.ndim == 2 else ranks
 
 
@@ -140,7 +127,7 @@ def _mixed_block_matrix(h: np.ndarray, f: np.ndarray) -> BlockOperatorMatrix:
             [np.ascontiguousarray(f[..., c, :]).reshape(lead + (1, d)) for c in range(cols)]]
     for s in range(1, cols - 1):
         rows.append([_lowering(f[..., c, :], s) for c in range(cols)])
-    return BlockOperatorMatrix.from_rows(rows)
+    return BlockOperatorMatrix(rows)
 
 
 def top_row_expansion_residual(h_scalars, f_rows):
@@ -202,7 +189,7 @@ def rank_vanishing_residual(F_point: np.ndarray, u: np.ndarray, pi):
     F = np.asarray(F_point, dtype=complex)
     p = np.shape(pi)[-1] - 1
     s = np.linalg.svd(F, compute_uv=False)
-    failed = rank_from_singular_values(s) > p
+    failed = np.count_nonzero(rank_mask(s), axis=-1) > p
     if np.any(failed):
         first = s[failed][0]
         raise PreconditionError(

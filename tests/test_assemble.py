@@ -34,7 +34,7 @@ def selector_det(F_point, i, pi, k, alpha=None):
     rows = [[alpha[j - 1] * np.eye(d) for j in pi]]
     for s in range(1, k):
         rows.append([q_matrix(F_point[j - 1], s) for j in pi])
-    return operator_det(BlockOperatorMatrix.from_rows(rows))
+    return operator_det(BlockOperatorMatrix(rows))
 
 
 def test_wedge_collapse_to_ordered_chain():
@@ -45,7 +45,7 @@ def test_wedge_collapse_to_ordered_chain():
     for sigma in [(1, 2), (2, 4), (1, 3, 4)]:
         k = len(sigma)
         rows = [[q_matrix(F[j - 1], s) for j in sigma] for s in range(1, k + 1)]
-        det = operator_det(BlockOperatorMatrix.from_rows(rows))
+        det = operator_det(BlockOperatorMatrix(rows))
         prod = None
         for s, j in enumerate(sigma, start=1):
             Q = q_matrix(F[j - 1], s)
@@ -116,7 +116,7 @@ def reference_Gi(F, v_i, i, k):
         rows = [[eye if j == i else PolyMatrix.zeros(d, d) for j in pi]]
         for s in range(1, k):
             rows.append([PolyMatrix(reference_q_matrix(F.coeffs[j - 1], s)) for j in pi])
-        block = operator_det(BlockOperatorMatrix.from_rows(rows))
+        block = operator_det(BlockOperatorMatrix(rows))
         G = G + block @ v_i.submatrix(slice(t * block_len, (t + 1) * block_len), slice(0, 1))
     return PolyMatrix(complex(k) * G.coeffs)
 
@@ -389,8 +389,8 @@ def test_data_driven_norm_chain_on_fixtures(fixtures_by_id, grid):
     for fid in ("f0", "f1"):
         fx = fixtures_by_id[fid]
         bundle = solve_full(fx.F, fx.H, grid)
-        bnm = comb(fx.m - 1, bundle.k - 1)
-        for i in range(fx.m):
+        bnm = comb(fx.F.rows - 1, bundle.k - 1)
+        for i in range(fx.F.rows):
             sup_Gi = max(np.linalg.norm(bundle.G_parts[i].eval(z)) for z in grid.points)
             assert sup_Gi <= factorial(bundle.k) * bnm * bundle.sup_v[i] * (1 + 1e-9)
 
@@ -398,7 +398,7 @@ def test_data_driven_norm_chain_on_fixtures(fixtures_by_id, grid):
 def test_bundle_bound_fields(fixtures_by_id, grid):
     fx = fixtures_by_id["f1"]
     bundle = solve_full(fx.F, fx.H, grid)
-    m, k = fx.m, bundle.k
+    m, k = fx.F.rows, bundle.k
     assert bundle.bound_closed_form == pytest.approx(m * comb(m - 1, k - 1) * K_constant())
     assert bundle.bound_closed_form_loose == pytest.approx(
         m * factorial(k) * comb(m - 1, k - 1) * K_constant()
@@ -425,7 +425,7 @@ def test_radical_check_on_solved_fixture(fixtures_by_id, grid):
     assert rep.margin.passed
     assert rep.margin.min_margin >= -1e-10
     assert rep.constant == pytest.approx(bundle.sup_G ** 2)
-    assert rep.constant_exponent_2m == pytest.approx(bundle.sup_G ** (2 * fx.m))
+    assert rep.constant_exponent_2m == pytest.approx(bundle.sup_G ** (2 * fx.F.rows))
 
 
 def test_radical_check_scaling(small_grid):
@@ -485,7 +485,7 @@ def concat_parts(F1, F2, H, grid):
 
 def test_concat_empty_second_block_reduces_to_solve(fixtures_by_id, grid):
     fx = fixtures_by_id["f0"]
-    bundle, _, G2 = concat_parts(fx.F, PolyMatrix.zeros(fx.m, 0), fx.H, grid)
+    bundle, _, G2 = concat_parts(fx.F, PolyMatrix.zeros(fx.F.rows, 0), fx.H, grid)
     plain = solve_full(fx.F, fx.H, grid)
     assert bundle.max_residual == pytest.approx(plain.max_residual, abs=1e-15)
     assert G2.rows == 0

@@ -375,13 +375,17 @@ def test_a_path_that_is_a_directory_exits_2(tmp_path, argv):
     assert err == f"error: [Errno 21] Is a directory: '{tmp_path}'\n"
 
 
-@pytest.mark.parametrize("argv", [
+#: Every command argument that names a JSON file, with BAD in its place.
+EACH_FILE_ARGUMENT = pytest.mark.parametrize("argv", [
     ["check", "BAD"],
     ["solve", "BAD"],
     ["concat", "BAD", F1],
     ["concat", F1, "BAD"],
     ["radical", F1, "--n", "1", "--g", "BAD"],
 ], ids=["check", "solve", "concat fixture_a", "concat fixture_b", "radical --g"])
+
+
+@EACH_FILE_ARGUMENT
 @pytest.mark.parametrize("content", ["42", "null", "STRING", "[1, 2]"],
                          ids=["number", "null", "string", "array"])
 def test_a_file_that_is_not_a_json_object_exits_2(tmp_path, argv, content):
@@ -392,6 +396,16 @@ def test_a_file_that_is_not_a_json_object_exits_2(tmp_path, argv, content):
     code, out, err = run_cli([str(bad) if a == "BAD" else a for a in argv])
     assert (code, out) == (2, "")
     assert err == f"error: {bad}: expected a JSON object, got {content}\n"
+
+
+@EACH_FILE_ARGUMENT
+def test_a_file_that_is_not_utf8_exits_2_naming_its_path(tmp_path, argv):
+    bad = tmp_path / "bin.json"
+    bad.write_bytes(b"\xff\xfe\x00{}")
+    code, out, err = run_cli([str(bad) if a == "BAD" else a for a in argv])
+    assert (code, out) == (2, "")
+    assert err == (f"error: {bad}: not valid JSON: 'utf-8' codec can't decode byte 0xff "
+                   f"in position 0: invalid start byte\n")
 
 
 def test_an_error_inside_a_file_names_the_file(tmp_path):

@@ -8,6 +8,7 @@ from conftest import cmat, cvec, reference_q_matrix, rng
 from koszul.assemble import solve_full
 from koszul.combinat import enumerate_tuples
 from koszul.corona import (
+    _svd_pinv,
     check_hypotheses,
     corona_row,
     default_tolerance,
@@ -17,6 +18,7 @@ from koszul.corona import (
     scalar_corona_solve,
 )
 from koszul.detk import det_k_gram
+from koszul.opdet import RANK_RTOL, numeric_rank
 from koszul.poly import DiscGrid, PolyMatrix
 
 
@@ -113,6 +115,38 @@ def test_pointwise_min_norm_on_consistent_systems():
         # minimal norm: no component in the kernel of F
         kernel_part = u - np.linalg.pinv(F) @ (F @ u)
         assert np.linalg.norm(kernel_part) <= 1e-10
+
+
+def _unitary(r, n):
+    return np.linalg.qr(cmat(r, n, n))[0]
+
+
+def test_svd_pinv_inverts_exactly_the_singular_values_the_rank_rule_counts(fixtures_by_id, grid):
+    # sigma ratios 2e-10 and 5e-11 sit on either side of RANK_RTOL = 1e-10
+    assert 5e-11 < RANK_RTOL < 2e-10
+    r = rng(61)
+    scales = (1.0, 3.0, 1e-3, 1e5)
+    F = np.stack([_unitary(r, 3) @ np.diag([c, 2e-10 * c, 5e-11 * c]) @ _unitary(r, 4)[:3]
+                  for c in scales])
+    s, large, F_pinv = _svd_pinv(F)
+    assert large.tolist() == [[True, True, False]] * len(scales)
+    # F^+ F projects onto the inverted right singular vectors: its trace counts them
+    inverted = np.trace(F_pinv @ F, axis1=-2, axis2=-1)
+    np.testing.assert_allclose(inverted, 2.0, atol=1e-3)
+    np.testing.assert_allclose(s[:, 0], scales, rtol=1e-12)
+    # its largest singular value is the inverse of the smallest one kept
+    np.testing.assert_allclose(np.linalg.norm(F_pinv, 2, axis=(1, 2)),
+                               1 / (2e-10 * np.array(scales)), rtol=1e-5)
+
+    # f3's grid stack drops to rank 1 at z = 1/2, on the grid
+    F = fixtures_by_id["f3"].F.eval(grid.points)
+    s, large, F_pinv = _svd_pinv(F)
+    counts = np.count_nonzero(large, axis=-1)
+    assert counts.tolist() == numeric_rank(F).tolist()
+    assert sorted(set(counts.tolist())) == [1, 2]
+    inverted = np.trace(F_pinv @ F, axis1=-2, axis2=-1)
+    np.testing.assert_allclose(inverted.real, counts, atol=1e-6)
+    assert F_pinv.tobytes() == np.linalg.pinv(F, rcond=RANK_RTOL).tobytes()
 
 
 def test_corona_row_m1_layout():

@@ -135,16 +135,21 @@ def test_lowering_table_follows_a_replaced_sign_function(monkeypatch):
 
 
 def test_lowering_memo_keeps_one_table_per_shape(monkeypatch):
-    monkeypatch.setattr(exterior, "_LOWERING_TABLES", {})
+    # one table object per shape and sign function: a replaced function
+    # gets tables built from it, and restoring the original brings its tables back
+    shapes = ((4, 1), (5, 2), (5, 0))
     original = combinat.insertion_sign
-    signs = [original, lambda j, sigma: abs(original(j, sigma)),
-             lambda j, sigma: -original(j, sigma)]
-    for sign in signs + signs:
-        monkeypatch.setattr(combinat, "insertion_sign", sign)
-        for d, n in ((4, 1), (5, 2), (5, 0)):
-            q_matrix(np.ones(d), n)
-        assert set(exterior._LOWERING_TABLES) == {(4, 1), (5, 2), (5, 0)}
-        assert all(kept is sign for kept, _ in exterior._LOWERING_TABLES.values())
+    kept = {shape: exterior._lowering_table(*shape) for shape in shapes}
+    monkeypatch.setattr(combinat, "insertion_sign", lambda j, sigma: -original(j, sigma))
+    for shape in shapes:
+        flipped = exterior._lowering_table(*shape)
+        assert flipped is exterior._lowering_table(*shape)
+        assert flipped is not kept[shape]
+        assert flipped[2].tolist() == [-x for x in kept[shape][2].tolist()]
+        for want, got in zip(kept[shape][:2] + kept[shape][3:], flipped[:2] + flipped[3:]):
+            np.testing.assert_array_equal(got, want)
+    monkeypatch.setattr(combinat, "insertion_sign", original)
+    assert all(exterior._lowering_table(*shape) is kept[shape] for shape in shapes)
 
 
 def test_degree_bounds_raise():
@@ -260,9 +265,9 @@ def test_multiplier_norm_domination_on_fixtures(fixtures_by_id, grid):
     for fid in ("f0", "f1"):
         fx = fixtures_by_id[fid]
         sup_F = max(np.linalg.norm(fx.F.eval(z), 2) for z in grid.points[::7])
-        for i in range(fx.m):
+        for i in range(fx.F.rows):
             row = fx.F.submatrix(slice(i, i + 1), slice(None))
-            for n in range(0, fx.d - 1):
+            for n in range(0, fx.F.cols - 1):
                 sup_Q = max(np.linalg.norm(q_matrix(row.eval(z)[0], n), 2)
                             for z in grid.points[::7])
                 assert sup_Q <= sup_F + 1e-12

@@ -25,7 +25,7 @@ def sample_fixture():
     F = PolyMatrix.from_rows([[P(0.1, -0.25 + 1e-17j), P(0.3)], [P(0), P(1 / 3, 0.7j)]])
     H = PolyMatrix.from_rows([[P(0.001, 0.002)], [P(-0.003j)]])
     u = PolyMatrix.from_rows([[P(0.5)], [P(0.25, 0.125)]])
-    return Fixture("sample", 2, 2, 8, F, H, u_known=u)
+    return Fixture("sample", 8, F, H, u_known=u)
 
 
 def test_round_trip_is_bit_exact():
@@ -58,9 +58,10 @@ def test_round_trip_trims_trailing_zeros_and_keeps_negative_zeros():
 
 def test_all_shipped_fixtures_parse_and_validate():
     for fid in ("f0", "f1", "f2", "f3", "f1b"):
-        fx = load_fixture(FIXTURE_DIR / f"{fid}.json")
-        assert fx.F.shape == (fx.m, fx.d)
-        assert fx.H.shape == (fx.m, 1)
+        path = FIXTURE_DIR / f"{fid}.json"
+        fx, tree = load_fixture(path), json.loads(path.read_text())
+        assert fx.F.shape == (tree["m"], tree["d"])
+        assert fx.H.shape == (tree["m"], 1)
         assert fx.F.max_degree <= fx.degree_cap
 
 

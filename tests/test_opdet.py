@@ -17,13 +17,13 @@ from koszul.opdet import (
 
 
 def scalar_blocks(M):
-    return BlockOperatorMatrix.from_rows(
+    return BlockOperatorMatrix(
         [[np.array([[complex(x)]]) for x in row] for row in M]
     )
 
 
 def test_single_block():
-    B = BlockOperatorMatrix.from_rows([[np.array([[1.0, 2.0], [3.0, 4.0]])]])
+    B = BlockOperatorMatrix([[np.array([[1.0, 2.0], [3.0, 4.0]])]])
     np.testing.assert_array_equal(operator_det(B), [[1.0, 2.0], [3.0, 4.0]])
 
 
@@ -35,7 +35,7 @@ def test_two_by_two_scalar_blocks():
 def test_order_matters_for_noncommuting_blocks():
     r = rng(1)
     T = [[cmat(r, 2, 2) for _ in range(2)] for _ in range(2)]
-    B = BlockOperatorMatrix.from_rows(T)
+    B = BlockOperatorMatrix(T)
     ordered = T[0][0] @ T[1][1] - T[0][1] @ T[1][0]
     reversed_products = T[1][1] @ T[0][0] - T[1][0] @ T[0][1]
     np.testing.assert_allclose(operator_det(B), ordered, atol=1e-12)
@@ -60,7 +60,7 @@ def test_multilinearity_in_a_block_row():
 
     def det_with_row(row):
         blocks = [list(base[0]), list(row), list(base[2])]
-        return operator_det(BlockOperatorMatrix.from_rows(blocks))
+        return operator_det(BlockOperatorMatrix(blocks))
 
     combo = [lam * a + mu * b for a, b in zip(rowA, rowB)]
     lhs = det_with_row(combo)
@@ -71,10 +71,12 @@ def test_multilinearity_in_a_block_row():
 def test_signature_validation():
     good = np.zeros((2, 3))
     bad = np.zeros((3, 3))
-    with pytest.raises(ValueError):
-        BlockOperatorMatrix.from_rows([[good, good], [bad, good]])
-    with pytest.raises(ValueError):
-        BlockOperatorMatrix(((good,),), (2, 3, 4))
+    with pytest.raises(ValueError, match=r"block \(1,1\) has shape"):
+        BlockOperatorMatrix([[good, good], [bad, good]])
+    with pytest.raises(ValueError, match="row 1 blocks have 2 rows, but row 0 blocks have 3"):
+        BlockOperatorMatrix([[good, good], [good, good]])
+    with pytest.raises(ValueError, match="row 1 has 1 blocks, expected 2"):
+        BlockOperatorMatrix([[good, good], [bad]])
 
 
 def test_permutation_sign():
@@ -168,3 +170,4 @@ def test_numeric_rank():
     F = cmat(r, 4, 2) @ cmat(r, 2, 5)
     assert numeric_rank(F) == 2
     assert numeric_rank(np.zeros((3, 3))) == 0
+    assert numeric_rank(np.zeros((3, 0))) == numeric_rank(np.zeros((0, 3))) == 0
