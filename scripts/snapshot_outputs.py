@@ -17,7 +17,11 @@ inequality`, the one command that takes a norm mode.  `check` and `solve`
 also run on `f_overflow.json`, written into OUTDIR too: one row, d = 1,
 F = 1e308 + 1e308 z and H = 1, whose grid values overflow to inf, so the
 NaN path through the SVD, the pseudo-inverse's rank cut and the rank count
-is compared too (both exit 1).  Each command's
+is compared too (both exit 1).  `solve` runs on two more written fixtures,
+one for each way a point reaches the SVD in a solve: `f_rank_drop.json`,
+F = [[1, 0], [0, z]] and H = (0, 1) on radii 0 and 0.5, whose rank drops
+and whose range fails only at z = 0 (exit 1, `hypothesis-range`), and
+`f_wide.json`, a 3 x 2 F (m > d) with H in its range.  Each command's
 stdout goes to `<name>.json` with the report timestamp blanked, the
 written G files and residual CSVs sit beside them, and `exit_codes.txt`
 lists each command's exit code.
@@ -59,6 +63,17 @@ FIXTURE_GRID = {"radii": [0.25, 0.5, 0.75, 0.9], "angles": 48}
 #: One row, d = 1, F = 1e308 + 1e308 z and H = 1: F's grid values overflow to inf.
 FIXTURE_OVERFLOW = {"id": "f_overflow", "m": 1, "d": 1,
                     "F": [[[[1e308, 0.0], [1e308, 0.0]]]], "H": [[[[1.0, 0.0]]]]}
+#: F = [[1, 0], [0, z]] and H = (0, 1): full rank, and H in range, except at z = 0.
+FIXTURE_RANK_DROP = {"id": "f_rank_drop", "m": 2, "d": 2,
+                     "F": [[[[1.0, 0.0]], [[0.0, 0.0]]], [[[0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]],
+                     "H": [[[[0.0, 0.0]]], [[[1.0, 0.0]]]],
+                     "grid": {"radii": [0.0, 0.5], "angles": 64}}
+#: Three rows over two columns, F = [[1/2, 0], [0, 1/2], [z/2, z/2]], and H = F (1, z).
+FIXTURE_WIDE = {"id": "f_wide", "m": 3, "d": 2,
+                "F": [[[[0.5, 0.0]], [[0.0, 0.0]]], [[[0.0, 0.0]], [[0.5, 0.0]]],
+                      [[[0.0, 0.0], [0.5, 0.0]], [[0.0, 0.0], [0.5, 0.0]]]],
+                "H": [[[[0.5, 0.0]]], [[[0.0, 0.0], [0.5, 0.0]]],
+                      [[[0.0, 0.0], [0.5, 0.0], [0.5, 0.0]]]]}
 
 
 def commands(out: pathlib.Path):
@@ -85,6 +100,9 @@ def commands(out: pathlib.Path):
     (out / "f_overflow.json").write_text(json.dumps(FIXTURE_OVERFLOW, indent=2))
     yield "check_f_overflow", ["check", str(out / "f_overflow.json")]
     yield "solve_f_overflow", ["solve", str(out / "f_overflow.json")]
+    for tree in (FIXTURE_RANK_DROP, FIXTURE_WIDE):
+        (out / f"{tree['id']}.json").write_text(json.dumps(tree, indent=2))
+        yield f"solve_{tree['id']}", ["solve", str(out / f"{tree['id']}.json")]
 
 
 def _exact(M) -> str:

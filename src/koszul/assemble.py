@@ -11,10 +11,12 @@ ordered chain of the tuple's other rows, applied right to left to the
 block one :func:`koszul.exterior.lower` step at a time, which forms no
 operator.  G is the sum of the G_i; its cross terms f_j G_i (j != i)
 vanish at full rank, by the battery's ``rank_vanishing`` identity, so only
-F G = H is measured.  A solve evaluates F and H once, in the hypothesis
-check, and reads from it only the rank, the range verdict, the grid sup
-of |H| and the two stacks, off which it reads row tolerances and the final
-residual; it takes no norm mode and computes no minor bound.  The radical
+F G = H is measured.  A solve evaluates F and H once, in
+:func:`koszul.corona.solve_preconditions`, which gives only the rank, the
+range verdict, the grid sup of |H| and the two stacks, off which it reads
+row tolerances and the final residual; it takes no norm mode, computes no
+minor bound or norm estimate, and runs the SVD only at the grid points
+where det(F F^*) does not certify full row rank.  The radical
 check reports its pointwise margins as one :class:`koszul.poly.MarginReport`.
 """
 
@@ -28,12 +30,12 @@ import numpy as np
 
 from .combinat import enumerate_tuples
 from .corona import (
-    HypothesisReport,
     ScalarSolveResult,
-    check_hypotheses,
+    SolvePreconditions,
     corona_row,
     default_tolerance,
     scalar_corona_solve,
+    solve_preconditions,
 )
 from .detk import det_k_gram
 from .errors import PreconditionError
@@ -105,7 +107,7 @@ class SolutionBundle:
     G: PolyMatrix
     G_parts: tuple[PolyMatrix, ...]
     scalar_solutions: tuple[ScalarSolveResult, ...]
-    hypothesis_report: HypothesisReport
+    hypothesis_report: SolvePreconditions
     k: int
     residuals: tuple[float, ...]
     max_residual: float
@@ -152,7 +154,7 @@ def solve_full(
     """
     if grid is None:
         grid = DiscGrid.default()
-    hyp = check_hypotheses(F, H, grid)
+    hyp = solve_preconditions(F, H, grid)
     m, d = F.shape
     k = hyp.k_detected
 

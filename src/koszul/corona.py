@@ -7,7 +7,16 @@ and H are evaluated once on the grid, and one SVD call of the (P, m, d) F
 stack gives the detected rank, the norm estimate and, through
 pseudo-inverses built from its factors and cut at the same rank rule, the
 range residuals.  The report
-keeps both stacks, so a solve evaluates F and H once.  The minor bound is
+keeps both stacks, so a solve evaluates F and H once.  A solve reads only
+the rank, the range verdict, the grid sup of |H| and the stacks, and
+:func:`solve_preconditions` gives those without the full SVD: it forms
+G = F F^* at every point, and where det(G / tr G) reaches a threshold
+(about 1.2e-8, from RANGE_RTOL and an assumed backward-error constant of
+the SVD, SVD_BACKWARD_C) F provably has full row rank and both of the
+check's rules pass, since (s_m / s_1)^2 >= det(G / tr G).  Only the other
+points, where m > d, the rank drops or values are not finite or out of
+range, go through the check's SVD and pseudo-inverse, so every field
+equals the check's.  The minor bound is
 a function of those stacks and the rank, :func:`minor_bound_check`, and
 the norm verdict one of the estimate and the mode, :func:`norm_check`;
 ``check`` calls both and a solve neither.  The minor bound computes the
@@ -55,23 +64,30 @@ RANGE_RTOL = 1e-8  # largest range residual, relative to the grid sup of |H|
 
 
 @dataclass(frozen=True)
-class HypothesisReport:
-    """The norm estimate, the range verdict and the detected rank on a grid.
+class SolvePreconditions:
+    """What a solve reads from its hypothesis check on a grid.
 
-    ``F_vals`` and ``H_vals`` are the read-only (P, m, d) and (P, m, 1)
-    stacks the check evaluated on its grid, kept so a solve need not
-    evaluate F and H again and :func:`minor_bound_check` can read them;
-    they take no part in comparisons or the repr.
+    The detected rank, the range verdict and the grid sup of |H|, with the
+    read-only (P, m, d) and (P, m, 1) stacks of F and H that the check
+    evaluated on its grid, kept so a solve need not evaluate F and H again
+    and :func:`minor_bound_check` can read them; the stacks take no part in
+    comparisons or the repr.
     """
 
     k_detected: int
-    norm_estimate: float
-    max_range_residual: float
-    argmax_range_point: complex
     sup_H: float
     passed_range: bool
     F_vals: np.ndarray = field(compare=False, repr=False)
     H_vals: np.ndarray = field(compare=False, repr=False)
+
+
+@dataclass(frozen=True)
+class HypothesisReport(SolvePreconditions):
+    """The solve's preconditions, the norm estimate and the largest range residual."""
+
+    norm_estimate: float
+    max_range_residual: float
+    argmax_range_point: complex
 
 
 def minor_bound_check(F_vals: np.ndarray, H_vals: np.ndarray, k: int,
@@ -116,9 +132,14 @@ def _svd_pinv(F: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def _min_norm_solution(F, F_pinv, H):
-    """u = F^+ H and |F u - H| for (P, m, d), (P, d, m) and (P, m) stacks."""
-    u = (F_pinv @ H[..., None])[..., 0]
-    return u, slice_norms((F @ u[..., None])[..., 0] - H)
+    """u = F^+ H and |F u - H| for (P, m, d), (P, d, m) and (P, m) stacks.
+
+    An H that is not finite, or that overflows through F^+, gives an inf or
+    NaN residual, which fails the range rule, without a numpy warning.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        u = (F_pinv @ H[..., None])[..., 0]
+        return u, slice_norms((F @ u[..., None])[..., 0] - H)
 
 
 def pointwise_min_norm_solution(F_point, H_point):
@@ -148,19 +169,24 @@ def default_tolerance(h_vals: np.ndarray) -> float:
     return 1e-8 * max(1.0, float(np.hypot(h_vals.real, h_vals.imag).max()))
 
 
+def _evaluate(F: PolyMatrix, H: PolyMatrix, grid: DiscGrid | None):
+    """The grid, the read-only F and H stacks on it, and the grid sup of |H|."""
+    if H.rows != F.rows or H.cols != 1:
+        raise ValueError(f"H must be {F.rows} x 1, got {H.shape}")
+    if grid is None:
+        grid = DiscGrid.default()
+    F_vals = F.eval(grid.points)
+    H_vals = H.eval(grid.points)
+    F_vals.flags.writeable = H_vals.flags.writeable = False
+    return grid, F_vals, H_vals, float(slice_norms(H_vals).max())
+
+
 def check_hypotheses(
     F: PolyMatrix,
     H: PolyMatrix,
     grid: DiscGrid | None = None,
 ) -> HypothesisReport:
-    if H.rows != F.rows or H.cols != 1:
-        raise ValueError(f"H must be {F.rows} x 1, got {H.shape}")
-    if grid is None:
-        grid = DiscGrid.default()
-
-    F_vals = F.eval(grid.points)
-    H_vals = H.eval(grid.points)
-    F_vals.flags.writeable = H_vals.flags.writeable = False
+    grid, F_vals, H_vals, sup_H = _evaluate(F, H, grid)
 
     # one SVD per grid: the rank rule, the operator-norm estimate (the
     # largest singular value) and the range residuals all read it
@@ -171,7 +197,6 @@ def check_hypotheses(
     range_residuals = _min_norm_solution(F_vals, F_pinv, H_vals[..., 0])[1]
     imax = int(np.argmax(range_residuals))
     max_range_residual = float(range_residuals[imax])
-    sup_H = float(slice_norms(H_vals).max())
 
     return HypothesisReport(
         k_detected=k,
@@ -183,6 +208,99 @@ def check_hypotheses(
         F_vals=F_vals,
         H_vals=H_vals,
     )
+
+
+#: The constant C assumed to bound the range residual that :func:`_svd_pinv`
+#: and :func:`_min_norm_solution` compute at a point where F has full row
+#: rank, as C u (s_1 / s_m) |H(z)| with u = 2**-53 and s_1 >= ... >= s_m the
+#: singular values of F(z).  It stands for LAPACK's backward error of the SVD,
+#: a low-degree polynomial in m and d times u, and the rounding of the three
+#: products after it; it is not proven.
+SVD_BACKWARD_C = 1e4
+#: The threshold of the certificate without its rounding term: the smallest
+#: (s_m / s_1)^2 at which C u (s_1 / s_m) stays within RANGE_RTOL, about
+#: 1.2e-8, so s_m / s_1 >= 1.1e-4, far above RANK_RTOL (1e-10).
+_CERTIFIED_RATIO = (SVD_BACKWARD_C * 2.0**-53 / RANGE_RTOL) ** 2
+
+
+def _certified_full_row_rank(F_vals: np.ndarray, sup_H: float) -> np.ndarray:
+    """Which points of a (P, m, d) stack provably have full row rank.
+
+    With G = F F^* and its eigenvalues s_1^2 >= ... >= s_m^2, det G <=
+    s_m^2 (tr G)^(m-1) and s_1^2 <= tr G, so det(G / tr G) <= (s_m / s_1)^2.
+    A point is certified when the computed det(G / tr G) reaches
+    _CERTIFIED_RATIO plus its rounding bound.  There F has full row rank,
+    so H(z) lies in its range exactly, the SVD path's rank rule counts m and
+    its range residual stays within C u (s_1 / s_m) |H(z)| <= RANGE_RTOL
+    sup_H: each certified point passes both rules that
+    :func:`check_hypotheses` applies to it.  Values that are not finite, a
+    singular G (m > d, a rank drop, a zero row) and an F(z) or sup_H
+    outside 2**+-300 are never certified.
+    """
+    P, m, d = F_vals.shape
+    # det(G / tr G) <= m^-m (AM-GM on the eigenvalues), so with m >= 9 no
+    # point can reach the threshold, and with m > d none has full row rank.
+    # Within 2**+-300 for F(z)'s largest part and for sup_H, the SVD path
+    # neither overflows (|F^+ H| <= 2**615, |F F^+ H| <= 2**920) nor loses
+    # more than 2**-1074 times factors below 2**620 to underflow, far below
+    # RANGE_RTOL sup_H >= 2**-327, as the constant C assumes.
+    if m > d or float(m) ** -m < _CERTIFIED_RATIO or not 2.0**-300 <= sup_H <= 2.0**300:
+        return np.zeros(P, dtype=bool)
+    # Rounding, as multiples of u = 2**-53 (gamma_j = j u / (1 - j u)),
+    # for A = G / tr G, whose entries are at most 1 in modulus: each entry of
+    # the computed G is a length-d complex dot product, within gamma_{3d+4}
+    # tr G of the exact one by Cauchy-Schwarz (underflow, at most 2**-1074
+    # per product against tr G >= 2**-600, included); tr G adds
+    # gamma_{3md+5m}, the division one u, so the computed A is A + E1 with
+    # ||E1||_2 <= m gamma_{3md+3d+5m+6}.  The LU factors with partial
+    # pivoting are exact for A + E1 + E2 with |E2| <= gamma_{6m} |L||U| and
+    # |L||U| <= m 2^m entrywise (growth factor 2^(m-1)), so ||E2||_2 <= m^2
+    # 2^m gamma_{6m}, and eps = ||E1 + E2||_2 <= m gamma_{3(m+1)d+6m^2 2^m+5m+6}.
+    # Then |det(A + E) - det A| <= m eps (1 + eps)^(m-1), and m eps <= 1/2
+    # for m <= 8 and any d below 10**12, so (1 + eps)^m < 2.  numpy takes
+    # the determinant of the factors from their m moduli's logs, the logs'
+    # sum, one exp and m unit phases; with |U_ii| <= 2^m and a result of at
+    # least tau, each |log| is below 27 + m^2, so that errs by gamma_J,
+    # J = 2 m^2 (m^2 + 28) + 3m, relative.  One gamma_K covers the total as
+    # 2 m^2 gamma_K.
+    K = 3 * (m + 1) * d + 6 * m * m * 2**m + 2 * m * m + 5 * m + 65
+    tau = _CERTIFIED_RATIO + 2 * m * m * K * 2.0**-53 / (1 - K * 2.0**-53)
+    top = np.abs(F_vals.view(float)).max(axis=(1, 2), initial=0.0)
+    gram = F_vals @ F_vals.conj().swapaxes(-1, -2)
+    trace = gram.diagonal(axis1=-2, axis2=-1).real.sum(axis=-1)
+    ratio = np.linalg.det(gram / trace[:, None, None]).real
+    return (ratio >= tau) & (2.0**-300 <= top) & (top <= 2.0**300)
+
+
+def solve_preconditions(
+    F: PolyMatrix,
+    H: PolyMatrix,
+    grid: DiscGrid | None = None,
+) -> SolvePreconditions:
+    """The detected rank, the range verdict, sup_H and the stacks of :func:`check_hypotheses`.
+
+    Each field equals the check's, which evaluates F and H the same way,
+    but the SVD runs only on the points that det(F F^*) does not certify to
+    have full row rank (:func:`_certified_full_row_rank`).  The detected
+    rank is m when any point is certified, since the rank rule counts m
+    there; otherwise it is the largest count of the uncertified points,
+    which are then all of them.  A certified point passes the range rule,
+    so the verdict is that of the uncertified points' residuals, each
+    bitwise the one the check computes.
+    """
+    grid, F_vals, H_vals, sup_H = _evaluate(F, H, grid)
+    with np.errstate(all="ignore"):
+        certified = _certified_full_row_rank(F_vals, sup_H)
+    k, passed = F.rows, True
+    if not certified.all():
+        rest = F_vals[~certified]
+        _, large, pinv = _svd_pinv(rest)
+        if not certified.any():
+            k = int(np.count_nonzero(large, axis=-1).max(initial=0))
+        residuals = _min_norm_solution(rest, pinv, H_vals[~certified, :, 0])[1]
+        passed = float(residuals.max()) <= RANGE_RTOL * sup_H
+    return SolvePreconditions(k_detected=k, sup_H=sup_H, passed_range=passed,
+                              F_vals=F_vals, H_vals=H_vals)
 
 
 def corona_row(F: PolyMatrix, k: int) -> PolyMatrix:

@@ -45,10 +45,13 @@ def det_k(B, k: int):
 def det_k_gram(F_point, k: int):
     """det_k of F F^* for a rectangular F; non-negative, ~0 beyond the rank.
 
-    A (..., m, d) stack gives a float array, one value per slice.
+    A (..., m, d) stack gives a float array, one value per slice.  Values
+    that overflow give inf or NaN sums without a numpy warning; the
+    margins built on them report that.
     """
     F = np.atleast_2d(np.asarray(F_point, dtype=complex))
-    val = det_k(F @ F.conj().swapaxes(-1, -2), k)
+    with np.errstate(over="ignore", invalid="ignore"):
+        val = det_k(F @ F.conj().swapaxes(-1, -2), k)
     return float(val.real) if F.ndim == 2 else val.real
 
 

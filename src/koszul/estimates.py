@@ -78,7 +78,8 @@ def alpha_hypothesis_check(F_vals: np.ndarray, h_vals: np.ndarray,
         raise ValueError(f"scalar-row check needs ({P}, 1, d) and ({P}, 1, 1) stacks of F "
                          f"and h, got {F_vals.shape} and {h_vals.shape}")
 
-    gram = (F_vals @ F_vals.conj().swapaxes(1, 2))[:, 0, 0].real.tolist()
+    with np.errstate(over="ignore", invalid="ignore"):  # an inf t fails the normalization
+        gram = (F_vals @ F_vals.conj().swapaxes(1, 2))[:, 0, 0].real.tolist()
     margins = []
     for z, t, hz in zip(grid.points, gram, h_vals[:, 0, 0].tolist()):
         if t > 1 + 1e-9:

@@ -54,7 +54,9 @@ def _horner(coeffs, z) -> np.ndarray:
     coefficients leave the accumulator at zero, which the first nonzero
     coefficient replaces exactly.
     Points outside the open unit disc are allowed but warned about, since
-    every norm statement in this package concerns the disc.
+    every norm statement in this package concerns the disc.  A value that
+    overflows comes out inf or NaN without a numpy warning; the checks that
+    read grid values report such values as failures.
     """
     radius = np.abs(z).max(initial=0.0)
     if radius >= 1:
@@ -67,11 +69,12 @@ def _horner(coeffs, z) -> np.ndarray:
     zi = np.array([-z.imag, z.imag]).reshape(spread)
     x = np.zeros(spread[:1] + coeffs.shape[:-1] + z.shape)
     t = np.empty_like(x)
-    for n in range(coeffs.shape[-1] - 1, -1, -1):
-        np.multiply(x[::-1], zi, out=t)
-        x *= zr
-        x += t
-        x += parts[..., n, :]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for n in range(coeffs.shape[-1] - 1, -1, -1):
+            np.multiply(x[::-1], zi, out=t)
+            x *= zr
+            x += t
+            x += parts[..., n, :]
     out = np.empty(z.shape + coeffs.shape[:-1], dtype=complex)
     points_first = (coeffs.ndim - 1, *range(coeffs.ndim - 1))
     out.real, out.imag = x[0].transpose(points_first), x[1].transpose(points_first)

@@ -255,29 +255,37 @@ def test_solve_full_computes_no_minor_bound(monkeypatch):
     assert len(calls) == 1
 
 
-def test_one_svd_per_hypothesis_check_and_per_solve(monkeypatch):
+def test_one_svd_per_hypothesis_check_and_none_per_certified_solve(monkeypatch, fixtures_by_id):
     F, H = _ladder_462()
-    calls = {"svd": 0, "pinv": 0}
+    calls = {"svd": [], "pinv": 0}
     svd, pinv = np.linalg.svd, np.linalg.pinv
 
-    def counted(name, fn):
-        def wrapper(*args, **kwargs):
-            calls[name] += 1
-            return fn(*args, **kwargs)
-        return wrapper
+    def counted_svd(a, *args, **kwargs):
+        calls["svd"].append(np.shape(a))
+        return svd(a, *args, **kwargs)
 
-    monkeypatch.setattr(np.linalg, "svd", counted("svd", svd))
-    monkeypatch.setattr(np.linalg, "pinv", counted("pinv", pinv))
+    def counted_pinv(*args, **kwargs):
+        calls["pinv"] += 1
+        return pinv(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted_svd)
+    monkeypatch.setattr(np.linalg, "pinv", counted_pinv)
     hyp = corona.check_hypotheses(F, H)
-    assert calls == {"svd": 1, "pinv": 0}
+    assert calls == {"svd": [(640, 4, 6)], "pinv": 0}
     assert hyp.passed_range and hyp.k_detected == 4
     # the report keeps the stacks it evaluated, read-only
     for vals, M in ((hyp.F_vals, F), (hyp.H_vals, H)):
         assert not vals.flags.writeable
         assert vals.tobytes() == M.eval(DiscGrid.default().points).tobytes()
-    calls.update(svd=0)
-    assert solve_full(F, H).success
-    assert calls == {"svd": 1, "pinv": 0}
+    # det(F F*) certifies full row rank at every point, so the solve takes no SVD
+    calls["svd"].clear()
+    bundle = solve_full(F, H)
+    assert bundle.success and bundle.k == 4 and bundle.hypothesis_report.passed_range
+    assert calls == {"svd": [], "pinv": 0}
+    # f3's rank drops at one grid point, and only that point's slice is decomposed
+    fx = fixtures_by_id["f3"]
+    assert solve_full(fx.F, fx.H).k == 2
+    assert calls == {"svd": [(1, 2, 3)], "pinv": 0}
 
 
 def test_build_Gi_shape_validation():

@@ -3,6 +3,7 @@ import io
 import json
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -535,3 +536,24 @@ def test_corrupted_sign_convention_is_caught(monkeypatch):
     assert not checks["anticommutation"]["passed"]
     assert not checks["top_row_expansion"]["passed"]
     assert not checks["chain_gram_identity"]["passed"]
+
+
+@pytest.mark.parametrize("command,fixture,code", [
+    ("check", "f0_1e300", 1), ("solve", "f0_1e300", 0),
+    ("check", "f_overflow", 1), ("solve", "f_overflow", 1),
+])
+def test_values_that_overflow_print_no_numpy_warning(tmp_path, command, fixture, code):
+    # f0 with a 1e300 coefficient overflows the Gram matrices of the minor
+    # bound and of the alpha gauge; F = 1e308 + 1e308 z overflows in the grid
+    # evaluation itself.  The reports carry the non-finite values as designed.
+    trees = {"f0_1e300": json.loads((FIXTURE_DIR / "f0.json").read_text()),
+             "f_overflow": {"id": "f_overflow", "m": 1, "d": 1,
+                            "F": [[[[1e308, 0.0], [1e308, 0.0]]]], "H": [[[[1.0, 0.0]]]]}}
+    trees["f0_1e300"]["F"][0][0][0] = [1e300, 0.0]
+    path = tmp_path / f"{fixture}.json"
+    path.write_text(json.dumps(trees[fixture]))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        got, out, err = run_cli([command, str(path)])
+    assert (got, err) == (code, "") and out
+    assert [str(w.message) for w in caught] == []

@@ -3,11 +3,15 @@ from math import factorial
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import cmat, cvec, reference_q_matrix, rng
+from conftest import REPO, cmat, cvec, load_module, reference_q_matrix, rng
 from koszul.assemble import solve_full
 from koszul.combinat import enumerate_tuples
 from koszul.corona import (
+    _CERTIFIED_RATIO,
+    _certified_full_row_rank,
     _svd_pinv,
     check_hypotheses,
     corona_row,
@@ -16,8 +20,10 @@ from koszul.corona import (
     norm_check,
     pointwise_min_norm_solution,
     scalar_corona_solve,
+    solve_preconditions,
 )
 from koszul.detk import det_k_gram
+from koszul.fixtures import parse_fixture
 from koszul.opdet import RANK_RTOL, numeric_rank
 from koszul.poly import DiscGrid, PolyMatrix
 
@@ -265,3 +271,116 @@ def test_default_tol_is_the_python_abs_grid_maximum(fixtures_by_id, grid):
     # a target far above 1 sets the tolerance from its own modulus
     h_vals = S(3e100, -4e99j).eval(grid.points)[:, 0, 0]
     assert default_tolerance(h_vals) == 1e-8 * max(abs(v) for v in h_vals.tolist())
+
+
+# radius 0 puts eight points on z = 0, where several cases drop rank
+PRECONDITION_GRID = DiscGrid([0.0, 0.5, 0.9], 8)
+
+
+def _random_poly(r, rows, cols, deg):
+    shape = (rows, cols, deg + 1)
+    return PolyMatrix(r.standard_normal(shape) + 1j * r.standard_normal(shape))
+
+
+def precondition_instance(seed, kind, scales, poison, in_range):
+    """F and H of one kind, with F and H scaled by 2**scales and maybe one coefficient poisoned."""
+    r = np.random.default_rng(seed)
+    m = int(r.integers(2, 5))
+    deg = int(r.integers(0, 3))
+    d = int(r.integers(1, m)) if kind == "wide" else int(r.integers(m, 7))
+    if kind == "product":  # A B with A m x inner, so of rank at most inner < m
+        inner = int(r.integers(1, m))
+        F = _random_poly(r, m, inner, deg) @ _random_poly(r, inner, d, 0)
+    else:
+        F = _random_poly(r, m, d, deg)
+    if kind == "zero_row":
+        coeffs = np.array(F.coeffs)
+        coeffs[int(r.integers(0, m))] = 0
+        F = PolyMatrix(coeffs)
+    elif kind.startswith("ratio"):
+        # constant singular values 1, ..., 1, rho in random unitary frames,
+        # with a z term that moves the smallest by about a tenth of itself
+        rho = float(kind.split()[1]) * float(r.uniform(0.5, 2.0))
+        u = np.linalg.qr(cmat(r, m, m))[0]
+        v = np.linalg.qr(cmat(r, d, d))[0][:m]
+        core = (u * np.r_[np.ones(m - 1), rho]) @ v
+        coeffs = np.zeros((m, d, 2), dtype=complex)
+        coeffs[:, :, 0], coeffs[:, :, 1] = core, 0.1 * rho * cmat(r, m, d) / np.sqrt(m * d)
+        F = PolyMatrix(coeffs)
+    H = F @ _random_poly(r, d, 1, 1) if in_range else _random_poly(r, m, 1, 1)
+    F = PolyMatrix(2.0 ** scales[0] * F.coeffs)
+    H = PolyMatrix(2.0 ** scales[1] * H.coeffs)
+    if poison is not None:
+        which, value = poison
+        coeffs = np.array((F if which == "F" else H).coeffs)
+        coeffs.flat[int(r.integers(0, coeffs.size))] = value
+        F, H = (PolyMatrix(coeffs), H) if which == "F" else (F, PolyMatrix(coeffs))
+    return F, H
+
+
+def assert_preconditions_match_the_check(F, H, grid):
+    """The screened preconditions equal the check's fields, or both raise the
+    SVD's non-convergence on values that are not finite."""
+    try:
+        ref = check_hypotheses(F, H, grid)
+    except np.linalg.LinAlgError:
+        with pytest.raises(np.linalg.LinAlgError):
+            solve_preconditions(F, H, grid)
+        return None
+    got = solve_preconditions(F, H, grid)
+    assert (got.k_detected, got.passed_range, got.sup_H.hex()) == \
+        (ref.k_detected, ref.passed_range, ref.sup_H.hex())
+    assert got.F_vals.tobytes() == ref.F_vals.tobytes()
+    assert got.H_vals.tobytes() == ref.H_vals.tobytes()
+    assert not (got.F_vals.flags.writeable or got.H_vals.flags.writeable)
+    return got
+
+
+@given(
+    st.integers(0, 2**32 - 1),
+    st.sampled_from(["full", "product", "wide", "zero_row", "ratio 1.1e-4", "ratio 1e-9",
+                     "ratio 1e-11"]),
+    st.tuples(st.sampled_from([0, 0, 500, -500]), st.sampled_from([0, 0, 500, -500])),
+    # an inf among F's values can stall LAPACK's SVD at m >= 3, in the check too
+    st.one_of(st.none(), st.just(("F", np.nan)),
+              st.tuples(st.just("H"), st.sampled_from([np.nan, np.inf, complex(0, -np.inf)]))),
+    st.booleans(),
+)
+@settings(max_examples=150, deadline=None)
+def test_solve_preconditions_equal_the_checks(seed, kind, scales, poison, in_range):
+    F, H = precondition_instance(seed, kind, scales, poison, in_range)
+    assert_preconditions_match_the_check(F, H, PRECONDITION_GRID)
+
+
+def test_a_range_failure_at_one_rank_drop_is_not_certified_away():
+    # F = diag(1, z) has full rank except at z = 0, where H = (0, 1) leaves
+    # its range: the circle of radius 0.5 is certified, the centre is not
+    F = PolyMatrix.from_rows([[P(1), P(0)], [P(0), P(0, 1)]])
+    H = PolyMatrix.from_rows([[P(0)], [P(1)]])
+    grid = DiscGrid([0.0, 0.5], 8)
+    got = assert_preconditions_match_the_check(F, H, grid)
+    assert got.k_detected == 2 and not got.passed_range
+    certified = _certified_full_row_rank(got.F_vals, got.sup_H)
+    assert certified.tolist() == [False] * 8 + [True] * 8
+
+
+@pytest.mark.parametrize("rung", [(2, 3, 2), (3, 4, 2), (4, 5, 2), (4, 6, 2),
+                                  (5, 10, 1), (6, 12, 1), (3, 14, 1)])
+def test_every_ladder_point_is_certified(rung, grid):
+    workloads = load_module("bench_workloads", REPO / "bench" / "workloads.py")
+    for seed in range(3):
+        fx = parse_fixture(workloads.ladder_instance(seed, *rung))
+        pre = solve_preconditions(fx.F, fx.H, grid)
+        certified = _certified_full_row_rank(pre.F_vals, pre.sup_H)
+        assert certified.all(), (seed, int(certified.sum()))
+
+
+def test_the_shipped_fixtures_leave_only_f3s_rank_drop_uncertified(fixtures_by_id, grid):
+    # the threshold is (1e4 u / RANGE_RTOL)^2 plus a rounding term far below it
+    assert 1.2e-8 < _CERTIFIED_RATIO < 1.3e-8
+    uncertified = {}
+    for fid in ("f0", "f1", "f2", "f3"):
+        fx = fixtures_by_id[fid]
+        pre = solve_preconditions(fx.F, fx.H, grid)
+        uncertified[fid] = grid.points[~_certified_full_row_rank(pre.F_vals, pre.sup_H)].tolist()
+    assert uncertified == {"f0": [], "f1": [], "f2": [], "f3": [0.5 + 0j]}
