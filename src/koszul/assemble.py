@@ -12,19 +12,20 @@ block one :func:`koszul.exterior.lower` step at a time, which forms no
 operator.  G is the sum of the G_i; its cross terms f_j G_i (j != i)
 vanish at full rank, by the battery's ``rank_vanishing`` identity, so only
 F G = H is measured.  A solve evaluates F and H once, in
-:func:`koszul.corona.solve_preconditions`, which gives only the rank, the
-range verdict, the grid sup of |H| and the two stacks, off which it reads
-row tolerances and the final residual; it takes no norm mode, computes no
-minor bound or norm estimate, and runs the SVD only at the grid points
-where det(F F^*) does not certify full row rank.  The radical
-check reports its pointwise margins as one :class:`koszul.poly.MarginReport`.
+:func:`koszul.corona.solve_preconditions`, which runs the SVD only where
+det(F F^*) does not certify full row rank.  Its :class:`SolutionBundle`
+stores what the solve computed (the grid, those preconditions, k, G and
+its parts, the row solutions, the per-point residuals and sup |G|) and
+reads the failed rows, each sup |v_i|, the residual statistics and the
+three norm bounds off them.  The radical check reports its pointwise
+margins as one :class:`koszul.poly.MarginReport`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import reduce
-from math import comb, factorial, inf
+from functools import cached_property, reduce
+from math import comb, factorial, inf, nan
 
 import numpy as np
 
@@ -102,24 +103,63 @@ def norm_bound(m: int, k: int) -> float:
 
 @dataclass(frozen=True)
 class SolutionBundle:
-    """Everything solve_full produces for one instance."""
+    """What solve_full computed for one instance, and every number read off it.
 
-    G: PolyMatrix
-    G_parts: tuple[PolyMatrix, ...]
-    scalar_solutions: tuple[ScalarSolveResult, ...]
+    A solve that stopped before assembly keeps the empty defaults, and then
+    every residual, norm and bound reads NaN.  m is len(scalar_solutions).
+    """
+
+    grid: DiscGrid
     hypothesis_report: SolvePreconditions
     k: int
-    residuals: tuple[float, ...]
-    max_residual: float
-    mean_residual: float
-    argmax_point: complex
-    sup_G: float
-    sup_v: tuple[float, ...]
-    bound_closed_form: float            # m * C(m-1, k-1) * K
-    bound_closed_form_loose: float      # m * k! * C(m-1, k-1) * K
-    bound_data_driven: float            # m * k! * C(m-1, k-1) * max_i sup |v_i|
-    failed_rows: tuple[int, ...]
-    failure: str | None
+    G: PolyMatrix
+    G_parts: tuple[PolyMatrix, ...] = ()
+    scalar_solutions: tuple[ScalarSolveResult, ...] = ()
+    residuals: tuple[float, ...] = ()  # |F G - H| at each grid point
+    sup_G: float = nan
+    failure: str | None = None
+
+    @property
+    def failed_rows(self) -> tuple[int, ...]:
+        return tuple(i for i, s in enumerate(self.scalar_solutions, 1) if not s.success)
+
+    @property
+    def sup_v(self) -> tuple[float, ...]:
+        return tuple(s.sup_v for s in self.scalar_solutions)
+
+    @cached_property
+    def _argmax(self) -> int | None:
+        return int(np.argmax(self.residuals)) if self.residuals else None
+
+    @property
+    def max_residual(self) -> float:
+        return nan if self._argmax is None else float(self.residuals[self._argmax])
+
+    @property
+    def mean_residual(self) -> float:
+        return float(np.mean(self.residuals)) if self.residuals else nan
+
+    @property
+    def argmax_point(self) -> complex:
+        """The grid point of the largest residual, the first of tied maxima."""
+        return complex(nan, nan) if self._argmax is None else self.grid.points[self._argmax]
+
+    @property
+    def bound_closed_form(self) -> float:  # m * C(m-1, k-1) * K
+        return norm_bound(len(self.scalar_solutions), self.k) if self.scalar_solutions else nan
+
+    @property
+    def bound_closed_form_loose(self) -> float:  # m * k! * C(m-1, k-1) * K
+        return self._chain_factor * K_constant()
+
+    @property
+    def bound_data_driven(self) -> float:  # m * k! * C(m-1, k-1) * max_i sup |v_i|
+        return self._chain_factor * max(self.sup_v, default=nan)
+
+    @property
+    def _chain_factor(self) -> int | float:
+        m = len(self.scalar_solutions)
+        return m * factorial(self.k) * comb(m - 1, self.k - 1) if m else nan
 
     @property
     def success(self) -> bool:
@@ -145,73 +185,33 @@ def solve_full(
 
     The chain row depends on F and the detected rank alone, so it is built
     once and every row's target is solved against it.  A row's default
-    degree cap is 2 * max(deg F, deg h_i) + 4.  Requires the range hypothesis to
-    hold on the grid; a failed scalar solve is flagged in the bundle rather
-    than raised, and so is an assembled G whose residual fails
-    ``residual_ok``.  A solve that stops before assembly (range hypothesis
-    failed, or rank zero) has no per-point residuals and NaN for every
-    residual, norm and bound.
+    degree cap is 2 * max(deg F, deg h_i) + 4.  A range hypothesis that
+    fails on the grid, or rank zero, stops the solve before assembly; a
+    failed scalar solve, and an assembled G whose residual fails
+    ``residual_ok``, are flagged in the bundle rather than raised.
     """
     if grid is None:
         grid = DiscGrid.default()
     hyp = solve_preconditions(F, H, grid)
-    m, d = F.shape
-    k = hyp.k_detected
-
-    def aborted(reason: str) -> SolutionBundle:
-        # nothing was solved or measured, so every measured number is NaN
-        nan = float("nan")
-        return SolutionBundle(
-            G=PolyMatrix.zeros(d, 1), G_parts=(), scalar_solutions=(),
-            hypothesis_report=hyp, k=k, residuals=(),
-            max_residual=nan, mean_residual=nan, argmax_point=complex(nan, nan),
-            sup_G=nan, sup_v=(), bound_closed_form=nan,
-            bound_closed_form_loose=nan, bound_data_driven=nan,
-            failed_rows=(), failure=reason,
-        )
-
+    bundle = SolutionBundle(grid, hyp, hyp.k_detected, PolyMatrix.zeros(F.cols, 1))
     if not hyp.passed_range:
-        return aborted("hypothesis-range")
-    if k < 1:
-        return aborted("rank-zero")
+        return replace(bundle, failure="hypothesis-range")
+    if bundle.k < 1:
+        return replace(bundle, failure="rank-zero")
 
-    R = corona_row(F, k)
-    solutions, parts, failed = [], [], []
-    for i in range(1, m + 1):
+    R = corona_row(F, bundle.k)
+    solutions, parts = [], []
+    for i in range(1, F.rows + 1):
         h = H.submatrix(slice(i - 1, i), slice(0, 1))
         cap = degree_cap if degree_cap is not None else 2 * max(F.max_degree, h.max_degree) + 4
         row_tol = tol if tol is not None else default_tolerance(hyp.H_vals[:, i - 1, 0])
-        sol = scalar_corona_solve(R, h, cap, row_tol, grid)
-        solutions.append(sol)
-        if not sol.success:
-            failed.append(i)
-        parts.append(build_Gi(F, sol.v, i, k))
+        solutions.append(scalar_corona_solve(R, h, cap, row_tol, grid))
+        parts.append(build_Gi(F, solutions[-1].v, i, bundle.k))
 
-    G = parts[0]
-    for p in parts[1:]:
-        G = G + p
+    G = reduce(PolyMatrix.__add__, parts)
     residuals = slice_norms(hyp.F_vals @ G.eval(grid.points) - hyp.H_vals).tolist()
-    imax = int(np.argmax(residuals))
-    sup_v = tuple(s.sup_v for s in solutions)
-    binom = comb(m - 1, k - 1)
-    bundle = SolutionBundle(
-        G=G,
-        G_parts=tuple(parts),
-        scalar_solutions=tuple(solutions),
-        hypothesis_report=hyp,
-        k=k,
-        residuals=tuple(residuals),
-        max_residual=float(residuals[imax]),
-        mean_residual=float(np.mean(residuals)),
-        argmax_point=grid.points[imax],
-        sup_G=sup_operator_norm(G, grid),
-        sup_v=sup_v,
-        bound_closed_form=norm_bound(m, k),
-        bound_closed_form_loose=m * factorial(k) * binom * K_constant(),
-        bound_data_driven=m * factorial(k) * binom * (max(sup_v) if sup_v else 0.0),
-        failed_rows=tuple(failed),
-        failure=None,
-    )
+    bundle = replace(bundle, G=G, G_parts=tuple(parts), scalar_solutions=tuple(solutions),
+                     residuals=tuple(residuals), sup_G=sup_operator_norm(G, grid))
     return bundle if bundle.residual_ok() else replace(bundle, failure="assembly-residual")
 
 
@@ -240,7 +240,6 @@ def radical_necessary_check(
                          f"got {G.shape[0]} x {G.shape[1]}")
     if grid is None:
         grid = DiscGrid.default()
-    m = F.rows
     F_vals, G_vals, H_vals = F.eval(grid.points), G.eval(grid.points), H.eval(grid.points)
     # H^n is H for n = 1, else each entry's power by repeated convolution
     one = np.ones(1, dtype=complex)
@@ -261,7 +260,7 @@ def radical_necessary_check(
     return RadicalReport(
         power=n,
         constant=C,
-        constant_exponent_2m=sup_G ** (2 * m),
+        constant_exponent_2m=sup_G ** (2 * F.rows),
         precondition_residual=pre_resid,
         margin=MarginReport.on(grid, [C * a - b ** (2 * n) for a, b in zip(dk, h_max)],
                                RADICAL_MARGIN_FLOOR),

@@ -79,9 +79,7 @@ def _matrix_from_json(obj, rows: int, cols: int, degree_cap: int, name: str) -> 
             raise ValueError(f"{name}: row {i} must have {cols} entries")
         out.append([_poly_from_json(e, degree_cap, f"{name}[{i}][{j}]")
                     for j, e in enumerate(row)])
-    if not out:
-        return PolyMatrix.zeros(rows, cols)
-    return PolyMatrix.from_rows(out)
+    return PolyMatrix.from_rows(out) if out else PolyMatrix.zeros(rows, cols)
 
 
 @dataclass(frozen=True)

@@ -38,6 +38,9 @@ DEFAULT_DEGREE_CAP = 8
 #: Relative singular-value cutoff shared by every least-squares solve.
 LSTSQ_RCOND = 1e-10
 
+#: Most points a :class:`DiscGrid` builds, radii times angles.
+MAX_GRID_POINTS = 10**6
+
 
 def _horner(coeffs, z) -> np.ndarray:
     """Horner's rule on the real and imaginary parts, held as one array.
@@ -161,14 +164,12 @@ class PolyMatrix:
         return _horner(self.coeffs, z.reshape(-1)).reshape(z.shape + self.shape)
 
     def __add__(self, other: "PolyMatrix") -> "PolyMatrix":
-        self._check_same_shape(other)
-        a, b = self._aligned(other)
-        return PolyMatrix(a + b)
+        if self.shape != other.shape:
+            raise ValueError(f"shape mismatch: {self.shape} vs {other.shape}")
+        return PolyMatrix(np.add(*self._aligned(other)))
 
     def __sub__(self, other: "PolyMatrix") -> "PolyMatrix":
-        self._check_same_shape(other)
-        a, b = self._aligned(other)
-        return PolyMatrix(a - b)
+        return self + -other  # a - b is a + (-b) in IEEE arithmetic, signed zeros included
 
     def __neg__(self) -> "PolyMatrix":
         return PolyMatrix(-self.coeffs)
@@ -203,10 +204,6 @@ class PolyMatrix:
             out.append(padded)
         return tuple(out)
 
-    def _check_same_shape(self, other):
-        if self.shape != other.shape:
-            raise ValueError(f"shape mismatch: {self.shape} vs {other.shape}")
-
 
 @dataclass(frozen=True)
 class DiscGrid:
@@ -216,8 +213,9 @@ class DiscGrid:
     read-only complex array, r * exp(2 pi i q / angles) with q running
     fastest, so ``points[q + angles * r_index]`` walks each circle in angle
     order, which is the aggregation order for every per-point report.  An
-    empty radius list, a radius outside [0, 1), fewer than one angle or a
-    point that rounds onto the circle raises ValueError.
+    empty radius list, a radius outside [0, 1), fewer than one angle, more
+    than ``MAX_GRID_POINTS`` points (checked before any point is built) or
+    a point that rounds onto the circle raises ValueError.
     """
 
     radii: tuple[float, ...]
@@ -232,6 +230,8 @@ class DiscGrid:
                 raise ValueError(f"radius {r} is not in [0, 1)")
         if self.angles < 1:
             raise ValueError(f"angle count must be positive, got {self.angles}")
+        if (size := len(radii) * self.angles) > MAX_GRID_POINTS:
+            raise ValueError(f"grid of {size} points exceeds the limit of {MAX_GRID_POINTS}")
         z = np.array([r * cmath.exp(2j * cmath.pi * q / self.angles)
                       for r in radii for q in range(self.angles)], dtype=complex)
         # np.hypot rounds as abs(complex) does; np.abs can differ in the last bit
@@ -387,9 +387,12 @@ def sup_operator_norm(M: PolyMatrix, grid: DiscGrid) -> float:
 class CoefficientSolveReport:
     residual: float
     tol: float
-    success: bool
     system_shape: tuple[int, int]
     lstsq_rank: int
+
+    @property
+    def success(self) -> bool:  # a NaN residual fails
+        return self.residual <= self.tol
 
 
 def coefficient_match_solve(
@@ -427,7 +430,6 @@ def coefficient_match_solve(
     x = PolyMatrix(sol.reshape(A.cols, 1, width))
     resid = _vector_grid_max(A @ x - b, grid)
     report = CoefficientSolveReport(
-        residual=resid, tol=tol, success=resid <= tol,
-        system_shape=M.shape, lstsq_rank=int(rank),
+        residual=resid, tol=tol, system_shape=M.shape, lstsq_rank=int(rank),
     )
     return x, report

@@ -1,3 +1,4 @@
+from dataclasses import replace
 from math import comb, factorial
 
 import numpy as np
@@ -327,21 +328,6 @@ def test_solve_full_diagonal_constant_fixture(small_grid):
         np.testing.assert_allclose(F.eval(z) @ bundle.G.eval(z), H.eval(z), atol=1e-12)
 
 
-def test_solve_full_flags_range_failure():
-    grid = DiscGrid([0.0, 0.4], 8)
-    F = PolyMatrix.from_rows([[P(0, 1), P(0)]])
-    H = PolyMatrix.from_rows([[P(1)]])
-    bundle = solve_full(F, H, grid)
-    assert not bundle.success
-    assert bundle.failure == "hypothesis-range"
-    # nothing was measured, so no residual or norm is reported as a number
-    assert bundle.residuals == ()
-    measured = (bundle.max_residual, bundle.mean_residual, bundle.relative_residual,
-                bundle.sup_G, bundle.argmax_point.real, bundle.argmax_point.imag,
-                bundle.bound_closed_form, bundle.bound_data_driven)
-    assert all(np.isnan(x) for x in measured)
-
-
 def random_poly_matrix_product(seed, shapes):
     """Product of random polynomial matrices of the given (rows, cols, degree)."""
     r = rng(seed)
@@ -407,13 +393,43 @@ def test_bundle_bound_fields(fixtures_by_id, grid):
     fx = fixtures_by_id["f1"]
     bundle = solve_full(fx.F, fx.H, grid)
     m, k = fx.F.rows, bundle.k
-    assert bundle.bound_closed_form == pytest.approx(m * comb(m - 1, k - 1) * K_constant())
-    assert bundle.bound_closed_form_loose == pytest.approx(
-        m * factorial(k) * comb(m - 1, k - 1) * K_constant()
-    )
-    assert bundle.bound_data_driven == pytest.approx(
-        m * factorial(k) * comb(m - 1, k - 1) * max(bundle.sup_v)
-    )
+    assert bundle.bound_closed_form == m * comb(m - 1, k - 1) * K_constant()
+    assert bundle.bound_closed_form_loose == m * factorial(k) * comb(m - 1, k - 1) * K_constant()
+    assert bundle.bound_data_driven == m * factorial(k) * comb(m - 1, k - 1) * max(bundle.sup_v)
+
+
+def test_bundle_reads_its_residual_numbers_off_its_residuals(fixtures_by_id, grid):
+    bundle = solve_full(fixtures_by_id["f1"].F, fixtures_by_id["f1"].H, grid)
+    assert bundle.residual_ok()
+    # a record built from other residuals reports those, not the solve's
+    sup_H = bundle.hypothesis_report.sup_H
+    residuals = [0.0] * len(grid)
+    residuals[7] = residuals[9] = 2.0 * sup_H  # the first of tied maxima is reported
+    residuals[3] = 0.5 * sup_H
+    moved = replace(bundle, residuals=tuple(residuals))
+    assert moved.max_residual == residuals[7]
+    assert moved.mean_residual == float(np.mean(residuals))
+    assert moved.argmax_point == grid.points[7]
+    assert moved.relative_residual == residuals[7] / sup_H
+    assert not moved.residual_ok()
+
+
+@pytest.mark.parametrize("F,H,failure", [
+    ([[P(0, 1), P(0)]], [[P(1)]], "hypothesis-range"),
+    ([[P(0), P(0)]], [[P(0)]], "rank-zero"),
+], ids=["hypothesis-range", "rank-zero"])
+def test_a_solve_that_stops_before_assembly_reads_nan(F, H, failure):
+    grid = DiscGrid([0.0, 0.4], 8)
+    bundle = solve_full(PolyMatrix.from_rows(F), PolyMatrix.from_rows(H), grid)
+    assert bundle.failure == failure and not bundle.success
+    # nothing was measured, so no residual, norm or bound is reported as a number
+    assert bundle.residuals == () and bundle.sup_v == () and bundle.failed_rows == ()
+    measured = (bundle.max_residual, bundle.mean_residual, bundle.relative_residual,
+                bundle.sup_G, bundle.bound_closed_form, bundle.bound_closed_form_loose,
+                bundle.bound_data_driven)
+    assert all(isinstance(x, float) and np.isnan(x) for x in measured)
+    assert type(bundle.argmax_point) is complex
+    assert np.isnan(bundle.argmax_point.real) and np.isnan(bundle.argmax_point.imag)
 
 
 def test_radical_check_trivial(small_grid):

@@ -147,6 +147,16 @@ def test_non_finite_input_exits_2_naming_the_field(tmp_path, argv, fault):
     assert fault in err
 
 
+@pytest.mark.parametrize("argv,size", [
+    (lambda tmp_path: ["check", F1, "--grid-angles", "1000000000000"], 10 * 10**12),
+    (_edited_f1(lambda t: t.__setitem__("grid", {"radii": [0.5], "angles": 10**12})), 10**12),
+], ids=["flag", "fixture"])
+def test_a_grid_too_large_exits_2_at_once(tmp_path, argv, size):
+    code, out, err = run_cli(argv(tmp_path))
+    assert code == 2 and out == ""
+    assert f"grid of {size} points exceeds the limit of 1000000" in err
+
+
 def test_solve_roundtrip_reproduces_residuals(tmp_path):
     out = tmp_path / "G.json"
     csv_path = tmp_path / "resid.csv"

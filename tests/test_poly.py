@@ -295,6 +295,15 @@ def test_grid_rejects_bad_radii():
         DiscGrid([0.9999999999999999], 289)
 
 
+def test_grid_refuses_too_many_points_before_building_them():
+    assert poly.MAX_GRID_POINTS >= 11 * 128  # the largest grid any script builds
+    with pytest.raises(ValueError, match=f"grid of {10**12} points exceeds the limit of 1000000"):
+        DiscGrid((0.5,), 10**12)
+    half = poly.MAX_GRID_POINTS // 2 + 1
+    with pytest.raises(ValueError, match=f"grid of {2 * half} points exceeds"):
+        DiscGrid((0.2, 0.5), half)
+
+
 def test_grid_rejects_empty_radii():
     with pytest.raises(ValueError, match="at least one radius"):
         DiscGrid((), 1)
