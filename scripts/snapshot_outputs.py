@@ -17,7 +17,14 @@ inequality`, the one command that takes a norm mode.  `check` and `solve`
 also run on `f_overflow.json`, written into OUTDIR too: one row, d = 1,
 F = 1e308 + 1e308 z and H = 1, whose grid values overflow to inf, so the
 NaN path through the SVD, the pseudo-inverse's rank cut and the rank count
-is compared too (both exit 1).  `solve` runs on two more written fixtures,
+is compared too (both exit 1).  Three more written fixtures overflow, and
+`check` and `solve` run on each (all exit 1): `f_inf_entry.json` and
+`f_inf_diagonal.json`, 3 x 3 diagonal F with 1/2 on the diagonal and H =
+(1/2, 1/2, 1/2), except that F's (1, 1) entry, or its whole diagonal, is
+1e308 + 1e308 z, so grid slices hold inf and NaN that must not reach the
+SVD; and `f_1e200.json`, F = 1e200 I_2 and H = (1e200, 1e200), whose chain
+row overflows and whose coefficient systems are not finite.  `solve` runs
+on two more written fixtures,
 one for each way a point reaches the SVD in a solve: `f_rank_drop.json`,
 F = [[1, 0], [0, z]] and H = (0, 1) on radii 0 and 0.5, whose rank drops
 and whose range fails only at z = 0 (exit 1, `hypothesis-range`), and
@@ -63,6 +70,21 @@ FIXTURE_GRID = {"radii": [0.25, 0.5, 0.75, 0.9], "angles": 48}
 #: One row, d = 1, F = 1e308 + 1e308 z and H = 1: F's grid values overflow to inf.
 FIXTURE_OVERFLOW = {"id": "f_overflow", "m": 1, "d": 1,
                     "F": [[[[1e308, 0.0], [1e308, 0.0]]]], "H": [[[[1.0, 0.0]]]]}
+#: 1e308 + 1e308 z and 1/2, as a fixture's coefficient lists.
+HUGE, HALF = [[1e308, 0.0], [1e308, 0.0]], [[0.5, 0.0]]
+
+
+def diagonal_fixture(fid, entries, h):
+    """A fixture with F = diag(entries), each entry a coefficient list, and every h_i = h."""
+    n = len(entries)
+    F = [[entries[i] if i == j else [[0.0, 0.0]] for j in range(n)] for i in range(n)]
+    return {"id": fid, "m": n, "d": n, "F": F, "H": [[[[h, 0.0]]]] * n}
+
+
+#: Fixtures whose grid values or chain row overflow, run with `check` and `solve`.
+FIXTURES_NOT_FINITE = (diagonal_fixture("f_inf_entry", [HUGE, HALF, HALF], 0.5),
+                       diagonal_fixture("f_inf_diagonal", [HUGE] * 3, 0.5),
+                       diagonal_fixture("f_1e200", [[[1e200, 0.0]]] * 2, 1e200))
 #: F = [[1, 0], [0, z]] and H = (0, 1): full rank, and H in range, except at z = 0.
 FIXTURE_RANK_DROP = {"id": "f_rank_drop", "m": 2, "d": 2,
                      "F": [[[[1.0, 0.0]], [[0.0, 0.0]]], [[[0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]],
@@ -100,6 +122,10 @@ def commands(out: pathlib.Path):
     (out / "f_overflow.json").write_text(json.dumps(FIXTURE_OVERFLOW, indent=2))
     yield "check_f_overflow", ["check", str(out / "f_overflow.json")]
     yield "solve_f_overflow", ["solve", str(out / "f_overflow.json")]
+    for tree in FIXTURES_NOT_FINITE:
+        (out / f"{tree['id']}.json").write_text(json.dumps(tree, indent=2))
+        for command in ("check", "solve"):
+            yield f"{command}_{tree['id']}", [command, str(out / f"{tree['id']}.json")]
     for tree in (FIXTURE_RANK_DROP, FIXTURE_WIDE):
         (out / f"{tree['id']}.json").write_text(json.dumps(tree, indent=2))
         yield f"solve_{tree['id']}", ["solve", str(out / f"{tree['id']}.json")]

@@ -123,12 +123,18 @@ def _svd_pinv(F: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     :func:`koszul.opdet.rank_mask` dropped and the rest inverted, then
     vt^T @ (s_inv * u^T).  So each (d, m) slice of finite values is bitwise
     pinv(F[p], rcond=RANK_RTOL), empty ones included, the singular values
-    are F's, and each mask counts its slice's numeric rank.
+    are F's, and each mask counts its slice's numeric rank.  LAPACK may not
+    return on a slice with a value that is not finite, so such a slice is
+    decomposed as zeros: its singular values and pseudo-inverse are NaN.
     """
-    u, s, vt = np.linalg.svd(F.conj(), full_matrices=False)
+    bad = ~np.isfinite(F).all(axis=(-2, -1))
+    u, s, vt = np.linalg.svd(np.where(bad[..., None, None], 0, F.conj()), full_matrices=False)
+    s[bad] = np.nan
     large = rank_mask(s)
     s_inv = np.divide(1, s, where=large, out=np.zeros_like(s))
-    return s, large, np.swapaxes(vt, -1, -2) @ (s_inv[..., None] * np.swapaxes(u, -1, -2))
+    pinv = np.swapaxes(vt, -1, -2) @ (s_inv[..., None] * np.swapaxes(u, -1, -2))
+    pinv[bad] = np.nan
+    return s, large, pinv
 
 
 def _min_norm_solution(F, F_pinv, H):
@@ -313,9 +319,10 @@ def corona_row(F: PolyMatrix, k: int) -> PolyMatrix:
     m, d = F.shape
     if k < 1 or k > min(m, d):
         raise ValueError(f"need 1 <= k <= min(m, d) = {min(m, d)}, got k={k}")
-    chains = [reduce(lambda w, s: lower(F.coeffs[pi[s] - 1], w, s, transpose=True),
-                     range(k), np.ones((1, 1, 1), dtype=complex)) for pi in enumerate_tuples(m, k)]
-    return PolyMatrix(float(factorial(k)) * np.concatenate(chains, axis=1))
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow fails the row solves
+        chains = [reduce(lambda w, s: lower(F.coeffs[pi[s] - 1], w, s, transpose=True), range(k),
+                         np.ones((1, 1, 1), dtype=complex)) for pi in enumerate_tuples(m, k)]
+        return PolyMatrix(float(factorial(k)) * np.concatenate(chains, axis=1))
 
 
 @dataclass(frozen=True)

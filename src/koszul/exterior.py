@@ -8,11 +8,12 @@ goes, and with which sign, depends only on d, the degree and the sign
 convention: an index table built once per (d, n, insertion_sign) and
 kept.  The solve applies a polynomial row's operator only through
 :func:`lower`, a signed gather, convolution and scatter over that table
-that forms no operator.  :func:`q_matrix` scatters numeric rows into dense
-operators for the identities and the test oracles, and the raising
-operator is its conjugate transpose.  The identities take one row or a
-(B, d) stack of rows, whose operators come from the same scatter in one
-step, and each slice's result is bitwise that of its row alone.  All signs
+that forms no operator.  :func:`q_matrix` scatters numeric rows into the
+dense operators that the identity battery and :mod:`koszul.opdet` run,
+and the raising operator is its conjugate transpose; :func:`chain_row`
+multiplies them into the chain of a matrix's rows.  Both take one case or
+a stack of cases, whose operators come from the same scatter in one step,
+and each slice's result is bitwise that of its case alone.  All signs
 come from :func:`koszul.combinat.insertion_sign`; a replaced function gets
 tables of its own, and restoring it brings its kept tables back.
 """
@@ -60,28 +61,20 @@ def _signed_lowering_table(d: int, n: int, sign_of):
     return row, col, sign, p, (len(row_index), comb(d, n + 1))
 
 
-def _lowering(a: np.ndarray, n: int) -> np.ndarray:
-    """Lowering operators of a (..., d) stack of numeric rows, one per slice.
+def q_matrix(a, n: int) -> np.ndarray:
+    """Degree-lowering operator of a numeric row, or of each row of a (..., d) stack.
 
-    Returns a (..., C(d, n), C(d, n + 1)) array: each row's entries are
-    scattered into the signed pattern of the memoised
-    :func:`_lowering_table`, added into zeros so that a -0.0 entry lands as
-    +0.0.  Every stacked operator here and in :mod:`koszul.opdet` comes from
-    this scatter, so a replaced sign convention reaches all of them.
+    It maps degree n+1 to degree n, as a (..., C(d, n), C(d, n + 1)) array;
+    for n = 0 it is the row itself as a 1 x d matrix.  Each row's entries
+    are scattered, signed, into the pattern of :func:`_lowering_table` and
+    added into zeros, so that a -0.0 entry lands as +0.0.  Every dense
+    operator here and in :mod:`koszul.opdet` comes from this scatter.
     """
+    a = np.asarray(a, dtype=complex)
     row, col, sign, p, shape = _lowering_table(a.shape[-1], n)
     mat = np.zeros(a.shape[:-1] + shape, dtype=complex)
     mat[..., row, col] += sign * a[..., p]
     return mat
-
-
-def q_matrix(a, n: int) -> np.ndarray:
-    """Degree-lowering operator of a numeric row, or of each row of a (..., d) stack.
-
-    It maps degree n+1 to degree n; entries are 0 or signed row entries,
-    and for n = 0 the operator is the row itself as a 1 x d matrix.
-    """
-    return _lowering(np.asarray(a, dtype=complex), n)
 
 
 def lower(a, x, n: int, transpose: bool = False) -> np.ndarray:
@@ -126,8 +119,8 @@ def clifford_residual(a, n: int):
     d = av.shape[-1]
     if n + 2 > d:
         raise ValueError(f"need n+2 <= d, got n={n}, d={d}")
-    Qn = _lowering(av, n)
-    Qn1 = _lowering(av, n + 1)
+    Qn = q_matrix(av, n)
+    Qn1 = q_matrix(av, n + 1)
     norm2 = np.array([float(np.vdot(x, x).real) for x in av.reshape(-1, d)])
     I = np.eye(comb(d, n + 1))
     scaled_I = norm2.reshape(av.shape[:-1] + (1, 1)) * I
@@ -144,8 +137,8 @@ def contraction_anticommute_residual(a, b, n: int):
     d = av.shape[-1]
     if n + 2 > d:
         raise ValueError(f"need n+2 <= d, got n={n}, d={d}")
-    lhs = _lowering(av, n) @ _lowering(bv, n + 1)
-    rhs = _lowering(bv, n) @ _lowering(av, n + 1)
+    lhs = q_matrix(av, n) @ q_matrix(bv, n + 1)
+    rhs = q_matrix(bv, n) @ q_matrix(av, n + 1)
     return _spectral_norms(lhs + rhs)
 
 
@@ -181,32 +174,25 @@ def range_kernel_composition(a, n: int) -> np.ndarray:
     A (B, d) stack of rows gives one composition per row.
     """
     av = np.asarray(a, dtype=complex)
-    up1 = _adjoint(_lowering(av, n))
-    up2 = _adjoint(_lowering(av, n + 1))
+    up1 = _adjoint(q_matrix(av, n))
+    up2 = _adjoint(q_matrix(av, n + 1))
     return exact_compose(up2, up1)
 
 
-def chain_row(rows):
+def chain_row(A) -> np.ndarray:
     """Ordered product row_1 . Q_{row_2}^(1) ... Q_{row_k}^(k-1) of numeric rows.
 
-    Maps degree k to scalars; returned as a 1 x C(d, k) numpy row, the
-    first factor being Q_{row_1}^(0), the row itself.  Squaring its norm
-    recovers the Gram determinant of the stacked rows.
+    A, a k x d matrix or a list of its rows, maps degree k to scalars as a
+    1 x C(d, k) row, whose squared norm is det(A A*); the first factor is
+    the row itself.  A (..., k, d) stack gives (..., 1, C(d, k)), every
+    slice bitwise the chain of its rows alone.
     """
-    rows = list(rows)
-    if not rows:
+    A = np.asarray(A, dtype=complex)
+    if A.ndim < 2 or not A.shape[-2]:
         raise ValueError("need at least one row")
-    return chain_rows(np.asarray(rows, dtype=complex))
-
-
-def chain_rows(A: np.ndarray) -> np.ndarray:
-    """:func:`chain_row` of the rows of each slice of a numeric (..., k, d) stack.
-
-    Returns (..., 1, C(d, k)), every slice bitwise ``chain_row(list(A[b]))``.
-    """
-    out = _lowering(A[..., 0, :], 0)
+    out = q_matrix(A[..., 0, :], 0)
     for s in range(1, A.shape[-2]):
-        out = out @ _lowering(A[..., s, :], s)
+        out = out @ q_matrix(A[..., s, :], s)
     return out
 
 
@@ -217,7 +203,7 @@ def chain_gram_residual(A):
     array, each entry bitwise its slice's residual).  Contract: ~1e-8.
     """
     A = np.asarray(A, dtype=complex)
-    R = chain_rows(A)
+    R = chain_row(A)
     lhs = (R @ _adjoint(R))[..., 0, 0].real
     rhs = np.linalg.det(A @ _adjoint(A)).real
     res = abs(lhs - rhs) / np.maximum(abs(rhs), 1e-300)

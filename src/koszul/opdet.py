@@ -6,7 +6,8 @@ order is part of the definition.  A grid is nothing but its rows of
 blocks: every block in row j shares its source and target, the source of
 row j is the target of row j+1, and each column just selects which
 operator sits in that slot.  The block-determinant identities take one
-case or a stack of cases, whose blocks carry a leading case axis.
+case or a stack of cases, whose blocks carry a leading case axis and come
+from :func:`koszul.exterior.q_matrix`, as their chains from ``chain_row``.
 
 The numeric rank rule used by the grid checks lives here too, as one
 mask of the singular values, :func:`rank_mask`: :func:`numeric_rank`
@@ -23,7 +24,7 @@ from math import factorial
 import numpy as np
 
 from .errors import PreconditionError
-from .exterior import _lowering, chain_rows
+from .exterior import chain_row, q_matrix
 from .poly import slice_norms
 
 #: Relative singular-value threshold for numeric rank decisions.
@@ -126,7 +127,7 @@ def _mixed_block_matrix(h: np.ndarray, f: np.ndarray) -> BlockOperatorMatrix:
     rows = [[np.ascontiguousarray(h[..., c]).reshape(lead + (1, 1)) for c in range(cols)],
             [np.ascontiguousarray(f[..., c, :]).reshape(lead + (1, d)) for c in range(cols)]]
     for s in range(1, cols - 1):
-        rows.append([_lowering(f[..., c, :], s) for c in range(cols)])
+        rows.append([q_matrix(f[..., c, :], s) for c in range(cols)])
     return BlockOperatorMatrix(rows)
 
 
@@ -152,10 +153,10 @@ def top_row_expansion_residual(h_scalars, f_rows):
     if p > d:
         raise ValueError(f"need p <= d, got p={p}, d={d}")
     lhs = operator_det(_mixed_block_matrix(h, f))
-    rhs = h[..., 0, None, None] * chain_rows(f[..., 1:, :])
+    rhs = h[..., 0, None, None] * chain_row(f[..., 1:, :])
     for l in range(1, p + 1):
         rest = [0] + [c for c in range(1, p + 1) if c != l]
-        rhs = rhs + ((-1) ** l) * h[..., l, None, None] * chain_rows(f[..., rest, :])
+        rhs = rhs + ((-1) ** l) * h[..., l, None, None] * chain_row(f[..., rest, :])
     rhs = factorial(p) * rhs
     return _frobenius(lhs - rhs)
 

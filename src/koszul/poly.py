@@ -409,7 +409,8 @@ def coefficient_match_solve(
     maximum of |A x - b| on the residual polynomial, which the product
     recomputes independently of the least-squares system.  Failure to reach
     ``tol`` is reported, not raised: a solution may still exist at a
-    higher cap.
+    higher cap.  An A or b with a coefficient that is not finite skips the
+    least squares and gives an all-NaN x of rank 0, which fails.
     """
     if A.rows != b.rows or b.cols != 1:
         raise ValueError(f"incompatible shapes: A {A.shape}, b {b.shape}")
@@ -426,7 +427,10 @@ def coefficient_match_solve(
     M = M.reshape(A.rows * out_rows, A.cols * width)
     rhs = np.zeros((A.rows, out_rows), dtype=complex)
     rhs[:, :b.max_degree + 1] = b.coeffs[:, 0]
-    sol, _, rank, _ = np.linalg.lstsq(M, rhs.reshape(-1), rcond=LSTSQ_RCOND)
+    if np.isfinite(A.coeffs).all() and np.isfinite(b.coeffs).all():
+        sol, _, rank, _ = np.linalg.lstsq(M, rhs.reshape(-1), rcond=LSTSQ_RCOND)
+    else:  # LAPACK's SVD does not converge on values that are not finite
+        sol, rank = np.full(M.shape[1], np.nan, dtype=complex), 0
     x = PolyMatrix(sol.reshape(A.cols, 1, width))
     resid = _vector_grid_max(A @ x - b, grid)
     report = CoefficientSolveReport(

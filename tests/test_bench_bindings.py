@@ -30,3 +30,18 @@ def test_every_span_the_benchmark_reads_is_defined():
     names = {name for name, _ in spans.SPAN_METRICS.values()} | set(spans.HOOKS)
     assert len(names) > 20
     assert sorted(n for n in names if not is_bound(n)) == []
+
+
+def test_the_battery_runs_the_public_exterior_operators():
+    # the benchmark's exterior spans read the identity battery's work only
+    # if the battery calls q_matrix and chain_row rather than twins of them
+    spans = load_module("bench_spans", REPO / "bench" / "spans.py")
+    suite = importlib.import_module("koszul.suite")
+    tracer = spans.Tracer()
+    tracer.install("identities")
+    try:
+        suite.run_identity_suite(seed=0, max_m=3, max_d=4, cases=5)
+    finally:
+        tracer.uninstall()
+    assert tracer.calls["exterior.q_matrix"] >= 1
+    assert tracer.calls["exterior.chain_row"] >= 1

@@ -2,13 +2,16 @@ import contextlib
 import io
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 import warnings
 
 import numpy as np
 import pytest
 
-from conftest import FIXTURE_DIR, GOLDEN_DIR
+from conftest import FIXTURE_DIR, GOLDEN_DIR, REPO
 from koszul import combinat, corona
 from koszul.cli import main
 from koszul.fixtures import load_fixture, load_solution
@@ -548,17 +551,38 @@ def test_corrupted_sign_convention_is_caught(monkeypatch):
     assert not checks["chain_gram_identity"]["passed"]
 
 
+def diagonal_tree(fid, entries, h):
+    """A fixture with F = diag(entries), each entry a coefficient list, and every h_i = h."""
+    n = len(entries)
+    F = [[entries[i] if i == j else [[0.0, 0.0]] for j in range(n)] for i in range(n)]
+    return {"id": fid, "m": n, "d": n, "F": F, "H": [[[[h, 0.0]]]] * n}
+
+
+#: 1e308 + 1e308 z, which overflows to inf on most of the default grid.
+HUGE = [[1e308, 0.0], [1e308, 0.0]]
+#: Well-formed fixtures whose values overflow.  On f_inf_entry, F's (1, 1) entry
+#: is HUGE, and LAPACK's SVD does not return on a 3 x 3 slice holding inf; on
+#: f_inf_diagonal every diagonal entry is, and the SVD raises on some slices;
+#: f_1e200's chain row overflows and its coefficient system is not finite.
+OVERFLOW_TREES = {
+    "f_overflow": {"id": "f_overflow", "m": 1, "d": 1, "F": [[HUGE]], "H": [[[[1.0, 0.0]]]]},
+    "f_inf_entry": diagonal_tree("f_inf_entry", [HUGE, [[0.5, 0.0]], [[0.5, 0.0]]], 0.5),
+    "f_inf_diagonal": diagonal_tree("f_inf_diagonal", [HUGE] * 3, 0.5),
+    "f_1e200": diagonal_tree("f_1e200", [[[1e200, 0.0]]] * 2, 1e200),
+}
+
+
 @pytest.mark.parametrize("command,fixture,code", [
     ("check", "f0_1e300", 1), ("solve", "f0_1e300", 0),
     ("check", "f_overflow", 1), ("solve", "f_overflow", 1),
+    ("check", "f_inf_diagonal", 1), ("solve", "f_inf_diagonal", 1),
+    ("check", "f_1e200", 1), ("solve", "f_1e200", 1),
 ])
 def test_values_that_overflow_print_no_numpy_warning(tmp_path, command, fixture, code):
     # f0 with a 1e300 coefficient overflows the Gram matrices of the minor
     # bound and of the alpha gauge; F = 1e308 + 1e308 z overflows in the grid
     # evaluation itself.  The reports carry the non-finite values as designed.
-    trees = {"f0_1e300": json.loads((FIXTURE_DIR / "f0.json").read_text()),
-             "f_overflow": {"id": "f_overflow", "m": 1, "d": 1,
-                            "F": [[[[1e308, 0.0], [1e308, 0.0]]]], "H": [[[[1.0, 0.0]]]]}}
+    trees = {"f0_1e300": json.loads((FIXTURE_DIR / "f0.json").read_text()), **OVERFLOW_TREES}
     trees["f0_1e300"]["F"][0][0][0] = [1e300, 0.0]
     path = tmp_path / f"{fixture}.json"
     path.write_text(json.dumps(trees[fixture]))
@@ -567,3 +591,27 @@ def test_values_that_overflow_print_no_numpy_warning(tmp_path, command, fixture,
         got, out, err = run_cli([command, str(path)])
     assert (got, err) == (code, "") and out
     assert [str(w.message) for w in caught] == []
+
+
+@pytest.mark.parametrize("fixture,failure,failed_rows", [
+    ("f_inf_diagonal", "hypothesis-range", []), ("f_1e200", "assembly-residual", [1, 2]),
+])
+def test_a_solve_on_values_that_are_not_finite_names_its_failure(tmp_path, fixture, failure,
+                                                                 failed_rows):
+    path = tmp_path / f"{fixture}.json"
+    path.write_text(json.dumps(OVERFLOW_TREES[fixture]))
+    code, rep, err = run_json(["solve", str(path)])
+    stats = rep["checks"]["solve_residual"]["stats"]
+    assert (code, err, stats["failure"], stats["failed_rows"]) == (1, "", failure, failed_rows)
+
+
+@pytest.mark.parametrize("command", ["check", "solve"])
+def test_a_slice_lapack_does_not_return_on_never_reaches_it(tmp_path, command):
+    # run apart, so that a hanging SVD fails by its timeout instead of hanging the suite
+    path = tmp_path / "f_inf_entry.json"
+    path.write_text(json.dumps(OVERFLOW_TREES["f_inf_entry"]))
+    done = subprocess.run([sys.executable, "-m", "koszul.cli", command, str(path)],
+                          env={**os.environ, "PYTHONPATH": str(REPO / "src")},
+                          capture_output=True, text=True, timeout=60)
+    assert (done.returncode, done.stderr) == (1, "")
+    assert json.loads(done.stdout)["passed"] is False

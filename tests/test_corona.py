@@ -155,6 +155,19 @@ def test_svd_pinv_inverts_exactly_the_singular_values_the_rank_rule_counts(fixtu
     assert F_pinv.tobytes() == np.linalg.pinv(F, rcond=RANK_RTOL).tobytes()
 
 
+def test_svd_pinv_keeps_slices_that_are_not_finite_from_lapack():
+    # 2 x 3 slices: LAPACK raises on the NaN one, and would not return on a
+    # 3 x 3 one holding inf (tests/test_cli.py runs that case apart)
+    F = cmat(rng(62), 4 * 2, 3).reshape(4, 2, 3)
+    F[1, 0, 0], F[3, 1, 2] = np.inf, np.nan
+    s, large, F_pinv = _svd_pinv(F)
+    assert np.isnan(s[[1, 3]]).all() and np.isnan(F_pinv[[1, 3]]).all()
+    assert not large[[1, 3]].any()
+    kept = _svd_pinv(F[[0, 2]])
+    for got, want in zip((s, large, F_pinv), kept):
+        assert got[[0, 2]].tobytes() == want.tobytes()
+
+
 def test_corona_row_m1_layout():
     F = PolyMatrix.from_rows([[P(1), P(0)]])
     R = corona_row(F, 1)

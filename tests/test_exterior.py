@@ -242,6 +242,12 @@ def test_chain_row_norm_is_gram_determinant():
         assert abs(lhs - gram) <= 1e-8 * max(abs(gram), 1e-30)
 
 
+@pytest.mark.parametrize("rows", [[], np.zeros((0, 3)), np.zeros((2, 0, 3))])
+def test_chain_row_needs_at_least_one_row(rows):
+    with pytest.raises(ValueError, match="need at least one row"):
+        chain_row(rows)
+
+
 def test_chain_row_rejects_too_many_rows():
     with pytest.raises(ValueError):
         chain_row([np.ones(2), np.ones(2), np.ones(2)])

@@ -543,6 +543,14 @@ def test_coefficient_match_identity_system():
     assert trimmed(x.coeffs[0, 0]).tolist() == h
 
 
+@pytest.mark.parametrize("a,h", [(np.inf, 1.0), (1.0, np.nan)])
+def test_coefficient_match_skips_a_system_that_is_not_finite(a, h):
+    A = PolyMatrix.from_rows([[P(a, 1.0)]])
+    x, rep = coefficient_match_solve(A, PolyMatrix.from_rows([[P(h)]]), 2, 1e-8, DiscGrid.default())
+    assert np.isnan(x.coeffs).all() and x.shape == (1, 1)
+    assert (rep.lstsq_rank, rep.success) == (0, False)
+
+
 def test_coefficient_match_bezout_pair():
     # z * 1 + (1 - z) * 1 = 1
     A = PolyMatrix.from_rows([[P(0, 1), P(1, -1)]])

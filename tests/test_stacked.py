@@ -31,7 +31,6 @@ from koszul.errors import PreconditionError
 from koszul.exterior import (
     chain_gram_residual,
     chain_row,
-    chain_rows,
     clifford_residual,
     contraction_anticommute_residual,
     exact_compose,
@@ -252,7 +251,7 @@ def test_exterior_identities_on_a_stack_are_bitwise_each_case(B, d):
         np.testing.assert_allclose(XY, X @ Y, rtol=1e-13, atol=1e-13)
     for k in range(1, min(4, d) + 1):
         A = cmat(r, B * k, d).reshape(B, k, d)
-        assert_slices_bitwise(chain_rows(A), lambda i: chain_row(list(A[i])), B)
+        assert_slices_bitwise(chain_row(A), lambda i: chain_row(list(A[i])), B)
         assert_slices_bitwise(chain_gram_residual(A), lambda i: chain_gram_residual(A[i]), B)
 
 
