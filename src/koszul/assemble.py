@@ -13,12 +13,16 @@ operator.  G is the sum of the G_i; its cross terms f_j G_i (j != i)
 vanish at full rank, by the battery's ``rank_vanishing`` identity, so only
 F G = H is measured.  A solve evaluates F and H once, in
 :func:`koszul.corona.solve_preconditions`, which runs the SVD only where
-det(F F^*) does not certify full row rank.  Its :class:`SolutionBundle`
-stores what the solve computed (the grid, those preconditions, k, G and
-its parts, the row solutions, the per-point residuals and sup |G|) and
-reads the failed rows, each sup |v_i|, the residual statistics and the
-three norm bounds off them.  The radical check reports its pointwise
-margins as one :class:`koszul.poly.MarginReport`.
+det(F F^*) does not certify full row rank.  Before it forms the chain
+row, a solve refuses one wider than ``MAX_CHAIN_COLUMNS`` columns, or a
+row's coefficient system of more than ``MAX_SYSTEM_ENTRIES`` entries.
+Its :class:`SolutionBundle` stores what the solve computed (the grid,
+those preconditions, k, G and its parts, the row solutions and the
+per-point residuals), which decides every verdict, and reads the failed
+rows, the residual statistics and the three norm bounds off them.  sup |G|
+and each sup |v_i| are measured on first read and kept, so a caller that
+reads neither pays for no grid maximum.  The radical check reports its
+pointwise margins as one :class:`koszul.poly.MarginReport`.
 """
 
 from __future__ import annotations
@@ -47,6 +51,11 @@ from .poly import DiscGrid, MarginReport, PolyMatrix, slice_norms, sup_operator_
 ASSEMBLY_RTOL = 1e-6  # largest F G - H residual, relative to the grid sup of |H|
 RADICAL_PRECONDITION_RTOL = 1e-6  # largest F G - H^n residual, relative to max(sup |H^n|, 1)
 RADICAL_MARGIN_FLOOR = -1e-10  # the radical check passes if its smallest margin is at least this
+
+#: Most columns, C(m, k) * C(d, k), of a chain row that a solve forms.
+MAX_CHAIN_COLUMNS = 10**5
+#: Most entries, out_rows * columns * width, of a row's coefficient system.
+MAX_SYSTEM_ENTRIES = 10**7
 
 
 def build_Gi(F: PolyMatrix, v_i: PolyMatrix, i: int, k: int) -> PolyMatrix:
@@ -107,6 +116,7 @@ class SolutionBundle:
 
     A solve that stopped before assembly keeps the empty defaults, and then
     every residual, norm and bound reads NaN.  m is len(scalar_solutions).
+    ``sup_G`` is read off ``G``, so a ``dataclasses.replace`` of G moves it.
     """
 
     grid: DiscGrid
@@ -116,8 +126,12 @@ class SolutionBundle:
     G_parts: tuple[PolyMatrix, ...] = ()
     scalar_solutions: tuple[ScalarSolveResult, ...] = ()
     residuals: tuple[float, ...] = ()  # |F G - H| at each grid point
-    sup_G: float = nan
     failure: str | None = None
+
+    @cached_property
+    def sup_G(self) -> float:
+        """The grid sup of |G|, measured on first read; NaN before assembly."""
+        return sup_operator_norm(self.G, self.grid) if self.G_parts else nan
 
     @property
     def failed_rows(self) -> tuple[int, ...]:
@@ -188,7 +202,9 @@ def solve_full(
     degree cap is 2 * max(deg F, deg h_i) + 4.  A range hypothesis that
     fails on the grid, or rank zero, stops the solve before assembly; a
     failed scalar solve, and an assembled G whose residual fails
-    ``residual_ok``, are flagged in the bundle rather than raised.
+    ``residual_ok``, are flagged in the bundle rather than raised.  A chain
+    row or coefficient system above ``MAX_CHAIN_COLUMNS`` or
+    ``MAX_SYSTEM_ENTRIES`` raises ValueError before it is formed.
     """
     if grid is None:
         grid = DiscGrid.default()
@@ -199,11 +215,25 @@ def solve_full(
     if bundle.k < 1:
         return replace(bundle, failure="rank-zero")
 
+    targets = [H.submatrix(slice(i, i + 1), slice(0, 1)) for i in range(F.rows)]
+    caps = [degree_cap if degree_cap is not None else 2 * max(F.max_degree, h.max_degree) + 4
+            for h in targets]
+    # R has C(m,k) C(d,k) columns of degree at most k deg F, so a row's
+    # coefficient system has at most out_rows x columns x width entries;
+    # refuse either before it is formed
+    columns = comb(F.rows, bundle.k) * comb(F.cols, bundle.k)
+    if columns > MAX_CHAIN_COLUMNS:
+        raise ValueError(f"the chain row at k = {bundle.k} has {columns} columns, "
+                         f"above the limit of {MAX_CHAIN_COLUMNS}")
+    entries = max(max(bundle.k * F.max_degree + c + 1, h.max_degree + 1) * columns * (c + 1)
+                  for h, c in zip(targets, caps))
+    if entries > MAX_SYSTEM_ENTRIES:
+        raise ValueError(f"a coefficient system at k = {bundle.k} has up to {entries} entries, "
+                         f"above the limit of {MAX_SYSTEM_ENTRIES}")
+
     R = corona_row(F, bundle.k)
     solutions, parts = [], []
-    for i in range(1, F.rows + 1):
-        h = H.submatrix(slice(i - 1, i), slice(0, 1))
-        cap = degree_cap if degree_cap is not None else 2 * max(F.max_degree, h.max_degree) + 4
+    for i, (h, cap) in enumerate(zip(targets, caps), 1):
         row_tol = tol if tol is not None else default_tolerance(hyp.H_vals[:, i - 1, 0])
         solutions.append(scalar_corona_solve(R, h, cap, row_tol, grid))
         parts.append(build_Gi(F, solutions[-1].v, i, bundle.k))
@@ -211,7 +241,7 @@ def solve_full(
     G = reduce(PolyMatrix.__add__, parts)
     residuals = slice_norms(hyp.F_vals @ G.eval(grid.points) - hyp.H_vals).tolist()
     bundle = replace(bundle, G=G, G_parts=tuple(parts), scalar_solutions=tuple(solutions),
-                     residuals=tuple(residuals), sup_G=sup_operator_norm(G, grid))
+                     residuals=tuple(residuals))
     return bundle if bundle.residual_ok() else replace(bundle, failure="assembly-residual")
 
 

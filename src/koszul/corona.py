@@ -29,17 +29,18 @@ polynomial coefficients: a search with a degree cap, so a miss is reported.
 The scalar solve takes its grid and tolerance from the caller, which for
 :func:`koszul.assemble.solve_full` are the checked grid and a tolerance
 read off the H stack the check kept; only the entry points default the
-grid.  Each solve is checked on the grid values of its residual polynomial
-R v - h, so neither R nor v is evaluated for the check, and sup_v, the
-grid sup of a column, is a Euclidean norm per point with no SVD, taken
-only on the circles that its screen keeps.  A solve's verdict is its
-coefficient report's, read through ``success``.
+grid.  Each solve is checked against its residual polynomial R v - h, so
+neither R nor v is evaluated for the check.  A solve's verdict is its
+coefficient report's, decided in the solve and read through ``success``.
+sup_v, the grid sup of a column, is a Euclidean norm per point with no
+SVD, taken only on the circles that its screen keeps, and only when it is
+first read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import reduce
+from functools import cached_property, reduce
 from math import factorial
 
 import numpy as np
@@ -328,8 +329,12 @@ def corona_row(F: PolyMatrix, k: int) -> PolyMatrix:
 @dataclass(frozen=True)
 class ScalarSolveResult:
     v: PolyMatrix  # stacked C(m,k)*C(d,k) x 1 solution, canonical tuple order
-    sup_v: float
     solve_report: CoefficientSolveReport
+
+    @cached_property
+    def sup_v(self) -> float:
+        """The grid sup of |v| on the grid the row was checked on, measured on first read."""
+        return sup_operator_norm(self.v, self.solve_report.grid)
 
     @property
     def success(self) -> bool:
@@ -351,5 +356,4 @@ def scalar_corona_solve(
     """
     if h_target.shape != (1, 1):
         raise ValueError(f"target must be scalar, got {h_target.shape}")
-    v, rep = coefficient_match_solve(R, h_target, degree_cap, tol, grid)
-    return ScalarSolveResult(v=v, sup_v=sup_operator_norm(v, grid), solve_report=rep)
+    return ScalarSolveResult(*coefficient_match_solve(R, h_target, degree_cap, tol, grid))

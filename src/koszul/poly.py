@@ -15,12 +15,17 @@ reports a :class:`MarginReport`: its margins, the smallest and where it
 sits, and the verdict against a floor.  Every supremum reported by
 this package is a grid maximum and therefore a lower estimate of the
 true sup over the disc.  The pointwise norm of a single row or column is
-its Euclidean norm, so a vector's sup needs no SVD, and a coefficient
-solve is checked on the grid values of its residual polynomial A x - b.
-Both vector maxima are screened circle by circle: a bound from the
-vector's coefficient Gram matrix picks the circles that can hold the
-maximum, and only those are evaluated, so the result is bitwise the
-full sweep's at a fraction of its points.
+its Euclidean norm, so a vector's sup needs no SVD.  A coefficient solve
+decides its verdict from its residual polynomial A x - b: the sum of the
+moduli of its coefficients, widened for rounding, bounds every grid norm
+of it, so a row whose bound is within the tolerance succeeds with no grid
+work.  Only a row that this does not certify takes the residual's grid
+maximum in the solve; every other row measures it on the first read of
+its report's ``residual``.  Both vector maxima, a sup and a residual, are
+screened circle by circle: a bound from the vector's coefficient Gram
+matrix picks the circles that can hold the maximum, and only those are
+evaluated, so the result is bitwise the full sweep's at a fraction of its
+points.
 """
 
 from __future__ import annotations
@@ -28,7 +33,8 @@ from __future__ import annotations
 import cmath
 import functools
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from math import inf
 
 import numpy as np
 
@@ -383,16 +389,63 @@ def sup_operator_norm(M: PolyMatrix, grid: DiscGrid) -> float:
     return float(np.linalg.norm(vals, 2, axis=(1, 2)).max(initial=0.0))
 
 
+def _residual_bound(P: PolyMatrix) -> float:
+    """An upper bound on ``_vector_grid_max(P, grid)`` for every grid, from P alone.
+
+    On |z| < 1 each entry of P(z) has modulus at most the sum of its
+    coefficients' moduli, and a vector's Euclidean norm is at most the sum
+    of its entries' moduli, so S, the sum of the moduli of all of P's
+    coefficients, bounds |P(z)| on the disc.  Rounding, as multiples of the
+    unit roundoff u = 2**-53 (gamma_j = j u / (1 - j u)), with P's
+    coefficients an N x (n+1) array of M entries: complex Horner is within
+    gamma_{4n+4} S of the exact value and :func:`slice_norms` within
+    gamma_{2N+2} of the exact norm of the computed values, as the screen's
+    comment derives; each modulus (np.hypot, within one ulp) errs by 2u and
+    the sum of M of them by gamma_{M-1} more, so the exact S is within
+    gamma_{2M+2} of the computed one.  One gamma_K with K = 2M + 2N + 4n + 16
+    covers their product and the roundings of the bound.  Underflow errs
+    absolutely: by 2**-1074 per modulus, by 2**-1074 sqrt(2N)(n+1) in
+    Horner, and two more 2**-1074 cover a subnormal norm; two more cover
+    the rounding of that term.  An S that is not finite, or not below
+    2**1000, where Horner could overflow, gives inf.
+    """
+    C = P.coeffs.reshape(-1, P.coeffs.shape[-1])
+    N, n = C.shape[0], C.shape[1] - 1
+    with np.errstate(over="ignore"):
+        S = float(np.hypot(C.real, C.imag).sum())
+    if not S < 2.0**1000:
+        return inf
+    K = 2 * C.size + 2 * N + 4 * n + 16
+    g = K * 2.0**-53 / (1 - K * 2.0**-53)
+    return (1 + g) * S + (C.size + (2 * N) ** 0.5 * (n + 1) + 4) * 2.0**-1074
+
+
 @dataclass(frozen=True)
 class CoefficientSolveReport:
-    residual: float
+    """One coefficient solve's verdict, with its residual measured on first read.
+
+    ``certified`` says that the coefficient bound of the residual
+    polynomial (:func:`_residual_bound`) is finite and within ``tol``, which
+    decides success with no grid work.  ``residual`` is the grid maximum of
+    the residual polynomial, measured once, when first read; the solve
+    reads it for a row that is not certified, so every verdict is decided
+    in the solve and ``success == (residual <= tol)`` holds either way.
+    """
+
     tol: float
     system_shape: tuple[int, int]
     lstsq_rank: int
+    certified: bool
+    residual_poly: PolyMatrix = field(compare=False, repr=False)
+    grid: DiscGrid = field(compare=False, repr=False)
+
+    @functools.cached_property
+    def residual(self) -> float:
+        return _vector_grid_max(self.residual_poly, self.grid)
 
     @property
     def success(self) -> bool:  # a NaN residual fails
-        return self.residual <= self.tol
+        return self.certified or self.residual <= self.tol
 
 
 def coefficient_match_solve(
@@ -407,7 +460,10 @@ def coefficient_match_solve(
     Every Taylor coefficient of A x - b is matched, so an exact polynomial
     solution within the cap gives residual ~0.  The residual is the grid
     maximum of |A x - b| on the residual polynomial, which the product
-    recomputes independently of the least-squares system.  Failure to reach
+    recomputes independently of the least-squares system.  The verdict is
+    decided here: a residual polynomial whose coefficient bound
+    (:func:`_residual_bound`) is within ``tol`` succeeds unmeasured, and
+    any other has its grid maximum taken now.  Failure to reach
     ``tol`` is reported, not raised: a solution may still exist at a
     higher cap.  An A or b with a coefficient that is not finite skips the
     least squares and gives an all-NaN x of rank 0, which fails.
@@ -432,8 +488,9 @@ def coefficient_match_solve(
     else:  # LAPACK's SVD does not converge on values that are not finite
         sol, rank = np.full(M.shape[1], np.nan, dtype=complex), 0
     x = PolyMatrix(sol.reshape(A.cols, 1, width))
-    resid = _vector_grid_max(A @ x - b, grid)
-    report = CoefficientSolveReport(
-        residual=resid, tol=tol, system_shape=M.shape, lstsq_rank=int(rank),
-    )
+    P = A @ x - b
+    bound = _residual_bound(P)
+    report = CoefficientSolveReport(tol, M.shape, int(rank), bound < inf and bound <= tol, P, grid)
+    if not report.certified:
+        report.residual  # measured now: the grid maximum decides this row's verdict
     return x, report

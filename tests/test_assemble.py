@@ -207,11 +207,12 @@ def _ladder_462():
     return F, F @ random_poly_matrix(r, 6, 1, 1)
 
 
-def test_solve_full_sweeps_the_grid_3_times_and_screens_9_maxima(monkeypatch):
+def test_solve_full_sweeps_the_grid_3_times_and_screens_on_read(monkeypatch):
     # F and H once, in the hypothesis check, and G once, for the residual,
-    # over the whole grid; the grid maxima of each row's residual polynomial
-    # R v - h, of each v (sup_v) and of G (sup_G) are screened circle by
-    # circle.  The residual and each row's tolerance read the check's stacks.
+    # over the whole grid; every row's residual polynomial R v - h is
+    # certified from its coefficients, so the solve screens no grid maximum.
+    # Each row's residual, each sup_v and sup_G is screened on its first
+    # read and kept, so a second read screens nothing.
     F, H = _ladder_462()
     evals, screened, sups = [], [], []
     eval_, screen = PolyMatrix.eval, poly._vector_grid_max
@@ -234,11 +235,47 @@ def test_solve_full_sweeps_the_grid_3_times_and_screens_9_maxima(monkeypatch):
     monkeypatch.setattr(assemble, "sup_operator_norm", counted_sup)
     bundle = solve_full(F, H)
     assert bundle.success and bundle.k == 4
-    assert evals == [(4, 6), (4, 1), (6, 1)] and len(sups) == 5
-    # R (1 x 15) is never evaluated, and each v_i (15 x 1) is screened once, for sup_v
-    assert (1, 15) not in evals + screened and screened.count((15, 1)) == 4
-    assert screened.count((1, 1)) == 4 and screened.count((6, 1)) == 1
-    assert len(screened) == 9
+    assert all(s.solve_report.certified for s in bundle.scalar_solutions)
+    assert evals == [(4, 6), (4, 1), (6, 1)] and screened == [] and sups == []
+    # R (1 x 15) is never evaluated; each v_i (15 x 1) is screened on its first read
+    for _ in range(2):
+        bundle.sup_v, bundle.sup_G
+        [s.solve_report.residual for s in bundle.scalar_solutions]
+    assert sups == [(15, 1)] * 4 + [(6, 1)]
+    assert screened == [(15, 1)] * 4 + [(6, 1)] + [(1, 1)] * 4
+    assert evals == [(4, 6), (4, 1), (6, 1)]
+
+
+def test_a_replaced_G_reports_its_own_sup(fixtures_by_id, grid):
+    # sup_G is read off G, so a record with another G reports that G's sup
+    fx = fixtures_by_id["f1"]
+    bundle = solve_full(fx.F, fx.H, grid)
+    G2 = bundle.G + PolyMatrix.from_rows([[0.5]] * bundle.G.rows)
+    assert bundle.sup_G == sup_operator_norm(bundle.G, grid)
+    assert replace(bundle, G=G2).sup_G == sup_operator_norm(G2, grid) != bundle.sup_G
+
+
+def test_solve_full_refuses_a_system_too_large_to_form(monkeypatch):
+    # (8, 24, 1) would form a chain row of C(24, 8) = 735471 columns and a
+    # coefficient system of about 1.1e8 entries (1.8 GB); (6, 16, 1), with
+    # 8008 columns and about 1.1e6 entries, goes on to build its chain row
+    class Formed(Exception):
+        pass
+
+    def formed(F, k):
+        raise Formed
+
+    monkeypatch.setattr(assemble, "corona_row", formed)
+    r = rng(8)
+    for m, d, refused in ((6, 16, False), (8, 24, True)):
+        F = random_poly_matrix(r, m, d, 1)
+        F = PolyMatrix(complex(1 / sup_operator_norm(F, DiscGrid.default())) * F.coeffs)
+        H = F @ random_poly_matrix(r, d, 1, 1)
+        with pytest.raises(ValueError if refused else Formed) as err:
+            solve_full(F, H)
+        if refused:
+            assert str(err.value) == (f"the chain row at k = 8 has {comb(24, 8)} columns, "
+                                      f"above the limit of {assemble.MAX_CHAIN_COLUMNS}")
 
 
 def test_solve_full_computes_no_minor_bound(monkeypatch):

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from conftest import FIXTURE_DIR, GOLDEN_DIR, REPO
-from koszul import combinat, corona
+from koszul import assemble, combinat, corona
 from koszul.cli import main
 from koszul.fixtures import load_fixture, load_solution
 from koszul.poly import PolyMatrix
@@ -33,6 +33,25 @@ def run_cli(argv):
 def run_json(argv):
     code, out, err = run_cli(argv)
     return code, (json.loads(out) if out.strip() else None), err
+
+
+@pytest.mark.parametrize("limit,value,message", [
+    ("MAX_CHAIN_COLUMNS", 2, "the chain row at k = 2 has 3 columns, above the limit of 2"),
+    ("MAX_SYSTEM_ENTRIES", 200,
+     "a coefficient system at k = 2 has up to 495 entries, above the limit of 200"),
+])
+def test_solve_refuses_a_system_above_its_limit_before_forming_it(monkeypatch, limit, value,
+                                                                   message):
+    # f1 (2 x 3, deg F 2) at k = 2: C(2,2) C(3,2) = 3 columns; row 2 has
+    # deg h = 3, so cap 10 and width 11, and R's degree is at most 2 * 2,
+    # so out_rows is at most 15: 15 * 3 * 11 = 495 entries
+    def refuse(F, k):
+        raise AssertionError("chain row formed")
+
+    monkeypatch.setattr(assemble, limit, value)
+    monkeypatch.setattr(assemble, "corona_row", refuse)
+    code, out, err = run_cli(["solve", F1])
+    assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
 def test_identities_passes_with_default_seed():

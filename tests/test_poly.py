@@ -614,6 +614,97 @@ def test_coefficient_match_residual_is_the_pointwise_residual(seed):
     assert not rep.success
 
 
+def _residual_report(c, tol, grid):
+    """The report of a solve whose residual polynomial is -c, an (N, n + 1) array.
+
+    A zero A gives x = 0, so A x - b is -b exactly, with b's moduli.
+    """
+    b = PolyMatrix(-c[:, None])
+    x, rep = coefficient_match_solve(PolyMatrix.zeros(len(c), 1), b, 0, tol, grid)
+    assert not x.coeffs.any() and rep.lstsq_rank == 0
+    return rep
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 6), st.integers(0, 12),
+       st.integers(-1074, 1020), st.sampled_from(["random", "cancelling", "constant"]),
+       st.sampled_from(range(len(SCREEN_GRIDS))))
+def test_residual_bound_covers_the_grid_maximum_and_decides_success(seed, N, n, e, kind, g):
+    # residual polynomials scaled by 2**e, from subnormal to near overflow:
+    # random ones, (1 - z)^n times a random vector plus noise a few ulp
+    # large (values far below the coefficients), and constants
+    r = np.random.default_rng(seed)
+    c = r.standard_normal((N, n + 1)) + 1j * r.standard_normal((N, n + 1))
+    if kind == "cancelling":
+        binomial = np.array([(-1) ** j * math.comb(n, j) for j in range(n + 1)])
+        c = c[:, :1] * binomial + 1e-15 * c
+    elif kind == "constant":
+        c = c[:, :1]
+    c = np.ldexp(c.view(float), e).view(complex)
+    grid = SCREEN_GRIDS[g]
+    bound = poly._residual_bound(PolyMatrix(c[:, None]))
+    residual = poly._vector_grid_max(PolyMatrix(c[:, None]), grid)
+    assert bound >= residual
+    for tol in (residual / 2, math.nextafter(residual, 0), residual, (residual + bound) / 2,
+                bound, 2 * bound):
+        rep = _residual_report(c, tol, grid)
+        assert rep.residual == residual
+        assert rep.success == (rep.residual <= tol)
+        assert rep.certified == (bound < math.inf and bound <= tol)
+
+
+def test_residual_bound_widens_a_constant_whose_norm_rounds_up():
+    # sqrt(0.2^2 + 0.3^2) rounds one ulp above hypot(0.2, 0.3) and above
+    # np.abs(0.2 + 0.3j), so the bare sum of moduli is below the grid maximum
+    c = np.array([[0.2 + 0.3j]])
+    grid = DiscGrid.default()
+    residual = poly._vector_grid_max(PolyMatrix(c[:, None]), grid)
+    assert residual == math.sqrt(0.2**2 + 0.3**2)
+    assert residual > math.hypot(0.2, 0.3) and residual > float(np.abs(c[0, 0]))
+    assert poly._residual_bound(PolyMatrix(c[:, None])) >= residual
+    # at a tolerance between the two, the row is measured and fails
+    rep = _residual_report(c, math.hypot(0.2, 0.3), grid)
+    assert not rep.certified and not rep.success and rep.residual == residual
+
+
+def test_residual_bound_covers_subnormal_rounding():
+    # t (1 + i) z with t = 2**-1074 at z = 0.601 (1 + i): each product in
+    # Horner rounds up to t, so the value is 2t i, while the sum of moduli,
+    # hypot(t, t), rounds down to t; only the underflow term covers it
+    t = 2.0**-1074
+    c = np.array([[0, complex(t, t)]])
+    residual = poly._vector_grid_max(PolyMatrix(c[:, None]), DiscGrid((0.85,), 8))
+    assert residual == 2 * t and float(np.hypot(t, t)) == t
+    assert poly._residual_bound(PolyMatrix(c[:, None])) >= residual
+
+
+def test_residual_bound_is_infinite_where_horner_could_overflow():
+    for c in ([[1e308, 1e308]], [[2.0**999, 2.0**999]], [[complex(np.nan, 0)]], [[np.inf]]):
+        assert poly._residual_bound(PolyMatrix(np.array(c, dtype=complex)[:, None])) == math.inf
+    # a NaN residual is never certified, even against an infinite tolerance
+    x, rep = coefficient_match_solve(PolyMatrix.from_rows([[P(np.nan, 1.0)]]),
+                                     PolyMatrix.from_rows([[P(1.0)]]), 2, math.inf,
+                                     DiscGrid.default())
+    assert np.isnan(rep.residual) and not rep.certified and not rep.success
+
+
+def test_a_solve_reads_no_grid_for_a_certified_row(monkeypatch):
+    # a residual certified from its coefficients screens nothing; one that
+    # is not is screened in the solve, once, and a second read screens nothing
+    calls = []
+    screen = poly._vector_grid_max
+    monkeypatch.setattr(poly, "_vector_grid_max", lambda M, g: calls.append(M.shape) or screen(M, g))
+    A = PolyMatrix.from_rows([[P(0, 1), P(1, -1)]])
+    _, rep = coefficient_match_solve(A, PolyMatrix.from_rows([[P(1)]]), 3, 1e-10,
+                                     DiscGrid.default())
+    assert rep.certified and rep.success and calls == []
+    assert rep.residual <= 1e-10 and rep.residual == rep.residual and calls == [(1, 1)]
+    _, rep = coefficient_match_solve(PolyMatrix.from_rows([[P(0, 1)]]),
+                                     PolyMatrix.from_rows([[P(1)]]), 6, 1e-8, DiscGrid.default())
+    assert calls == [(1, 1)] * 2 and not rep.certified and not rep.success
+    assert rep.residual > 1e-3 and calls == [(1, 1)] * 2
+
+
 def test_aligned_zero_padding_matches_np_pad():
     r = np.random.default_rng(3)
     for da, db in ((0, 0), (0, 4), (3, 1), (2, 2)):
