@@ -17,11 +17,11 @@ det(F F^*) does not certify full row rank.  Before it forms the chain
 row, a solve refuses one wider than ``MAX_CHAIN_COLUMNS`` columns, or a
 row's coefficient system of more than ``MAX_SYSTEM_ENTRIES`` entries.
 Its :class:`SolutionBundle` stores what the solve computed (the grid,
-those preconditions, k, G and its parts, the row solutions and the
-per-point residuals), which decides every verdict, and reads the failed
-rows, the residual statistics and the three norm bounds off them.  sup |G|
-and each sup |v_i| are measured on first read and kept, so a caller that
-reads neither pays for no grid maximum.  The radical check reports its
+those preconditions, G and its parts, the row solutions and the
+per-point residuals), which decides every verdict, and reads k, the
+failed rows, the residual statistics and the three norm bounds off them.
+sup |G| and each sup |v_i| are measured on first read and kept, so a
+caller that reads neither pays for no grid maximum.  The radical check reports its
 pointwise margins as one :class:`koszul.poly.MarginReport`.
 """
 
@@ -115,18 +115,22 @@ class SolutionBundle:
     """What solve_full computed for one instance, and every number read off it.
 
     A solve that stopped before assembly keeps the empty defaults, and then
-    every residual, norm and bound reads NaN.  m is len(scalar_solutions).
-    ``sup_G`` is read off ``G``, so a ``dataclasses.replace`` of G moves it.
+    every residual, norm and bound reads NaN.  m is len(scalar_solutions),
+    and k the rank the preconditions detected.  ``sup_G`` is read off
+    ``G``, so a ``dataclasses.replace`` of G moves it.
     """
 
     grid: DiscGrid
     hypothesis_report: SolvePreconditions
-    k: int
     G: PolyMatrix
     G_parts: tuple[PolyMatrix, ...] = ()
     scalar_solutions: tuple[ScalarSolveResult, ...] = ()
     residuals: tuple[float, ...] = ()  # |F G - H| at each grid point
     failure: str | None = None
+
+    @property
+    def k(self) -> int:
+        return self.hypothesis_report.k_detected
 
     @cached_property
     def sup_G(self) -> float:
@@ -151,7 +155,8 @@ class SolutionBundle:
 
     @property
     def mean_residual(self) -> float:
-        return float(np.mean(self.residuals)) if self.residuals else nan
+        with np.errstate(over="ignore"):  # the sum of residuals near the largest float is inf
+            return float(np.mean(self.residuals)) if self.residuals else nan
 
     @property
     def argmax_point(self) -> complex:
@@ -209,7 +214,7 @@ def solve_full(
     if grid is None:
         grid = DiscGrid.default()
     hyp = solve_preconditions(F, H, grid)
-    bundle = SolutionBundle(grid, hyp, hyp.k_detected, PolyMatrix.zeros(F.cols, 1))
+    bundle = SolutionBundle(grid, hyp, PolyMatrix.zeros(F.cols, 1))
     if not hyp.passed_range:
         return replace(bundle, failure="hypothesis-range")
     if bundle.k < 1:

@@ -99,11 +99,13 @@ def minor_bound_check(F_vals: np.ndarray, H_vals: np.ndarray, k: int,
     :func:`check_hypotheses` keeps and ``k`` its detected rank; at rank
     zero every minor sum is 0.
     """
-    # margins on Python floats: numpy's vectorised ** can round differently
+    # numpy's vectorised ** can round differently; a numpy scalar's ** is
+    # libm's pow, as Python's is, but overflows to inf where Python's raises
     dk = det_k_gram(F_vals, k).tolist() if k >= 1 else [0.0] * len(grid)
     h_max = np.abs(H_vals).max(axis=(1, 2)).tolist()
-    return MarginReport.on(grid, [max(a, 0.0) ** 1.5 - b for a, b in zip(dk, h_max)],
-                           MINOR_MARGIN_FLOOR)
+    with np.errstate(over="ignore", invalid="ignore"):
+        margins = [float(np.float64(max(a, 0.0)) ** 1.5) - b for a, b in zip(dk, h_max)]
+    return MarginReport.on(grid, margins, MINOR_MARGIN_FLOOR)
 
 
 def norm_check(norm_estimate: float, mode: str = "strict") -> bool:
@@ -132,8 +134,9 @@ def _svd_pinv(F: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     u, s, vt = np.linalg.svd(np.where(bad[..., None, None], 0, F.conj()), full_matrices=False)
     s[bad] = np.nan
     large = rank_mask(s)
-    s_inv = np.divide(1, s, where=large, out=np.zeros_like(s))
-    pinv = np.swapaxes(vt, -1, -2) @ (s_inv[..., None] * np.swapaxes(u, -1, -2))
+    with np.errstate(over="ignore", invalid="ignore"):  # 1 / s overflows for a subnormal s
+        s_inv = np.divide(1, s, where=large, out=np.zeros_like(s))
+        pinv = np.swapaxes(vt, -1, -2) @ (s_inv[..., None] * np.swapaxes(u, -1, -2))
     pinv[bad] = np.nan
     return s, large, pinv
 

@@ -70,7 +70,7 @@ def alpha_hypothesis_check(F_vals: np.ndarray, h_vals: np.ndarray,
     ``F_vals`` and ``h_vals`` are a row F and a scalar h on ``grid``, as the
     (P, 1, d) and (P, 1, 1) stacks that ``check_hypotheses`` keeps; other
     shapes raise ValueError.  F must be normalized: t above 1 + 1e-9
-    anywhere raises PreconditionError.
+    or NaN anywhere raises PreconditionError.
     """
     params = AlphaParams()
     P = len(grid)
@@ -78,13 +78,14 @@ def alpha_hypothesis_check(F_vals: np.ndarray, h_vals: np.ndarray,
         raise ValueError(f"scalar-row check needs ({P}, 1, d) and ({P}, 1, 1) stacks of F "
                          f"and h, got {F_vals.shape} and {h_vals.shape}")
 
-    with np.errstate(over="ignore", invalid="ignore"):  # an inf t fails the normalization
+    with np.errstate(over="ignore", invalid="ignore"):  # an inf or NaN t is not normalized
         gram = (F_vals @ F_vals.conj().swapaxes(1, 2))[:, 0, 0].real.tolist()
+        # rounds as Python's abs (np.abs may not), but overflows to inf, not an error
+        moduli = np.hypot(h_vals.real, h_vals.imag)[:, 0, 0].tolist()
     margins = []
-    for z, t, hz in zip(grid.points, gram, h_vals[:, 0, 0].tolist()):
-        if t > 1 + 1e-9:
+    for z, t, modulus in zip(grid.points, gram, moduli):
+        if not t <= 1 + 1e-9:
             raise PreconditionError(f"F is not normalized: F(z)F(z)* = {t} at z = {z}")
         t = min(max(t, 0.0), 1.0)
-        # Python's abs: the vectorised np.abs rounds some moduli differently
-        margins.append(t * alpha(t, params) - abs(hz))
+        margins.append(t * alpha(t, params) - modulus)
     return MarginReport.on(grid, margins, ALPHA_MARGIN_FLOOR)

@@ -6,26 +6,24 @@ shape (rows, cols, max_degree + 1), and its sums, products, slices and
 grid evaluations are array operations on it.  A scalar, such as one
 target entry, is a 1 x 1 matrix; :func:`trimmed` gives one entry's
 coefficients for file I/O and entrywise arithmetic.
-Matrices are evaluated on finite grids inside the disc, by one Horner
-sweep with the points on the last axis over a grid's ``points`` array.
+Matrices are evaluated on finite grids inside the disc by
+:meth:`PolyMatrix.eval`, one Horner sweep with the points on the last
+axis, so every grid value in this package comes from it.
 A :class:`DiscGrid` is its radii and angle count; it checks them and
 builds its points once, at construction, so no grid in use is empty and
 every sweep reads the same read-only array.  A pointwise check on a grid
 reports a :class:`MarginReport`: its margins, the smallest and where it
-sits, and the verdict against a floor.  Every supremum reported by
-this package is a grid maximum and therefore a lower estimate of the
-true sup over the disc.  The pointwise norm of a single row or column is
-its Euclidean norm, so a vector's sup needs no SVD.  A coefficient solve
-decides its verdict from its residual polynomial A x - b: the sum of the
-moduli of its coefficients, widened for rounding, bounds every grid norm
-of it, so a row whose bound is within the tolerance succeeds with no grid
-work.  Only a row that this does not certify takes the residual's grid
-maximum in the solve; every other row measures it on the first read of
-its report's ``residual``.  Both vector maxima, a sup and a residual, are
-screened circle by circle: a bound from the vector's coefficient Gram
-matrix picks the circles that can hold the maximum, and only those are
-evaluated, so the result is bitwise the full sweep's at a fraction of its
-points.
+sits, and the verdict against a floor.  Every supremum reported by this
+package is a grid maximum, so a lower estimate of the true sup over the
+disc; :func:`sup_operator_norm` takes each one not read off values that a
+check already holds, and screens a vector's circle by circle, bitwise the
+full sweep's at a fraction of its points.  A coefficient solve decides
+its verdict from its residual polynomial A x - b: the sum of the moduli
+of its coefficients, widened for rounding, bounds every grid norm of it,
+so a row whose bound is within the tolerance succeeds with no grid work.
+Only a row that this does not certify takes the residual's grid maximum
+in the solve; every other row measures it on the first read of its
+report's ``residual``.
 """
 
 from __future__ import annotations
@@ -289,14 +287,14 @@ def slice_norms(stack: np.ndarray) -> np.ndarray:
     """
     flat = stack.reshape(len(stack), -1)
     re, im = flat.real, flat.imag
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore"):  # a norm above the largest float is inf
         sq = re[:, None, :] @ re[:, :, None] + im[:, None, :] @ im[:, :, None]
-    norms = np.sqrt(sq[:, 0, 0])
-    far = ~((1e-150 < norms) & (norms < 1e150))
-    if far.any():
-        parts = flat[far].view(float)
-        e = np.frexp(np.abs(parts).max(axis=1, initial=0.0))[1]
-        norms[far] = np.ldexp(np.linalg.norm(np.ldexp(parts, -e[:, None]), axis=1), e)
+        norms = np.sqrt(sq[:, 0, 0])
+        far = ~((1e-150 < norms) & (norms < 1e150))
+        if far.any():
+            parts = flat[far].view(float)
+            e = np.frexp(np.abs(parts).max(axis=1, initial=0.0))[1]
+            norms[far] = np.ldexp(np.linalg.norm(np.ldexp(parts, -e[:, None]), axis=1), e)
     return norms
 
 
@@ -315,24 +313,27 @@ def _radius_powers(radii: tuple[float, ...], n: int) -> np.ndarray:
     return powers
 
 
-def _vector_grid_max(M: PolyMatrix, grid: DiscGrid) -> float:
-    """``slice_norms(M.eval(grid.points)).max()`` for a row or column M, bitwise.
+def sup_operator_norm(M: PolyMatrix, grid: DiscGrid) -> float:
+    """Grid maximum of the pointwise spectral norm of M(z), 0.0 if M has no entries.
 
-    With C the N x (n+1) coefficients, ||M(r e^{i t})||^2 is a
-    trigonometric polynomial whose k-th coefficient is the k-th diagonal
-    sum of the Gram matrix C^H C weighted by r^{a+b}, so the sum of their
-    moduli, B(r), bounds the squared norm on the whole circle of radius r.
-    Each circle gets an upper bound U(r) on every norm that Horner and
-    :func:`slice_norms` can compute on it; the circle with the largest U
-    is evaluated first, then, in one more sweep, every other circle whose
-    U reaches that circle's maximum.  Every norm is computed point by
-    point, so the maximum is the full sweep's, bit for bit.  A coefficient
-    that is not finite, or one large enough that Horner could overflow,
-    takes the full sweep.
+    A lower estimate of the true multiplier norm; adding grid points can
+    only increase it.  A matrix takes an SVD at every grid point; a row or
+    column needs none, its spectral norm being its Euclidean norm, and is
+    screened circle by circle.  With C its N x (n+1) coefficients,
+    ||M(r e^{i t})||^2 is a trigonometric polynomial whose k-th coefficient
+    is the k-th diagonal sum of C^H C weighted by r^{a+b}, so the sum of
+    their moduli bounds the squared norm on the circle of radius r.  Each
+    circle gets an upper bound U(r) on every norm Horner and
+    :func:`slice_norms` can compute on it; the circle with the largest U is
+    evaluated first, then, in one more evaluation, every other circle whose
+    U reaches its maximum.  Every norm is computed point by point, so the
+    maximum is the full sweep's, bit for bit.  A coefficient that is not
+    finite, or large enough for Horner to overflow, takes the full sweep.
     """
-    coeffs = M.coeffs
-    C = coeffs.reshape(-1, coeffs.shape[-1])
-    N, n = C.shape[0], C.shape[1] - 1
+    if 1 not in M.shape:
+        return float(np.linalg.norm(M.eval(grid.points), 2, axis=(1, 2)).max(initial=0.0))
+    C = M.coeffs.reshape(-1, M.max_degree + 1)
+    N, n = C.shape[0], M.max_degree
     top = np.abs(C.view(float)).max(initial=0.0)
     e = int(np.frexp(top)[1])
     if not np.isfinite(top) or e + (4 * n + 4).bit_length() >= 1023:
@@ -367,30 +368,16 @@ def _vector_grid_max(M: PolyMatrix, grid: DiscGrid) -> float:
     upper += np.ldexp(int((2 * N) ** 0.5 * (n + 1)) + 3, -1074 - min(e, 0))
     circles = grid.points.reshape(len(grid.radii), grid.angles)
     first = int(np.argmax(upper))
-    best = slice_norms(_horner(coeffs, circles[first])).max()
+    best = slice_norms(M.eval(circles[first])).max()
     more = upper >= np.ldexp(best, -e)
     more[first] = False
     if more.any():
-        best = max(best, slice_norms(_horner(coeffs, circles[more].reshape(-1))).max())
+        best = max(best, slice_norms(M.eval(circles[more].reshape(-1))).max())
     return float(best)
 
 
-def sup_operator_norm(M: PolyMatrix, grid: DiscGrid) -> float:
-    """Grid maximum of the pointwise spectral norm of M(z), 0.0 if M has no entries.
-
-    A lower estimate of the true multiplier norm; adding grid points can
-    only increase it.  The spectral norm of a single row or column is its
-    Euclidean norm, so a vector needs no SVD, and its maximum is screened
-    circle by circle (:func:`_vector_grid_max`).
-    """
-    if 1 in M.shape:
-        return _vector_grid_max(M, grid)
-    vals = M.eval(grid.points)
-    return float(np.linalg.norm(vals, 2, axis=(1, 2)).max(initial=0.0))
-
-
 def _residual_bound(P: PolyMatrix) -> float:
-    """An upper bound on ``_vector_grid_max(P, grid)`` for every grid, from P alone.
+    """An upper bound on ``sup_operator_norm(P, grid)`` for a vector P and every grid.
 
     On |z| < 1 each entry of P(z) has modulus at most the sum of its
     coefficients' moduli, and a vector's Euclidean norm is at most the sum
@@ -399,11 +386,12 @@ def _residual_bound(P: PolyMatrix) -> float:
     unit roundoff u = 2**-53 (gamma_j = j u / (1 - j u)), with P's
     coefficients an N x (n+1) array of M entries: complex Horner is within
     gamma_{4n+4} S of the exact value and :func:`slice_norms` within
-    gamma_{2N+2} of the exact norm of the computed values, as the screen's
-    comment derives; each modulus (np.hypot, within one ulp) errs by 2u and
-    the sum of M of them by gamma_{M-1} more, so the exact S is within
-    gamma_{2M+2} of the computed one.  One gamma_K with K = 2M + 2N + 4n + 16
-    covers their product and the roundings of the bound.  Underflow errs
+    gamma_{2N+2} of the exact norm of the computed values, as
+    :func:`sup_operator_norm` derives; each modulus (np.hypot, within one
+    ulp) errs by 2u and the sum of M of them by gamma_{M-1} more, so the
+    exact S is within gamma_{2M+2} of the computed one.  One gamma_K with
+    K = 2M + 2N + 4n + 16 covers their product and the roundings of the
+    bound.  Underflow errs
     absolutely: by 2**-1074 per modulus, by 2**-1074 sqrt(2N)(n+1) in
     Horner, and two more 2**-1074 cover a subnormal norm; two more cover
     the rounding of that term.  An S that is not finite, or not below
@@ -441,7 +429,7 @@ class CoefficientSolveReport:
 
     @functools.cached_property
     def residual(self) -> float:
-        return _vector_grid_max(self.residual_poly, self.grid)
+        return sup_operator_norm(self.residual_poly, self.grid)
 
     @property
     def success(self) -> bool:  # a NaN residual fails

@@ -43,7 +43,8 @@ def jsonable(x):
 
 
 def check_block(passed: bool, tolerance, **stats) -> dict:
-    return {"passed": bool(passed), "tolerance": tolerance, "stats": jsonable(stats)}
+    """One named check: its verdict, tolerance and stats, coerced by :func:`make_report`."""
+    return {"passed": bool(passed), "tolerance": tolerance, "stats": stats}
 
 
 def make_report(command: str, params: dict, checks: dict, extra: dict | None = None) -> dict:

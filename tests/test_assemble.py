@@ -207,43 +207,44 @@ def _ladder_462():
     return F, F @ random_poly_matrix(r, 6, 1, 1)
 
 
-def test_solve_full_sweeps_the_grid_3_times_and_screens_on_read(monkeypatch):
+def test_solve_full_sweeps_the_grid_3_times_and_screens_on_read(monkeypatch, grid):
     # F and H once, in the hypothesis check, and G once, for the residual,
     # over the whole grid; every row's residual polynomial R v - h is
-    # certified from its coefficients, so the solve screens no grid maximum.
+    # certified from its coefficients, so the solve takes no grid maximum.
     # Each row's residual, each sup_v and sup_G is screened on its first
-    # read and kept, so a second read screens nothing.
+    # read, through eval on some of the grid's circles, and kept, so a
+    # second read evaluates nothing.
     F, H = _ladder_462()
-    evals, screened, sups = [], [], []
-    eval_, screen = PolyMatrix.eval, poly._vector_grid_max
+    evals, sups = [], []
+    eval_ = PolyMatrix.eval
 
     def counted_eval(self, z):
-        evals.append(self.shape)
+        evals.append((self.shape, np.size(z)))
         return eval_(self, z)
 
-    def counted_screen(M, grid):
-        screened.append(M.shape)
-        return screen(M, grid)
-
-    def counted_sup(M, grid):
+    def counted_sup(M, g):
         sups.append(M.shape)
-        return sup_operator_norm(M, grid)
+        return sup_operator_norm(M, g)
 
     monkeypatch.setattr(PolyMatrix, "eval", counted_eval)
-    monkeypatch.setattr(poly, "_vector_grid_max", counted_screen)
-    monkeypatch.setattr(corona, "sup_operator_norm", counted_sup)
-    monkeypatch.setattr(assemble, "sup_operator_norm", counted_sup)
+    for module in (poly, corona, assemble):
+        monkeypatch.setattr(module, "sup_operator_norm", counted_sup)
     bundle = solve_full(F, H)
     assert bundle.success and bundle.k == 4
     assert all(s.solve_report.certified for s in bundle.scalar_solutions)
-    assert evals == [(4, 6), (4, 1), (6, 1)] and screened == [] and sups == []
+    swept = [((4, 6), len(grid)), ((4, 1), len(grid)), ((6, 1), len(grid))]
+    assert evals == swept and sups == []
     # R (1 x 15) is never evaluated; each v_i (15 x 1) is screened on its first read
+    counts = []
     for _ in range(2):
         bundle.sup_v, bundle.sup_G
         [s.solve_report.residual for s in bundle.scalar_solutions]
-    assert sups == [(15, 1)] * 4 + [(6, 1)]
-    assert screened == [(15, 1)] * 4 + [(6, 1)] + [(1, 1)] * 4
-    assert evals == [(4, 6), (4, 1), (6, 1)]
+        counts.append((len(sups), len(evals)))
+    assert counts[0] == counts[1] and sups == [(15, 1)] * 4 + [(6, 1)] + [(1, 1)] * 4
+    screened = evals[len(swept):]
+    assert evals[:len(swept)] == swept and screened
+    assert {shape for shape, _ in screened} == {(15, 1), (6, 1), (1, 1)}
+    assert all(points < len(grid) for _, points in screened)
 
 
 def test_a_replaced_G_reports_its_own_sup(fixtures_by_id, grid):

@@ -45,3 +45,36 @@ def test_the_battery_runs_the_public_exterior_operators():
         tracer.uninstall()
     assert tracer.calls["exterior.q_matrix"] >= 1
     assert tracer.calls["exterior.chain_row"] >= 1
+
+
+def test_every_grid_maximum_reaches_the_traced_eval_and_sup_spans(grid):
+    # the benchmark counts grid evaluations at PolyMatrix.eval and grid
+    # maxima at sup_operator_norm, so a screened vector maximum must
+    # evaluate through eval, and a row residual must be measured by
+    # sup_operator_norm, whether in the solve or on a later read
+    spans = load_module("bench_spans", REPO / "bench" / "spans.py")
+    poly = importlib.import_module("koszul.poly")
+    column = poly.PolyMatrix.from_rows([[[1, 0.5]], [[0, 0, 2j]], [[0.25]]])
+    one = poly.PolyMatrix.from_rows([[1]])
+    tracer = spans.Tracer()
+    tracer.install("grid-maxima")
+    try:
+        poly.sup_operator_norm(column, grid)
+        screened = dict(tracer.calls)
+        # z x = 1 has no polynomial solution, so the residual decides the solve
+        _, measured = poly.coefficient_match_solve(poly.PolyMatrix.from_rows([[[0, 1]]]), one,
+                                                   6, 1e-8, grid)
+        in_solve = dict(tracer.calls)
+        # z x + (1 - z) y = 1 has x = y = 1, which certifies the row unmeasured
+        _, certified = poly.coefficient_match_solve(
+            poly.PolyMatrix.from_rows([[[0, 1], [1, -1]]]), one, 3, 1e-10, grid)
+        solved = dict(tracer.calls)
+        certified.residual
+        read = dict(tracer.calls)
+    finally:
+        tracer.uninstall()
+    sups = "poly.sup_operator_norm"
+    assert screened[sups] == 1 and screened["poly.PolyMatrix.eval"] >= 1
+    assert not measured.certified and in_solve[sups] - screened[sups] == 1
+    assert certified.certified and solved[sups] == in_solve[sups]
+    assert read[sups] - solved[sups] == 1

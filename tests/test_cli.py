@@ -10,8 +10,10 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import Phase, given, seed, settings
+from hypothesis import strategies as st
 
-from conftest import FIXTURE_DIR, GOLDEN_DIR, REPO
+from conftest import FIXTURE_DIR, GOLDEN_DIR, REPO, load_module
 from koszul import assemble, combinat, corona
 from koszul.cli import main
 from koszul.fixtures import load_fixture, load_solution
@@ -570,25 +572,14 @@ def test_corrupted_sign_convention_is_caught(monkeypatch):
     assert not checks["chain_gram_identity"]["passed"]
 
 
-def diagonal_tree(fid, entries, h):
-    """A fixture with F = diag(entries), each entry a coefficient list, and every h_i = h."""
-    n = len(entries)
-    F = [[entries[i] if i == j else [[0.0, 0.0]] for j in range(n)] for i in range(n)]
-    return {"id": fid, "m": n, "d": n, "F": F, "H": [[[[h, 0.0]]]] * n}
-
-
-#: 1e308 + 1e308 z, which overflows to inf on most of the default grid.
-HUGE = [[1e308, 0.0], [1e308, 0.0]]
-#: Well-formed fixtures whose values overflow.  On f_inf_entry, F's (1, 1) entry
-#: is HUGE, and LAPACK's SVD does not return on a 3 x 3 slice holding inf; on
-#: f_inf_diagonal every diagonal entry is, and the SVD raises on some slices;
-#: f_1e200's chain row overflows and its coefficient system is not finite.
-OVERFLOW_TREES = {
-    "f_overflow": {"id": "f_overflow", "m": 1, "d": 1, "F": [[HUGE]], "H": [[[[1.0, 0.0]]]]},
-    "f_inf_entry": diagonal_tree("f_inf_entry", [HUGE, [[0.5, 0.0]], [[0.5, 0.0]]], 0.5),
-    "f_inf_diagonal": diagonal_tree("f_inf_diagonal", [HUGE] * 3, 0.5),
-    "f_1e200": diagonal_tree("f_1e200", [[[1e200, 0.0]]] * 2, 1e200),
-}
+#: The snapshot script's fixtures whose values overflow.  On f_overflow,
+#: F = 1e308 + 1e308 z; on f_inf_entry, F's (1, 1) entry is that, and LAPACK's
+#: SVD does not return on a 3 x 3 slice holding inf; on f_inf_diagonal every
+#: diagonal entry is, and the SVD raises on some slices; f_1e200's chain row
+#: overflows and its coefficient system is not finite.
+SNAPSHOT = load_module("snapshot_outputs", REPO / "scripts" / "snapshot_outputs.py")
+OVERFLOW_TREES = {tree["id"]: tree
+                  for tree in (SNAPSHOT.FIXTURE_OVERFLOW, *SNAPSHOT.FIXTURES_NOT_FINITE)}
 
 
 @pytest.mark.parametrize("command,fixture,code", [
@@ -634,3 +625,128 @@ def test_a_slice_lapack_does_not_return_on_never_reaches_it(tmp_path, command):
                           capture_output=True, text=True, timeout=60)
     assert (done.returncode, done.stderr) == (1, "")
     assert json.loads(done.stdout)["passed"] is False
+
+
+#: Well-formed fixtures near the float limits, each with the command that
+#: once raised or warned on it: a modulus |h(z)| that overflows the alpha
+#: gauge (m = 1) and the slice norms of H, a det_k F F^* whose 3/2 power
+#: overflows, a subnormal singular value whose inverse does, and residuals
+#: whose sum does.
+EDGE_TREES = {
+    "h_overflows": {"m": 1, "d": 0, "F": [[]], "H": [[SNAPSHOT.HUGE]]},
+    "h_norms_overflow": {"m": 4, "d": 0, "F": [[]] * 4, "H": [[SNAPSHOT.HUGE]] * 4},
+    "minor_overflows": {"m": 1, "d": 1, "F": [[[[1e154, 0.0]]]], "H": [[[[1.0, 0.0]]]]},
+    "subnormal_F": {"m": 1, "d": 1, "F": [[[[1e-310, 0.0]]]], "H": [[[[1.0, 0.0]]]]},
+    "residual_sum_overflows": {"m": 1, "d": 1, "F": [[[[1.0, 0.0]]]],
+                               "H": [[[[0.0, 0.0], [1e308, 0.0]]]]},
+}
+
+
+@pytest.mark.parametrize("fixture,argv", [
+    ("h_overflows", ["check"]), ("h_overflows", ["solve"]), ("h_norms_overflow", ["check"]),
+    ("minor_overflows", ["check"]), ("subnormal_F", ["solve"]),
+    ("residual_sum_overflows", ["solve", "--degree-cap", "0"]),
+])
+def test_values_near_the_float_limits_fail_a_check_quietly(tmp_path, fixture, argv):
+    path = tmp_path / f"{fixture}.json"
+    path.write_text(json.dumps(EDGE_TREES[fixture]))
+    code, rep, err = run_json([argv[0], str(path), *argv[1:]])
+    assert (code, err, rep["passed"]) == (1, "", False)
+
+
+#: Runs each argv of a JSON list read from stdin through koszul.cli.main in
+#: this one process and prints, for each, its exit code, its stderr and
+#: whether its stdout is one JSON report; a raised exception counts as
+#: stderr, and every warning is printed there.
+CONTRACT_DRIVER = """
+import contextlib, io, json, sys, traceback, warnings
+from koszul.cli import main
+results = []
+for argv in json.load(sys.stdin):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        with warnings.catch_warnings():
+            warnings.simplefilter("always")
+            try:
+                code = main(argv)
+            except Exception:
+                code = None
+                traceback.print_exc()
+    try:
+        report = isinstance(json.loads(out.getvalue()), dict)
+    except ValueError:
+        report = False
+    results.append([code, err.getvalue(), report])
+json.dump(results, sys.stdout)
+"""
+#: One real part or imaginary part: zero, subnormal, a signed power of ten
+#: anywhere in range, or any finite float.
+PART = st.one_of(st.just(0.0), st.sampled_from([5e-324, -2.5e-320, 1e-310]),
+                 st.builds(lambda sign, k: sign * 10.0**k, st.sampled_from([1, -1]),
+                           st.integers(-308, 308)),
+                 st.floats(allow_nan=False, allow_infinity=False))
+#: A polynomial of degree at most 3, or 1e308 + 1e308 z.
+ENTRY = st.one_of(st.lists(st.lists(PART, min_size=2, max_size=2), min_size=1, max_size=4),
+                  st.just(SNAPSHOT.HUGE))
+
+
+@st.composite
+def cli_cases(draw):
+    """(command, fixture tree, grid flags): m <= 4 rows, d <= 4 columns, and
+    one time in three a declared m or d that is off by one, or a ragged row."""
+    m, d = draw(st.integers(1, 4)), draw(st.integers(0, 4))
+    tree = {"id": "drawn", "m": m, "d": d,
+            "F": [[draw(ENTRY) for _ in range(d)] for _ in range(m)],
+            "H": [[draw(ENTRY)] for _ in range(m)]}
+    fault = draw(st.sampled_from([None] * 6 + ["m", "d", "ragged"]))
+    if fault in ("m", "d"):
+        tree[fault] += draw(st.sampled_from([-1, 1]))
+    elif fault == "ragged":
+        row = tree["F"][draw(st.integers(0, m - 1))]
+        if not row or draw(st.booleans()):
+            row.append(draw(ENTRY))
+        else:
+            row.pop()
+    flags = []
+    if draw(st.booleans()):
+        radii = draw(st.lists(st.sampled_from([0.0, 0.25, 0.5, 0.9, 0.95]), min_size=1,
+                              max_size=3))
+        flags = ["--grid-radii", ",".join(map(str, radii)),
+                 "--grid-angles", str(draw(st.integers(1, 8)))]
+    return draw(st.sampled_from(["check", "solve"])), tree, flags
+
+
+def test_check_and_solve_keep_the_exit_code_contract(tmp_path):
+    # each exits 0, 1 or 2 and prints a report unless it exits 2; stderr is
+    # empty unless the exit is 2, and then it is one "error: ..." line that
+    # names the file, with no traceback and no numpy warning.  Hypothesis
+    # only draws the cases; they all run in one process apart, so a LAPACK
+    # call that does not return fails by the timeout instead of hanging the
+    # suite
+    cases = []
+
+    @seed(32)
+    @settings(max_examples=300, deadline=None, database=None, phases=[Phase.generate])
+    @given(cli_cases())
+    def collect(case):
+        cases.append(case)
+
+    collect()
+    argvs = []
+    for i, (command, tree, flags) in enumerate(cases):
+        path = tmp_path / f"case{i}.json"
+        path.write_text(json.dumps(tree))
+        argvs.append([command, str(path), *flags])
+    done = subprocess.run([sys.executable, "-c", CONTRACT_DRIVER], input=json.dumps(argvs),
+                          env={**os.environ, "PYTHONPATH": str(REPO / "src")},
+                          capture_output=True, text=True, timeout=120)
+    assert (done.returncode, done.stderr) == (0, "")
+    results = json.loads(done.stdout)
+    assert len(results) == len(cases) == 300
+    broken = []
+    for argv, (_, tree, _), (code, err, report) in zip(argvs, cases, results):
+        one_error = re.fullmatch(rf"error: {re.escape(argv[1])}: [^\n]+\n", err)
+        if not (code in (0, 1) and err == "" and report or code == 2 and one_error):
+            broken.append((argv, tree, code, err))
+    assert broken == []
+    assert {1, 2} <= {code for code, _, _ in results}

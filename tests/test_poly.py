@@ -643,7 +643,7 @@ def test_residual_bound_covers_the_grid_maximum_and_decides_success(seed, N, n, 
     c = np.ldexp(c.view(float), e).view(complex)
     grid = SCREEN_GRIDS[g]
     bound = poly._residual_bound(PolyMatrix(c[:, None]))
-    residual = poly._vector_grid_max(PolyMatrix(c[:, None]), grid)
+    residual = sup_operator_norm(PolyMatrix(c[:, None]), grid)
     assert bound >= residual
     for tol in (residual / 2, math.nextafter(residual, 0), residual, (residual + bound) / 2,
                 bound, 2 * bound):
@@ -658,7 +658,7 @@ def test_residual_bound_widens_a_constant_whose_norm_rounds_up():
     # np.abs(0.2 + 0.3j), so the bare sum of moduli is below the grid maximum
     c = np.array([[0.2 + 0.3j]])
     grid = DiscGrid.default()
-    residual = poly._vector_grid_max(PolyMatrix(c[:, None]), grid)
+    residual = sup_operator_norm(PolyMatrix(c[:, None]), grid)
     assert residual == math.sqrt(0.2**2 + 0.3**2)
     assert residual > math.hypot(0.2, 0.3) and residual > float(np.abs(c[0, 0]))
     assert poly._residual_bound(PolyMatrix(c[:, None])) >= residual
@@ -673,7 +673,7 @@ def test_residual_bound_covers_subnormal_rounding():
     # hypot(t, t), rounds down to t; only the underflow term covers it
     t = 2.0**-1074
     c = np.array([[0, complex(t, t)]])
-    residual = poly._vector_grid_max(PolyMatrix(c[:, None]), DiscGrid((0.85,), 8))
+    residual = sup_operator_norm(PolyMatrix(c[:, None]), DiscGrid((0.85,), 8))
     assert residual == 2 * t and float(np.hypot(t, t)) == t
     assert poly._residual_bound(PolyMatrix(c[:, None])) >= residual
 
@@ -692,8 +692,8 @@ def test_a_solve_reads_no_grid_for_a_certified_row(monkeypatch):
     # a residual certified from its coefficients screens nothing; one that
     # is not is screened in the solve, once, and a second read screens nothing
     calls = []
-    screen = poly._vector_grid_max
-    monkeypatch.setattr(poly, "_vector_grid_max", lambda M, g: calls.append(M.shape) or screen(M, g))
+    sup = poly.sup_operator_norm
+    monkeypatch.setattr(poly, "sup_operator_norm", lambda M, g: calls.append(M.shape) or sup(M, g))
     A = PolyMatrix.from_rows([[P(0, 1), P(1, -1)]])
     _, rep = coefficient_match_solve(A, PolyMatrix.from_rows([[P(1)]]), 3, 1e-10,
                                      DiscGrid.default())
