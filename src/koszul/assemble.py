@@ -20,8 +20,8 @@ Its :class:`SolutionBundle` stores what the solve computed (the grid,
 those preconditions, G and its parts, the row solutions and the
 per-point residuals), which decides every verdict, and reads k, the
 failed rows, the residual statistics and the three norm bounds off them.
-sup |G| and each sup |v_i| are measured on first read and kept, so a
-caller that reads neither pays for no grid maximum.  The radical check reports its
+sup |G| and each sup |v_i| are measured on its grid on first read and
+kept, so a caller that reads neither pays for no grid maximum.  The radical check reports its
 pointwise margins as one :class:`koszul.poly.MarginReport`.
 """
 
@@ -141,9 +141,10 @@ class SolutionBundle:
     def failed_rows(self) -> tuple[int, ...]:
         return tuple(i for i, s in enumerate(self.scalar_solutions, 1) if not s.success)
 
-    @property
+    @cached_property
     def sup_v(self) -> tuple[float, ...]:
-        return tuple(s.sup_v for s in self.scalar_solutions)
+        """The grid sup of each row's |v_i|, measured on first read."""
+        return tuple(sup_operator_norm(s.v, self.grid) for s in self.scalar_solutions)
 
     @cached_property
     def _argmax(self) -> int | None:
@@ -156,7 +157,11 @@ class SolutionBundle:
     @property
     def mean_residual(self) -> float:
         with np.errstate(over="ignore"):  # the sum of residuals near the largest float is inf
-            return float(np.mean(self.residuals)) if self.residuals else nan
+            mean = float(np.mean(self.residuals)) if self.residuals else nan
+        if np.isinf(mean) and np.isfinite(self.residuals).all():  # only the sum overflowed
+            e = int(np.frexp(self.max_residual)[1])  # so average in units of 2**e
+            mean = float(np.ldexp(np.mean(np.ldexp(self.residuals, -e)), e))
+        return mean
 
     @property
     def argmax_point(self) -> complex:
@@ -281,23 +286,28 @@ def radical_necessary_check(
     Hn_vals = H_vals if n == 1 else PolyMatrix.from_rows(
         [[reduce(np.convolve, [trimmed(h)] * n, one)] for h in H.coeffs[:, 0]]
     ).eval(grid.points)
-    pre_resid = float(slice_norms(F_vals @ G_vals - Hn_vals).max())
+    with np.errstate(invalid="ignore"):  # inf times zero is NaN, which fails below
+        pre_resid = float(slice_norms(F_vals @ G_vals - Hn_vals).max())
     sup_Hn = float(slice_norms(Hn_vals).max())
-    if pre_resid > RADICAL_PRECONDITION_RTOL * max(sup_Hn, 1.0):
+    # an H^n or a residual that is not finite fails, NaN included
+    if not (np.isfinite(sup_Hn) and pre_resid <= RADICAL_PRECONDITION_RTOL * max(sup_Hn, 1.0)):
         raise PreconditionError(
             f"F G = H^{n} fails on the grid: residual {pre_resid:.3e}"
         )
     # G is d x 1, so its pointwise spectral norm is the Euclidean norm of G_vals
-    sup_G = float(slice_norms(G_vals).max())
-    C = sup_G ** 2
+    sup_G = slice_norms(G_vals).max()
     dk = det_k_gram(F_vals, 1).tolist()
     h_max = np.abs(H_vals).max(axis=(1, 2)).tolist()
-    return RadicalReport(
-        power=n,
-        constant=C,
-        constant_exponent_2m=sup_G ** (2 * F.rows),
-        precondition_residual=pre_resid,
-        margin=MarginReport.on(grid, [C * a - b ** (2 * n) for a, b in zip(dk, h_max)],
-                               RADICAL_MARGIN_FLOOR),
-    )
+    # sup_G is a numpy scalar, whose ** is libm's pow, as Python's is, but
+    # overflows to inf where Python's raises
+    with np.errstate(over="ignore"):
+        C = float(sup_G ** 2)
+        return RadicalReport(
+            power=n,
+            constant=C,
+            constant_exponent_2m=float(sup_G ** (2 * F.rows)),
+            precondition_residual=pre_resid,
+            margin=MarginReport.on(grid, [C * a - float(np.float64(b) ** (2 * n))
+                                          for a, b in zip(dk, h_max)], RADICAL_MARGIN_FLOOR),
+        )
 

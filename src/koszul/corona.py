@@ -30,17 +30,16 @@ The scalar solve takes its grid and tolerance from the caller, which for
 :func:`koszul.assemble.solve_full` are the checked grid and a tolerance
 read off the H stack the check kept; only the entry points default the
 grid.  Each solve is checked against its residual polynomial R v - h, so
-neither R nor v is evaluated for the check.  A solve's verdict is its
-coefficient report's, decided in the solve and read through ``success``.
-sup_v, the grid sup of a column, is a Euclidean norm per point with no
-SVD, taken only on the circles that its screen keeps, and only when it is
-first read.
+neither R nor v is evaluated for the check.  A solve's result is its
+solution v and its coefficient report, whose verdict is decided in the
+solve and read through ``success``; it holds no grid, so the grid sup of
+v is taken by the :class:`koszul.assemble.SolutionBundle` that holds it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property, reduce
+from functools import reduce
 from math import factorial
 
 import numpy as np
@@ -56,7 +55,7 @@ from .poly import (
     PolyMatrix,
     coefficient_match_solve,
     slice_norms,
-    sup_operator_norm,
+    sup_operator_norm,  # noqa: F401  bench/tests reads koszul.corona.sup_operator_norm
 )
 
 MINOR_MARGIN_FLOOR = -1e-12  # the minor bound passes if its smallest margin is at least this
@@ -334,11 +333,6 @@ class ScalarSolveResult:
     v: PolyMatrix  # stacked C(m,k)*C(d,k) x 1 solution, canonical tuple order
     solve_report: CoefficientSolveReport
 
-    @cached_property
-    def sup_v(self) -> float:
-        """The grid sup of |v| on the grid the row was checked on, measured on first read."""
-        return sup_operator_norm(self.v, self.solve_report.grid)
-
     @property
     def success(self) -> bool:
         return self.solve_report.success
@@ -357,6 +351,4 @@ def scalar_corona_solve(
     ``h_target`` a 1 x 1 matrix.  Failure to meet ``tol`` is reported in
     the result, since a solution may exist at a higher degree cap.
     """
-    if h_target.shape != (1, 1):
-        raise ValueError(f"target must be scalar, got {h_target.shape}")
     return ScalarSolveResult(*coefficient_match_solve(R, h_target, degree_cap, tol, grid))

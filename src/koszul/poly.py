@@ -21,9 +21,9 @@ full sweep's at a fraction of its points.  A coefficient solve decides
 its verdict from its residual polynomial A x - b: the sum of the moduli
 of its coefficients, widened for rounding, bounds every grid norm of it,
 so a row whose bound is within the tolerance succeeds with no grid work.
-Only a row that this does not certify takes the residual's grid maximum
-in the solve; every other row measures it on the first read of its
-report's ``residual``.
+Only a row that this does not certify takes the residual's grid maximum,
+in the solve, and its report keeps that number; a certified row's
+report keeps none, and neither keeps the residual polynomial or a grid.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from __future__ import annotations
 import cmath
 import functools
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import inf
 
 import numpy as np
@@ -410,30 +410,27 @@ def _residual_bound(P: PolyMatrix) -> float:
 
 @dataclass(frozen=True)
 class CoefficientSolveReport:
-    """One coefficient solve's verdict, with its residual measured on first read.
+    """One coefficient solve's verdict, decided in the solve.
 
-    ``certified`` says that the coefficient bound of the residual
-    polynomial (:func:`_residual_bound`) is finite and within ``tol``, which
-    decides success with no grid work.  ``residual`` is the grid maximum of
-    the residual polynomial, measured once, when first read; the solve
-    reads it for a row that is not certified, so every verdict is decided
-    in the solve and ``success == (residual <= tol)`` holds either way.
+    ``residual`` is None for a certified row, one whose residual polynomial
+    has a coefficient bound (:func:`_residual_bound`) that is finite and
+    within ``tol``, which decides success with no grid work.  For any other
+    row it is the grid maximum of the residual polynomial that the solve
+    took, and the row succeeds if it is within ``tol``.
     """
 
     tol: float
     system_shape: tuple[int, int]
     lstsq_rank: int
-    certified: bool
-    residual_poly: PolyMatrix = field(compare=False, repr=False)
-    grid: DiscGrid = field(compare=False, repr=False)
+    residual: float | None
 
-    @functools.cached_property
-    def residual(self) -> float:
-        return sup_operator_norm(self.residual_poly, self.grid)
+    @property
+    def certified(self) -> bool:
+        return self.residual is None
 
     @property
     def success(self) -> bool:  # a NaN residual fails
-        return self.certified or self.residual <= self.tol
+        return self.residual is None or self.residual <= self.tol
 
 
 def coefficient_match_solve(
@@ -446,12 +443,12 @@ def coefficient_match_solve(
     """Least-squares x with A(z) x(z) = b(z), x entries of degree <= degree_cap.
 
     Every Taylor coefficient of A x - b is matched, so an exact polynomial
-    solution within the cap gives residual ~0.  The residual is the grid
-    maximum of |A x - b| on the residual polynomial, which the product
-    recomputes independently of the least-squares system.  The verdict is
-    decided here: a residual polynomial whose coefficient bound
+    solution within the cap gives residual ~0.  The verdict is decided on
+    the residual polynomial, which the product recomputes independently of
+    the least-squares system: one whose coefficient bound
     (:func:`_residual_bound`) is within ``tol`` succeeds unmeasured, and
-    any other has its grid maximum taken now.  Failure to reach
+    any other has its grid maximum on ``grid`` taken now and kept in the
+    report as ``residual``.  Failure to reach
     ``tol`` is reported, not raised: a solution may still exist at a
     higher cap.  An A or b with a coefficient that is not finite skips the
     least squares and gives an all-NaN x of rank 0, which fails.
@@ -478,7 +475,5 @@ def coefficient_match_solve(
     x = PolyMatrix(sol.reshape(A.cols, 1, width))
     P = A @ x - b
     bound = _residual_bound(P)
-    report = CoefficientSolveReport(tol, M.shape, int(rank), bound < inf and bound <= tol, P, grid)
-    if not report.certified:
-        report.residual  # measured now: the grid maximum decides this row's verdict
-    return x, report
+    residual = None if bound < inf and bound <= tol else sup_operator_norm(P, grid)
+    return x, CoefficientSolveReport(tol, M.shape, int(rank), residual)

@@ -210,10 +210,10 @@ def _ladder_462():
 def test_solve_full_sweeps_the_grid_3_times_and_screens_on_read(monkeypatch, grid):
     # F and H once, in the hypothesis check, and G once, for the residual,
     # over the whole grid; every row's residual polynomial R v - h is
-    # certified from its coefficients, so the solve takes no grid maximum.
-    # Each row's residual, each sup_v and sup_G is screened on its first
-    # read, through eval on some of the grid's circles, and kept, so a
-    # second read evaluates nothing.
+    # certified from its coefficients, so the solve takes no grid maximum
+    # and its report keeps none.  Each sup_v and sup_G is screened on its
+    # first read, through eval on some of the grid's circles, and kept, so
+    # a second read evaluates nothing.
     F, H = _ladder_462()
     evals, sups = [], []
     eval_ = PolyMatrix.eval
@@ -238,12 +238,11 @@ def test_solve_full_sweeps_the_grid_3_times_and_screens_on_read(monkeypatch, gri
     counts = []
     for _ in range(2):
         bundle.sup_v, bundle.sup_G
-        [s.solve_report.residual for s in bundle.scalar_solutions]
         counts.append((len(sups), len(evals)))
-    assert counts[0] == counts[1] and sups == [(15, 1)] * 4 + [(6, 1)] + [(1, 1)] * 4
+    assert counts[0] == counts[1] and sups == [(15, 1)] * 4 + [(6, 1)]
     screened = evals[len(swept):]
     assert evals[:len(swept)] == swept and screened
-    assert {shape for shape, _ in screened} == {(15, 1), (6, 1), (1, 1)}
+    assert {shape for shape, _ in screened} == {(15, 1), (6, 1)}
     assert all(points < len(grid) for _, points in screened)
 
 

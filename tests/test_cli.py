@@ -3,6 +3,7 @@ import io
 import json
 import math
 import os
+import pathlib
 import re
 import subprocess
 import sys
@@ -652,6 +653,25 @@ def test_values_near_the_float_limits_fail_a_check_quietly(tmp_path, fixture, ar
     path.write_text(json.dumps(EDGE_TREES[fixture]))
     code, rep, err = run_json([argv[0], str(path), *argv[1:]])
     assert (code, err, rep["passed"]) == (1, "", False)
+    if fixture == "residual_sum_overflows":
+        # every residual is finite, so their mean is too, though their sum is not
+        stats = rep["checks"]["solve_residual"]["stats"]
+        assert stats["mean_residual"] is not None
+        assert 0 < stats["mean_residual"] <= stats["max_residual"]
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_a_radical_check_near_the_float_limits_fails_quietly(tmp_path, n):
+    # F = 1, H = 1e200 and G = 1e200, so F G = H holds exactly, but
+    # (sup |G|)^2 and |h|^2 overflow; at n = 2, H^2 is not finite on the
+    # grid, which fails the precondition
+    fixture, solution = tmp_path / "f.json", tmp_path / "g.json"
+    fixture.write_text(json.dumps({"m": 1, "d": 1, "F": [[[[1.0, 0.0]]]],
+                                   "H": [[[[1e200, 0.0]]]]}))
+    solution.write_text(json.dumps({"d": 1, "G": [[[1e200, 0.0]]]}))
+    code, rep, err = run_json(["radical", str(fixture), "--n", str(n), "--g", str(solution)])
+    assert (code, err, rep["passed"]) == (1, "", False)
+    assert list(rep["checks"]) == ["precondition" if n == 2 else "radical_margin"]
 
 
 #: Runs each argv of a JSON list read from stdin through koszul.cli.main in
@@ -690,12 +710,11 @@ ENTRY = st.one_of(st.lists(st.lists(PART, min_size=2, max_size=2), min_size=1, m
                   st.just(SNAPSHOT.HUGE))
 
 
-@st.composite
-def cli_cases(draw):
-    """(command, fixture tree, grid flags): m <= 4 rows, d <= 4 columns, and
-    one time in three a declared m or d that is off by one, or a ragged row."""
-    m, d = draw(st.integers(1, 4)), draw(st.integers(0, 4))
-    tree = {"id": "drawn", "m": m, "d": d,
+def drawn_tree(draw, m: int, fixture_id: str) -> dict:
+    """A fixture tree of m rows and d <= 4 columns, one time in three with a
+    declared m or d that is off by one, or a ragged row."""
+    d = draw(st.integers(0, 4))
+    tree = {"id": fixture_id, "m": m, "d": d,
             "F": [[draw(ENTRY) for _ in range(d)] for _ in range(m)],
             "H": [[draw(ENTRY)] for _ in range(m)]}
     fault = draw(st.sampled_from([None] * 6 + ["m", "d", "ragged"]))
@@ -707,22 +726,46 @@ def cli_cases(draw):
             row.append(draw(ENTRY))
         else:
             row.pop()
+    return tree
+
+
+@st.composite
+def cli_cases(draw):
+    """(command, fixture trees, command options, grid flags) with m <= 4.
+
+    ``radical`` takes n = 1 or 2; ``concat`` takes a second tree of the same
+    m whose H is the first's, zero, or its own.
+    """
+    m = draw(st.integers(1, 4))
+    command = draw(st.sampled_from(["check", "solve", "radical", "concat"]))
+    trees = [drawn_tree(draw, m, "drawn")]
+    options = []
+    if command == "radical":
+        options = ["--n", str(draw(st.sampled_from([1, 2])))]
+    elif command == "concat":
+        trees.append(drawn_tree(draw, m, "drawn_b"))
+        target = draw(st.sampled_from(["same", "zero", "own"]))
+        if target != "own":
+            trees[1]["H"] = trees[0]["H"] if target == "same" else [[[[0.0, 0.0]]]] * m
     flags = []
     if draw(st.booleans()):
         radii = draw(st.lists(st.sampled_from([0.0, 0.25, 0.5, 0.9, 0.95]), min_size=1,
                               max_size=3))
         flags = ["--grid-radii", ",".join(map(str, radii)),
                  "--grid-angles", str(draw(st.integers(1, 8)))]
-    return draw(st.sampled_from(["check", "solve"])), tree, flags
+    return command, trees, options, flags
 
 
-def test_check_and_solve_keep_the_exit_code_contract(tmp_path):
-    # each exits 0, 1 or 2 and prints a report unless it exits 2; stderr is
-    # empty unless the exit is 2, and then it is one "error: ..." line that
-    # names the file, with no traceback and no numpy warning.  Hypothesis
-    # only draws the cases; they all run in one process apart, so a LAPACK
-    # call that does not return fails by the timeout instead of hanging the
-    # suite
+def test_every_fixture_command_keeps_the_exit_code_contract(tmp_path):
+    # check, solve, radical and concat each exit 0, 1 or 2 and print a
+    # report unless they exit 2; stderr is empty unless the exit is 2, and
+    # then it is one "error: ..." line that names a file the command read,
+    # or for concat the second fixture by its id, with no traceback and no
+    # numpy warning.  A radical case reads the G its own solve --out wrote,
+    # which may print that it wrote none, or else a zero G of length d.
+    # Hypothesis only draws the cases; they all run in one process apart,
+    # so a LAPACK call that does not return fails by the timeout instead of
+    # hanging the suite
     cases = []
 
     @seed(32)
@@ -732,21 +775,35 @@ def test_check_and_solve_keep_the_exit_code_contract(tmp_path):
         cases.append(case)
 
     collect()
-    argvs = []
-    for i, (command, tree, flags) in enumerate(cases):
-        path = tmp_path / f"case{i}.json"
-        path.write_text(json.dumps(tree))
-        argvs.append([command, str(path), *flags])
-    done = subprocess.run([sys.executable, "-c", CONTRACT_DRIVER], input=json.dumps(argvs),
+    runs = []  # (argv, what its error may name, drawn trees)
+    for i, (command, trees, options, flags) in enumerate(cases):
+        paths = [str(tmp_path / f"case{i}{c}.json") for c in "ab"[:len(trees)]]
+        for path, tree in zip(paths, trees):
+            pathlib.Path(path).write_text(json.dumps(tree))
+        if command == "radical":
+            g = str(tmp_path / f"case{i}g.json")
+            pathlib.Path(g).write_text(json.dumps({"G": [[[0.0, 0.0]]] * trees[0]["d"]}))
+            names = [re.escape(paths[0]), re.escape(g)]
+            runs.append((["solve", paths[0], "--out", g, *flags], names[:1], trees))
+            runs.append((["radical", paths[0], *options, "--g", g, *flags], names, trees))
+        else:
+            names = [re.escape(path) for path in paths]
+            if command == "concat":  # a mismatch of the two fixtures names the second by id
+                names.append("fixture_b 'drawn_b'")
+            runs.append(([command, *paths, *options, *flags], names, trees))
+    done = subprocess.run([sys.executable, "-c", CONTRACT_DRIVER],
+                          input=json.dumps([argv for argv, _, _ in runs]),
                           env={**os.environ, "PYTHONPATH": str(REPO / "src")},
                           capture_output=True, text=True, timeout=120)
     assert (done.returncode, done.stderr) == (0, "")
     results = json.loads(done.stdout)
-    assert len(results) == len(cases) == 300
+    assert len(cases) == 300 and len(results) == len(runs)
     broken = []
-    for argv, (_, tree, _), (code, err, report) in zip(argvs, cases, results):
-        one_error = re.fullmatch(rf"error: {re.escape(argv[1])}: [^\n]+\n", err)
-        if not (code in (0, 1) and err == "" and report or code == 2 and one_error):
-            broken.append((argv, tree, code, err))
+    for (argv, names, trees), (code, err, report) in zip(runs, results):
+        one_error = re.fullmatch(rf"error: (?:{'|'.join(names)})[: ][^\n]+\n", err)
+        quiet = err == "" or "--out" in argv and re.fullmatch(r"no G written to [^\n]+\n", err)
+        if not (code in (0, 1) and quiet and report or code == 2 and one_error):
+            broken.append((argv, trees, code, err))
     assert broken == []
     assert {1, 2} <= {code for code, _, _ in results}
+    assert {argv[0] for argv, _, _ in runs} == {"check", "solve", "radical", "concat"}

@@ -25,7 +25,7 @@ from koszul.corona import (
 from koszul.detk import det_k_gram
 from koszul.fixtures import parse_fixture
 from koszul.opdet import RANK_RTOL, numeric_rank
-from koszul.poly import DiscGrid, PolyMatrix
+from koszul.poly import DiscGrid, PolyMatrix, sup_operator_norm
 
 
 def P(*cs):
@@ -236,8 +236,8 @@ def test_scalar_solve_m1_trivial(small_grid):
     F = PolyMatrix.from_rows([[P(1), P(0)]])
     R = corona_row(F, 1)
     res = scalar_corona_solve(R, S(1), 4, 1e-8, small_grid)
-    assert res.success
-    assert res.solve_report.residual <= 1e-12
+    assert res.success and res.solve_report.certified
+    assert sup_operator_norm(R @ res.v - S(1), small_grid) <= 1e-12
     assert res.v.coeffs.tolist() == [[[1 + 0j]], [[0j]]]
 
 
@@ -246,8 +246,8 @@ def test_scalar_solve_two_row_bezout(small_grid):
     F = PolyMatrix.from_rows([[P(s), P(0)], [P(0), P(s)]])
     R = corona_row(F, 1)
     res = scalar_corona_solve(R, S(1), 4, 1e-8, small_grid)
-    assert res.success
-    assert res.solve_report.residual <= 1e-10
+    assert res.success and res.solve_report.certified
+    assert sup_operator_norm(R @ res.v - S(1), small_grid) <= 1e-10
     for z in small_grid.points[:4]:
         assert abs((R.eval(z) @ res.v.eval(z))[0, 0] - 1) <= 1e-10
 
